@@ -30,20 +30,27 @@
 //!    is owned (deduplicated) by its minimal-rank new edge, so the union
 //!    over edges is exact and every chunk is schedule-independent.
 //!
-//! The driver is chunked over the new-edge list with the same budget
-//! discipline as [`resilient`](crate::resilient): budgets are checked at
-//! chunk boundaries, early stops return completed pieces plus a
-//! [`DeltaResumePoint`], and a resumed run merged with its prefix is
-//! byte-identical to an uninterrupted one.
+//! The driver runs on the [`resilient`](crate::resilient) chunk runtime,
+//! with the new-edge list as its work domain: budgets are checked at chunk
+//! boundaries, a panicking chunk is retried (the final attempt degraded to
+//! paper kernels), early stops return completed pieces plus a
+//! [`WorkDomain::Delta`] [`ResumePoint`], and a resumed run merged with
+//! its prefix is byte-identical to an uninterrupted one.
 
 use crate::cost::CostReport;
 use crate::kernel::{Kernels, ListDir};
-use crate::resilient::{lock_tolerant, ResumeParseError, RunBudget, StopReason};
+use crate::obs::Recorder;
+use crate::resilient::{
+    schedule, ChunkPiece, ChunkRun, FaultPlan, ResumeParseError, ResumePoint, RunBudget,
+    StopReason, WorkDomain, DEFAULT_MAX_ATTEMPTS,
+};
+use crate::sink::TriangleBuffer;
 use crate::source::GraphSource;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
+use std::time::Instant;
 use trilist_graph::Graph;
 
 /// A rejected edit batch. Every variant names the offending edge, so the
@@ -514,109 +521,23 @@ pub fn delta_chunk_ranges(
     out
 }
 
-/// One completed delta chunk's output, tagged with its global index so
-/// partial and resumed runs merge in exact sequential order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaPiece {
-    /// Global chunk index.
-    pub chunk: u32,
-    /// New-edge index range the chunk covers.
-    pub range: Range<u32>,
-    /// Paper cost of exactly this chunk.
-    pub cost: CostReport,
-    /// Label triples `(x, y, z)`, ascending within the chunk.
-    pub triangles: Vec<(u32, u32, u32)>,
-}
-
-/// Unvisited new-edge ranges of an early-stopped delta run — the token a
-/// follow-up request carries. Text format mirrors
-/// [`ResumePoint`](crate::resilient::ResumePoint):
-///
-/// ```text
-/// trilist-delta-resume v1 n=<n> edges=<count> <chunk>:<start>-<end> ...
-/// ```
-///
-/// `n` and `edges` pin the graph shape and delta size, so a token replayed
-/// against the wrong epoch pair is rejected instead of silently listing
-/// garbage.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaResumePoint {
-    /// Node count of the graph the run was chunked over.
-    pub n: u32,
-    /// Total new-edge count of the run.
-    pub edges: u64,
-    /// `(chunk index, edge-index range)` still unvisited, ascending.
-    pub ranges: Vec<(u32, Range<u32>)>,
-}
-
-impl std::fmt::Display for DeltaResumePoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trilist-delta-resume v1 n={} edges={}",
-            self.n, self.edges
-        )?;
-        for (chunk, r) in &self.ranges {
-            write!(f, " {}:{}-{}", chunk, r.start, r.end)?;
-        }
-        Ok(())
-    }
-}
-
-impl std::str::FromStr for DeltaResumePoint {
-    type Err = ResumeParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |m: &str| ResumeParseError(m.to_string());
-        let mut tokens = s.split_whitespace();
-        if tokens.next() != Some("trilist-delta-resume") {
-            return Err(err("missing trilist-delta-resume magic"));
-        }
-        if tokens.next() != Some("v1") {
-            return Err(err("unsupported version"));
-        }
-        let n = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("n="))
-            .and_then(|t| t.parse::<u32>().ok())
-            .ok_or_else(|| err("missing or malformed n= field"))?;
-        let edges = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("edges="))
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| err("missing or malformed edges= field"))?;
-        let mut ranges = Vec::new();
-        for tok in tokens {
-            let (chunk, rest) = tok
-                .split_once(':')
-                .ok_or_else(|| err("range token missing ':'"))?;
-            let (start, end) = rest
-                .split_once('-')
-                .ok_or_else(|| err("range token missing '-'"))?;
-            let chunk = chunk.parse::<u32>().map_err(|_| err("bad chunk index"))?;
-            let start = start.parse::<u32>().map_err(|_| err("bad range start"))?;
-            let end = end.parse::<u32>().map_err(|_| err("bad range end"))?;
-            if start > end || end as u64 > edges {
-                return Err(err("range out of bounds"));
-            }
-            ranges.push((chunk, start..end));
-        }
-        if ranges.is_empty() {
-            return Err(err("resume point has no ranges"));
-        }
-        Ok(DeltaResumePoint { n, edges, ranges })
-    }
-}
-
 /// Limits and shape for one delta run.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct DeltaOpts {
-    /// Worker threads (0 and 1 both mean sequential).
+    /// Worker threads (0 and 1 both mean sequential), capped at the run's
+    /// chunk count.
     pub threads: usize,
     /// Predicted intersection ops per chunk (see [`delta_chunk_ranges`]).
     pub target_chunk_ops: u64,
     /// Budget checked at chunk boundaries.
     pub budget: RunBudget,
+    /// Observability sink, as
+    /// [`ResilientOpts::recorder`](crate::ResilientOpts::recorder): `None`
+    /// is the no-op recorder, and recording never changes results.
+    pub recorder: Option<Arc<dyn Recorder>>,
+    /// Deterministic fault injection, as
+    /// [`ResilientOpts::fault_plan`](crate::ResilientOpts::fault_plan).
+    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for DeltaOpts {
@@ -625,6 +546,8 @@ impl Default for DeltaOpts {
             threads: 1,
             target_chunk_ops: 1024,
             budget: RunBudget::unlimited(),
+            recorder: None,
+            fault_plan: None,
         }
     }
 }
@@ -635,22 +558,23 @@ pub enum DeltaOutcome {
     /// Every chunk completed.
     Complete {
         /// Per-chunk outputs, ascending by chunk index.
-        pieces: Vec<DeltaPiece>,
+        pieces: Vec<ChunkPiece>,
     },
-    /// The budget stopped the run at a chunk boundary.
+    /// A budget or a chunk that failed every attempt stopped the run at a
+    /// chunk boundary.
     Partial {
         /// Completed chunks, ascending by chunk index.
-        pieces: Vec<DeltaPiece>,
-        /// Unvisited ranges to replay.
-        resume: DeltaResumePoint,
-        /// The first triggered limit.
+        pieces: Vec<ChunkPiece>,
+        /// Unvisited ranges to replay (a [`WorkDomain::Delta`] token).
+        resume: ResumePoint,
+        /// Why the run stopped.
         reason: StopReason,
     },
 }
 
 impl DeltaOutcome {
     /// Completed pieces, ascending by chunk index.
-    pub fn pieces(&self) -> &[DeltaPiece] {
+    pub fn pieces(&self) -> &[ChunkPiece] {
         match self {
             DeltaOutcome::Complete { pieces } | DeltaOutcome::Partial { pieces, .. } => pieces,
         }
@@ -685,136 +609,97 @@ pub fn list_new_triangles_src(
     edges: &[(u32, u32)],
     opts: &DeltaOpts,
 ) -> DeltaOutcome {
-    let chunks = delta_chunk_ranges(src, edges, opts.target_chunk_ops);
-    let jobs: Vec<(u32, Range<u32>)> = chunks
+    let jobs: Vec<(u32, Range<u32>)> = delta_chunk_ranges(src, edges, opts.target_chunk_ops)
         .into_iter()
         .enumerate()
         .map(|(i, r)| (i as u32, r))
         .collect();
-    run_delta_jobs(src, kernels, edges, jobs, opts)
+    run_delta(src, kernels, edges, &jobs, opts)
 }
 
-impl DeltaResumePoint {
-    /// Replays the unvisited ranges against the same graph and new-edge
-    /// list. The shape pins (`n`, `edges`) must match or the token is
-    /// rejected.
-    pub fn run_src(
+impl ResumePoint {
+    /// Replays the unvisited ranges of a delta run against the same graph
+    /// and new-edge list. The token must be a [`WorkDomain::Delta`] one
+    /// whose shape pins (`n`, `edges`) match, or it is rejected.
+    pub fn run_new_triangles_src(
         &self,
         src: GraphSource<'_>,
         kernels: &Kernels,
         edges: &[(u32, u32)],
         opts: &DeltaOpts,
     ) -> Result<DeltaOutcome, ResumeParseError> {
-        if self.n as usize != src.n() {
-            return Err(ResumeParseError(format!(
-                "resume point is for n={}, graph has n={}",
-                self.n,
-                src.n()
-            )));
-        }
-        if self.edges != edges.len() as u64 {
-            return Err(ResumeParseError(format!(
-                "resume point is for {} new edges, delta has {}",
-                self.edges,
-                edges.len()
-            )));
-        }
-        Ok(run_delta_jobs(
-            src,
-            kernels,
-            edges,
-            self.ranges.clone(),
-            opts,
-        ))
+        self.fits(&delta_shape(src, edges))
+            .map_err(ResumeParseError)?;
+        Ok(run_delta(src, kernels, edges, &self.ranges, opts))
     }
 }
 
-/// The shared worker loop: claim chunks in index order, stop at the first
-/// triggered budget, merge by chunk index.
-fn run_delta_jobs(
+fn delta_shape(src: GraphSource<'_>, edges: &[(u32, u32)]) -> ResumePoint {
+    ResumePoint::shape(WorkDomain::Delta, src.n(), edges.len() as u64)
+}
+
+/// Runs delta `jobs` on the shared chunk runtime.
+fn run_delta(
     src: GraphSource<'_>,
     kernels: &Kernels,
     edges: &[(u32, u32)],
-    jobs: Vec<(u32, Range<u32>)>,
+    jobs: &[(u32, Range<u32>)],
     opts: &DeltaOpts,
 ) -> DeltaOutcome {
-    let active = opts.budget.start();
+    let run = ChunkRun::start(
+        delta_shape(src, edges),
+        kernels.policy().name(),
+        &opts.budget,
+        opts.recorder.as_deref(),
+        opts.fault_plan.as_ref(),
+        DEFAULT_MAX_ATTEMPTS,
+    );
+    let started = Instant::now();
     // The rank set is the run's dominant transient allocation.
-    active.add_memory(edges.len() as u64 * 16);
+    run.budget.add_memory(edges.len() as u64 * 16);
     let ranks = edge_ranks(edges);
+    run.setup_span(0, started);
+    // No more workers than chunks: a one-chunk run executes inline.
     let threads = opts.threads.max(1).min(jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<DeltaPiece>> = Mutex::new(Vec::new());
-    let stop: Mutex<Option<StopReason>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Per-worker clone so adaptive kernel state stays local.
-                let k = kernels.clone();
-                let mut scratch = DeltaScratch::new();
-                loop {
-                    if let Some(reason) = active.check() {
-                        let mut s = lock_tolerant(&stop);
-                        s.get_or_insert(reason);
-                        break;
-                    }
-                    if lock_tolerant(&stop).is_some() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (chunk, range) = (jobs[i].0, jobs[i].1.clone());
-                    let mut triangles = Vec::new();
-                    let cost = new_triangles_range_src(
-                        src,
-                        &k,
-                        edges,
-                        &ranks,
-                        range.clone(),
-                        &mut scratch,
-                        |x, y, z| triangles.push((x, y, z)),
-                    );
-                    lock_tolerant(&done).push(DeltaPiece {
-                        chunk,
-                        range,
-                        cost,
-                        triangles,
-                    });
-                }
-            });
-        }
-    });
-    active.settle();
-    let mut pieces = lock_tolerant(&done).drain(..).collect::<Vec<_>>();
-    pieces.sort_by_key(|p| p.chunk);
-    let reason = lock_tolerant(&stop).take();
-    match reason {
-        None => DeltaOutcome::Complete { pieces },
-        Some(reason) => {
-            let completed: std::collections::HashSet<u32> =
-                pieces.iter().map(|p| p.chunk).collect();
-            let ranges: Vec<(u32, Range<u32>)> = jobs
-                .iter()
-                .filter(|(c, _)| !completed.contains(c))
-                .map(|(c, r)| (*c, r.clone()))
-                .collect();
-            if ranges.is_empty() {
-                // Budget tripped after the last chunk was claimed: the
-                // run is in fact complete.
-                return DeltaOutcome::Complete { pieces };
-            }
-            DeltaOutcome::Partial {
-                pieces,
-                resume: DeltaResumePoint {
-                    n: src.n() as u32,
-                    edges: edges.len() as u64,
-                    ranges,
-                },
-                reason,
-            }
-        }
+    let done = schedule(
+        &run,
+        jobs,
+        threads,
+        Vec::new(),
+        &|| {
+            // metering is worker-local observation: attach the run's meter
+            // to a clone, never to the caller's context
+            let kernels = match &run.meter {
+                Some(m) => Cow::Owned(kernels.clone().with_meter(Arc::clone(m))),
+                None => Cow::Borrowed(kernels),
+            };
+            (kernels, DeltaScratch::new())
+        },
+        &|(kernels, scratch), range, degraded| {
+            let paper;
+            let kernels = if degraded {
+                paper = Kernels::paper();
+                &paper
+            } else {
+                &**kernels
+            };
+            let mut tris = TriangleBuffer::new();
+            let cost =
+                new_triangles_range_src(src, kernels, edges, &ranks, range, scratch, |x, y, z| {
+                    tris.push(x, y, z)
+                });
+            (cost, tris)
+        },
+    );
+    match done.stop {
+        None => DeltaOutcome::Complete {
+            pieces: done.pieces,
+        },
+        Some((reason, resume)) => DeltaOutcome::Partial {
+            pieces: done.pieces,
+            resume,
+            reason,
+        },
     }
 }
 
@@ -1007,7 +892,7 @@ mod tests {
                 let opts = DeltaOpts {
                     threads,
                     target_chunk_ops: target,
-                    budget: RunBudget::unlimited(),
+                    ..DeltaOpts::default()
                 };
                 let out = list_new_triangles_src(src, &k, &by_label, &opts);
                 assert_eq!(out.triangles(), baseline.triangles());
@@ -1022,6 +907,7 @@ mod tests {
             threads: 1,
             target_chunk_ops: 8,
             budget: RunBudget::unlimited().with_cancel(token),
+            ..DeltaOpts::default()
         };
         let out = list_new_triangles_src(src, &k, &by_label, &opts);
         let DeltaOutcome::Partial {
@@ -1034,10 +920,10 @@ mod tests {
         };
         assert!(pieces.is_empty());
         assert_eq!(reason, StopReason::Cancelled);
-        let reparsed: DeltaResumePoint = resume.to_string().parse().unwrap();
+        let reparsed: ResumePoint = resume.to_string().parse().unwrap();
         assert_eq!(reparsed, resume);
         let done = reparsed
-            .run_src(src, &k, &by_label, &DeltaOpts::default())
+            .run_new_triangles_src(src, &k, &by_label, &DeltaOpts::default())
             .unwrap();
         assert_eq!(done.triangles(), baseline.triangles());
         assert_eq!(done.cost(), baseline.cost());
@@ -1045,18 +931,18 @@ mod tests {
 
     #[test]
     fn resume_token_rejects_mismatches() {
-        assert!("trilist-delta-resume v1 n=4 edges=2 0:0-2"
-            .parse::<DeltaResumePoint>()
+        assert!("trilist-resume v1 delta n=4 edges=2 0:0-2"
+            .parse::<ResumePoint>()
             .is_ok());
         for bad in [
             "trilist-resume v1 n=4 edges=2 0:0-2",
-            "trilist-delta-resume v2 n=4 edges=2 0:0-2",
-            "trilist-delta-resume v1 edges=2 0:0-2",
-            "trilist-delta-resume v1 n=4 edges=2",
-            "trilist-delta-resume v1 n=4 edges=2 0:3-2",
-            "trilist-delta-resume v1 n=4 edges=2 0:0-9",
+            "trilist-resume v2 delta n=4 edges=2 0:0-2",
+            "trilist-resume v1 delta edges=2 0:0-2",
+            "trilist-resume v1 delta n=4 edges=2",
+            "trilist-resume v1 delta n=4 edges=2 0:3-2",
+            "trilist-resume v1 delta n=4 edges=2 0:0-9",
         ] {
-            assert!(bad.parse::<DeltaResumePoint>().is_err(), "{bad}");
+            assert!(bad.parse::<ResumePoint>().is_err(), "{bad}");
         }
     }
 }

@@ -60,8 +60,8 @@ pub use compressed::{
 pub use cost::CostReport;
 pub use delta::{
     delta_chunk_ranges, edge_ranks, list_new_triangles_src, materialize, net_changes,
-    new_triangles_range_src, normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaPiece,
-    DeltaResumePoint, DeltaRun, DeltaScratch, EdgeList, EdgeRank, OverlayView,
+    new_triangles_range_src, normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaRun,
+    DeltaScratch, EdgeList, EdgeRank, OverlayView,
 };
 pub use kernel::{
     AdaptiveConfig, BitmapOracle, BitsetConfig, HubBitmap, KernelMeter, KernelPlan, KernelPolicy,
@@ -80,7 +80,7 @@ pub use prior_art::{chiba_nishizeki, forward};
 pub use resilient::{
     fault_roll, list_resilient, list_resilient_src, silence_injected_panics, ActiveBudget,
     CancelToken, ChunkFault, ChunkPiece, Fault, FaultPlan, MemoryGauge, PartialRun, ResilientOpts,
-    ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason,
+    ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason, WorkDomain,
 };
 pub use sink::{FirstK, PerNodeCounter, ReservoirSink, TriangleBuffer};
 pub use source::GraphSource;

@@ -30,7 +30,7 @@
 //! [`KernelMeter`](crate::kernel::KernelMeter)s precisely so the hot
 //! intersection loops never touch a contended cache line.
 
-use crate::Method;
+use crate::resilient::WorkDomain;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -206,8 +206,9 @@ impl HistKind {
 /// scheduler: enough to reconstruct the run as a timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkSpan {
-    /// The listing method that was running.
-    pub method: Method,
+    /// What the chunk's range indexes: a listing method's visited nodes,
+    /// or a delta run's new edges.
+    pub domain: WorkDomain,
     /// Kernel policy the attempt actually executed (`"paper"` on a
     /// degraded final retry even when the run was configured adaptive).
     pub policy: &'static str,
@@ -217,7 +218,8 @@ pub struct ChunkSpan {
     pub attempt: u32,
     /// Worker that executed it.
     pub worker: usize,
-    /// Visited-node (or column-interval) range the chunk covers.
+    /// Range the chunk covers in its domain (or the column interval of an
+    /// external-memory pass).
     pub range: Range<u32>,
     /// Start offset from the run's origin, in nanoseconds.
     pub start_ns: u64,
@@ -315,12 +317,14 @@ impl CounterSnapshot {
 }
 
 /// A thread-safe recorder that keeps everything in memory: relaxed atomic
-/// counters, log2 histograms, and the full span list.
+/// counters, log2 histograms, and the full span list (unless built
+/// [`InMemoryRecorder::without_span_list`]).
 #[derive(Debug)]
 pub struct InMemoryRecorder {
     counters: [AtomicU64; Counter::COUNT],
     hists: [[AtomicU64; HIST_BUCKETS]; HistKind::COUNT],
     spans: Mutex<Vec<ChunkSpan>>,
+    keep_spans: bool,
     // Running aggregates so hot paths (a server answering `Stats` per
     // request) never clone the span list under the lock.
     span_count: AtomicU64,
@@ -340,8 +344,19 @@ impl InMemoryRecorder {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             spans: Mutex::new(Vec::new()),
+            keep_spans: true,
             span_count: AtomicU64::new(0),
             span_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// A recorder that keeps counters, histograms and the span aggregates
+    /// but drops every span after counting it ([`spans`](Self::spans)
+    /// stays empty), so a long-lived server does not grow per run.
+    pub fn without_span_list() -> Self {
+        InMemoryRecorder {
+            keep_spans: false,
+            ..InMemoryRecorder::new()
         }
     }
 
@@ -456,10 +471,12 @@ impl Recorder for InMemoryRecorder {
     fn span(&self, span: ChunkSpan) {
         self.span_count.fetch_add(1, Ordering::Relaxed);
         self.span_ns.fetch_add(span.dur_ns, Ordering::Relaxed);
-        self.spans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(span);
+        if self.keep_spans {
+            self.spans
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(span);
+        }
     }
 }
 
@@ -873,6 +890,7 @@ impl<'a> JsonParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Method;
 
     #[test]
     fn log2_bucket_edges() {
@@ -917,7 +935,7 @@ mod tests {
 
     fn span(worker: usize, chunk: u32, dur_ns: u64) -> ChunkSpan {
         ChunkSpan {
-            method: Method::E1,
+            domain: WorkDomain::Listing(Method::E1),
             policy: "paper",
             chunk,
             attempt: 0,

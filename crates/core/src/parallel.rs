@@ -43,7 +43,7 @@ use crate::compressed::{self, CompressedCsr, DecodeScratch};
 use crate::cost::CostReport;
 use crate::kernel::{BitmapOracle, KernelPolicy, Kernels};
 use crate::oracle::HashOracle;
-use crate::resilient::{self, ChunkFault, ResilientOpts, RunBudget, RunOutcome};
+use crate::resilient::{self, ChunkFault, ResilientOpts, RunOutcome};
 use crate::sink::TriangleBuffer;
 use crate::source::GraphSource;
 use crate::{sei, vertex, Method};
@@ -382,16 +382,7 @@ pub fn par_list_with(
     method: Method,
     opts: &ParallelOpts,
 ) -> Result<ParallelRun, ParallelError> {
-    let ropts = ResilientOpts {
-        parallel: *opts,
-        budget: RunBudget::unlimited(),
-        max_attempts: 1,
-        ..ResilientOpts::default()
-    };
-    match resilient::list_resilient(g, method, &ropts)? {
-        RunOutcome::Complete(run) => Ok(run),
-        RunOutcome::Partial(partial) => Err(chunk_error(method, &partial)),
-    }
+    par_list_src(GraphSource::Plain(g), method, opts)
 }
 
 /// [`par_list_with`] on the delta/varint-compressed layout: the same
@@ -404,22 +395,27 @@ pub fn par_list_compressed_with(
     method: Method,
     opts: &ParallelOpts,
 ) -> Result<ParallelRun, ParallelError> {
+    par_list_src(GraphSource::Compressed(c), method, opts)
+}
+
+/// The fail-fast run over either layout: the resilient runtime with no
+/// budget and one attempt per chunk, so the only way to fall short is a
+/// fatally failed chunk, which becomes the typed error.
+fn par_list_src(
+    src: GraphSource<'_>,
+    method: Method,
+    opts: &ParallelOpts,
+) -> Result<ParallelRun, ParallelError> {
     let ropts = ResilientOpts {
         parallel: *opts,
-        budget: RunBudget::unlimited(),
         max_attempts: 1,
         ..ResilientOpts::default()
     };
-    match resilient::list_resilient_src(GraphSource::Compressed(c), method, &ropts)? {
-        RunOutcome::Complete(run) => Ok(run),
-        RunOutcome::Partial(partial) => Err(chunk_error(method, &partial)),
-    }
-}
-
-/// Converts a partial run under fail-fast settings into the typed error:
-/// with no budget the only way to fall short is a fatally failed chunk.
-fn chunk_error(method: Method, partial: &resilient::PartialRun) -> ParallelError {
-    match partial.faults.iter().find(|f| f.fatal) {
+    let partial = match resilient::list_resilient_src(src, method, &ropts)? {
+        RunOutcome::Complete(run) => return Ok(run),
+        RunOutcome::Partial(partial) => partial,
+    };
+    Err(match partial.faults.iter().find(|f| f.fatal) {
         Some(f) => ParallelError::ChunkFailed {
             method,
             worker: f.worker,
@@ -431,7 +427,7 @@ fn chunk_error(method: Method, partial: &resilient::PartialRun) -> ParallelError
             "run stopped early ({}) without a recorded fault",
             partial.reason
         )),
-    }
+    })
 }
 
 /// Executes one visited-node range, staging triangles in a

@@ -30,6 +30,10 @@
 //! alloc-pressure) drives the differential suite in `tests/resilience.rs`:
 //! faults are decided by hashing `(seed, chunk, attempt)`, so a plan
 //! reproduces exactly across thread counts and steal schedules.
+//!
+//! The runtime is generic over its [`WorkDomain`]: listing chunks visited
+//! nodes, [`delta`](crate::delta) chunks net-new edges, and both share the
+//! scheduler, the ordered merge and the [`ResumePoint`] token grammar.
 
 use crate::compressed::DecodeScratch;
 use crate::cost::CostReport;
@@ -43,7 +47,7 @@ use crate::sink::TriangleBuffer;
 use crate::source::GraphSource;
 use crate::Method;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,7 +57,7 @@ use trilist_order::DirectedGraph;
 
 /// Poison-tolerant lock: a worker that panicked while holding the mutex
 /// must not cascade into a second panic on the merge path.
-pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -320,7 +324,7 @@ pub enum Fault {
 /// `(seed, c, a)` — independent of thread count, steal schedule, and chunk
 /// count — so a failing fault schedule replays exactly from its seed.
 /// Rates are per-mille (0–1000) over chunks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed feeding the per-chunk hash.
     pub seed: u64,
@@ -363,10 +367,7 @@ impl FaultPlan {
             seed,
             panic_permille: permille,
             panic_attempts: attempts,
-            slow_permille: 0,
-            slow: Duration::ZERO,
-            alloc_permille: 0,
-            alloc_bytes: 0,
+            ..FaultPlan::default()
         }
     }
 
@@ -374,12 +375,9 @@ impl FaultPlan {
     pub fn slow_chunks(seed: u64, permille: u16, delay: Duration) -> Self {
         FaultPlan {
             seed,
-            panic_permille: 0,
-            panic_attempts: 0,
             slow_permille: permille,
             slow: delay,
-            alloc_permille: 0,
-            alloc_bytes: 0,
+            ..FaultPlan::default()
         }
     }
 
@@ -387,12 +385,9 @@ impl FaultPlan {
     pub fn alloc_pressure(seed: u64, permille: u16, bytes: u64) -> Self {
         FaultPlan {
             seed,
-            panic_permille: 0,
-            panic_attempts: 0,
-            slow_permille: 0,
-            slow: Duration::ZERO,
             alloc_permille: permille,
             alloc_bytes: bytes,
+            ..FaultPlan::default()
         }
     }
 
@@ -477,12 +472,33 @@ pub fn fault_roll(seed: u64, salt: u64, lane: u64, index: u64) -> u16 {
     (mix(mix(mix(seed ^ salt) ^ lane) ^ index) % 1000) as u16
 }
 
+/// What a chunked run's ranges index. Resume tokens and spans carry it,
+/// so neither can be mistaken for the other domain's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum WorkDomain {
+    /// Visited-node ranges of a listing method (T1, T2, E1, E4).
+    Listing(Method),
+    /// Ranges of net-new edge indices of a new-triangle run (see
+    /// [`crate::delta`]).
+    Delta,
+}
+
+/// The method name, or `delta`: the tag of a resume token.
+impl std::fmt::Display for WorkDomain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkDomain::Listing(method) => write!(f, "{method}"),
+            WorkDomain::Delta => f.write_str("delta"),
+        }
+    }
+}
+
 /// One chunk execution that panicked: the quarantine record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkFault {
     /// Global chunk index.
     pub chunk: u32,
-    /// Visited-node range the chunk covers.
+    /// Range the chunk covers in its [`WorkDomain`].
     pub range: Range<u32>,
     /// Worker that was executing.
     pub worker: usize,
@@ -501,7 +517,7 @@ pub struct ChunkFault {
 pub struct ChunkPiece {
     /// Global chunk index (position in the original chunking).
     pub chunk: u32,
-    /// Visited-node range the chunk covers.
+    /// Range the chunk covers in its [`WorkDomain`].
     pub range: Range<u32>,
     /// The chunk's operation counts.
     pub cost: CostReport,
@@ -510,17 +526,29 @@ pub struct ChunkPiece {
 }
 
 /// The unvisited remainder of an interrupted run, serializable to a stable
-/// one-line text format (see [`std::fmt::Display`] /
-/// [`std::str::FromStr`]) so it can be checkpointed and resumed by a later
-/// process.
+/// one-line text format so a later request or process can resume it:
+///
+/// ```text
+/// trilist-resume v1 <method> n=<n> <chunk>:<start>-<end> ...
+/// trilist-resume v1 delta n=<n> edges=<k> <chunk>:<start>-<end> ...
+/// ```
+///
+/// The tag is the [`WorkDomain`]; `n` (and `edges` for delta) pin the
+/// shape of the run, so a token offered to the wrong graph, delta or
+/// domain is rejected instead of listing garbage. A token is outside
+/// input: it must hold at least one range, chunk indices must strictly
+/// ascend, and ranges must ascend without overlap inside the domain
+/// (`0..n`, or `0..edges` for delta), so no replay can list a range twice.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumePoint {
-    /// The listing method of the original run.
-    pub method: Method,
-    /// Node count of the graph the chunking was computed for (resume
-    /// refuses a graph of a different size).
+    /// What the ranges index.
+    pub domain: WorkDomain,
+    /// Node count of the graph the chunking was computed for.
     pub n: u32,
-    /// `(chunk index, visited range)` still to execute, ascending.
+    /// Net-new edge count of a delta run (0 for listing, which the token
+    /// does not spell).
+    pub edges: u64,
+    /// `(chunk index, range)` still to execute, ascending.
     pub ranges: Vec<(u32, Range<u32>)>,
 }
 
@@ -530,9 +558,10 @@ impl ResumePoint {
         self.ranges.is_empty()
     }
 
-    /// Executes the remaining chunks. The merged result of the partial
-    /// run's pieces plus these (see [`PartialRun::resume_with`]) is
-    /// byte-identical to an uninterrupted run.
+    /// Executes the remaining chunks of a listing run. The merged result
+    /// of the partial run's pieces plus these (see
+    /// [`PartialRun::resume_with`]) is byte-identical to an uninterrupted
+    /// run.
     pub fn run(
         &self,
         g: &DirectedGraph,
@@ -549,15 +578,86 @@ impl ResumePoint {
         src: GraphSource<'_>,
         opts: &ResilientOpts,
     ) -> Result<RunOutcome, ParallelError> {
-        check_graph(self.n, src)?;
-        run_jobs(src, self.method, &self.ranges, opts, Vec::new())
+        self.resume_listing(src, opts, Vec::new())
+    }
+
+    /// Runs the remaining chunks of a listing run and merges them with
+    /// `prior` pieces.
+    fn resume_listing(
+        &self,
+        src: GraphSource<'_>,
+        opts: &ResilientOpts,
+        prior: Vec<ChunkPiece>,
+    ) -> Result<RunOutcome, ParallelError> {
+        let WorkDomain::Listing(method) = self.domain else {
+            return Err(ParallelError::InvalidResume(format!(
+                "resume point is for {}, not a listing run",
+                self.domain
+            )));
+        };
+        self.fits(&ResumePoint::shape(self.domain, src.n(), 0))
+            .map_err(ParallelError::InvalidResume)?;
+        run_jobs(src, method, &self.ranges, opts, prior)
+    }
+
+    /// An empty point describing a run's shape: what a token must match
+    /// to resume it, and what an interrupted run's token is built from.
+    pub(crate) fn shape(domain: WorkDomain, n: usize, edges: u64) -> ResumePoint {
+        ResumePoint {
+            domain,
+            n: n as u32,
+            edges,
+            ranges: Vec::new(),
+        }
+    }
+
+    /// Checks this point against the `shape` of the run it is offered to:
+    /// same domain and pins, and ranges that obey the token rules.
+    pub(crate) fn fits(&self, shape: &ResumePoint) -> Result<(), String> {
+        let pins = |p: &ResumePoint| (p.domain, p.n, p.edges);
+        if pins(self) != pins(shape) {
+            return Err(format!(
+                "resume point is for {} n={} edges={}, the run is {} n={} edges={}",
+                self.domain, self.n, self.edges, shape.domain, shape.n, shape.edges
+            ));
+        }
+        self.check_ranges()
+    }
+
+    /// The range rules of the token grammar (see [`ResumePoint`]).
+    fn check_ranges(&self) -> Result<(), String> {
+        let extent = match self.domain {
+            WorkDomain::Listing(_) => self.n as u64,
+            WorkDomain::Delta => self.edges,
+        };
+        if self.ranges.is_empty() {
+            return Err("resume point has no ranges".into());
+        }
+        let mut prev: Option<(u32, u32)> = None;
+        for (chunk, r) in &self.ranges {
+            if r.start > r.end || r.end as u64 > extent {
+                return Err(format!(
+                    "chunk {chunk} range {}..{} outside 0..{extent}",
+                    r.start, r.end
+                ));
+            }
+            if prev.is_some_and(|(last, end)| *chunk <= last || r.start < end) {
+                return Err(format!(
+                    "chunk {chunk} repeats, descends or overlaps the range before it"
+                ));
+            }
+            prev = Some((*chunk, r.end));
+        }
+        Ok(())
     }
 }
 
-/// `trilist-resume v1 <method> n=<n> <chunk>:<start>-<end> ...`
 impl std::fmt::Display for ResumePoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trilist-resume v1 {} n={}", self.method, self.n)?;
+        write!(f, "trilist-resume v1 {} n={}", self.domain, self.n)?;
+        if self.domain == WorkDomain::Delta {
+            write!(f, " edges={}", self.edges)?;
+        }
         for (chunk, r) in &self.ranges {
             write!(f, " {chunk}:{}-{}", r.start, r.end)?;
         }
@@ -565,7 +665,7 @@ impl std::fmt::Display for ResumePoint {
     }
 }
 
-/// A [`ResumePoint`] that failed to parse.
+/// A [`ResumePoint`] that failed to parse or does not fit its run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumeParseError(pub(crate) String);
 
@@ -589,15 +689,25 @@ impl std::str::FromStr for ResumePoint {
         if tokens.next() != Some("v1") {
             return Err(err("unsupported version (expected v1)"));
         }
-        let method = tokens
-            .next()
-            .and_then(Method::from_name)
-            .ok_or_else(|| err("bad method token"))?;
-        let n = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("n="))
-            .and_then(|t| t.parse::<u32>().ok())
-            .ok_or_else(|| err("bad n= token"))?;
+        let domain = match tokens.next() {
+            Some("delta") => WorkDomain::Delta,
+            tag => WorkDomain::Listing(
+                tag.and_then(Method::from_name)
+                    .ok_or_else(|| err("bad domain token"))?,
+            ),
+        };
+        let mut field = |name: &str| {
+            tokens
+                .next()
+                .and_then(|t| t.strip_prefix(name))
+                .and_then(|t| t.parse::<u64>().ok())
+                .ok_or_else(|| err(&format!("bad {name} token")))
+        };
+        let n = u32::try_from(field("n=")?).map_err(|_| err("bad n= token"))?;
+        let edges = match domain {
+            WorkDomain::Listing(_) => 0,
+            WorkDomain::Delta => field("edges=")?,
+        };
         let mut ranges = Vec::new();
         for tok in tokens {
             let (chunk, span) = tok.split_once(':').ok_or_else(|| err("bad range token"))?;
@@ -605,12 +715,16 @@ impl std::str::FromStr for ResumePoint {
             let chunk = chunk.parse::<u32>().map_err(|_| err("bad chunk index"))?;
             let start = start.parse::<u32>().map_err(|_| err("bad range start"))?;
             let end = end.parse::<u32>().map_err(|_| err("bad range end"))?;
-            if start > end || end > n {
-                return Err(err("range outside 0..n"));
-            }
             ranges.push((chunk, start..end));
         }
-        Ok(ResumePoint { method, n, ranges })
+        let point = ResumePoint {
+            domain,
+            n,
+            edges,
+            ranges,
+        };
+        point.check_ranges().map_err(ResumeParseError)?;
+        Ok(point)
     }
 }
 
@@ -676,14 +790,8 @@ impl PartialRun {
         src: GraphSource<'_>,
         opts: &ResilientOpts,
     ) -> Result<RunOutcome, ParallelError> {
-        check_graph(self.resume.n, src)?;
-        run_jobs(
-            src,
-            self.resume.method,
-            &self.resume.ranges,
-            opts,
-            self.completed.clone(),
-        )
+        self.resume
+            .resume_listing(src, opts, self.completed.clone())
     }
 }
 
@@ -776,7 +884,7 @@ impl Default for ResilientOpts {
         ResilientOpts {
             parallel: crate::parallel::ParallelOpts::default(),
             budget: RunBudget::unlimited(),
-            max_attempts: 3,
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
             fault_plan: None,
             recorder: None,
             oracle: None,
@@ -825,16 +933,6 @@ pub fn list_resilient_src(
     run_jobs(src, method, &jobs, opts, Vec::new())
 }
 
-fn check_graph(n: u32, src: GraphSource<'_>) -> Result<(), ParallelError> {
-    if src.n() as u32 != n {
-        return Err(ParallelError::InvalidResume(format!(
-            "resume point is for n={n}, graph has n={}",
-            src.n()
-        )));
-    }
-    Ok(())
-}
-
 /// Approximate bytes held by [`HashOracle::build`]: one `u64` key per
 /// directed edge plus hash-table overhead.
 fn oracle_estimate_bytes(m: usize) -> u64 {
@@ -848,8 +946,9 @@ struct WorkerState {
     scratch: DecodeScratch,
 }
 
-/// Runs `jobs` (pre-chunked, globally indexed ranges) through the
-/// retrying scheduler and merges with `prior` completed pieces.
+/// Runs listing `jobs` (pre-chunked, globally indexed visited-node
+/// ranges) through the retrying scheduler and merges with `prior`
+/// completed pieces.
 fn run_jobs(
     src: GraphSource<'_>,
     method: Method,
@@ -858,17 +957,6 @@ fn run_jobs(
     prior: Vec<ChunkPiece>,
 ) -> Result<RunOutcome, ParallelError> {
     ensure_fundamental(method)?;
-    let n = src.n() as u32;
-    for (chunk, r) in jobs {
-        if r.start > r.end || r.end > n {
-            return Err(ParallelError::InvalidResume(format!(
-                "chunk {chunk} range {}..{} outside 0..{n}",
-                r.start, r.end
-            )));
-        }
-    }
-    let budget = opts.budget.start();
-    let recorder: &dyn Recorder = opts.recorder.as_deref().unwrap_or(&NOOP);
     let threads = opts.parallel.threads.max(1);
     // a shared kernel context carries its own policy; spans and degraded
     // rebuilds must describe what actually runs
@@ -876,16 +964,14 @@ fn run_jobs(
         Some(shared) => shared.policy(),
         None => opts.parallel.policy,
     };
-    // one shared meter for all workers' kernel contexts, allocated only
-    // when a real recorder is listening — the unrecorded hot path never
-    // sees a metered context at all
-    let meter = recorder.enabled().then(|| Arc::new(KernelMeter::new()));
-    let ctx = SpanCtx {
-        recorder,
-        method,
-        policy: policy.name(),
-        origin: Instant::now(),
-    };
+    let run = ChunkRun::start(
+        ResumePoint::shape(WorkDomain::Listing(method), src.n(), 0),
+        policy.name(),
+        &opts.budget,
+        opts.recorder.as_deref(),
+        opts.fault_plan.as_ref(),
+        opts.max_attempts,
+    );
     let oracle_started = Instant::now();
     let oracle: Option<Arc<HashOracle>> = match method {
         Method::T1 | Method::T2 => match &opts.oracle {
@@ -894,26 +980,22 @@ fn run_jobs(
             // uncounted path), so reuse is free and byte-identical
             Some(shared) => Some(Arc::clone(shared)),
             None => {
-                budget.add_memory(oracle_estimate_bytes(src.m()));
+                run.budget.add_memory(oracle_estimate_bytes(src.m()));
                 let built = Some(Arc::new(HashOracle::build_src(src)));
-                if recorder.enabled() {
-                    ctx.setup_span(0, oracle_started);
-                }
+                run.setup_span(0, oracle_started);
                 built
             }
         },
         _ => None,
     };
-    let outcome = run_schedule(
+    let done = schedule(
+        &run,
         jobs,
         threads,
-        opts.max_attempts.max(1),
-        &budget,
-        opts.fault_plan.as_ref(),
-        &ctx,
+        prior,
         &|| {
             let kernels = match &opts.kernels {
-                Some(shared) => match &meter {
+                Some(shared) => match &run.meter {
                     // metering is worker-local observation: clone the shared
                     // context so the run's meter attaches without mutating
                     // the cached copy
@@ -924,10 +1006,10 @@ fn run_jobs(
                     // each worker gets an equal share of whatever memory
                     // remains, so concurrent kernel builds cannot jointly
                     // blow the ceiling
-                    let allowance = budget.remaining_memory().map(|r| r / threads as u64);
+                    let allowance = run.budget.remaining_memory().map(|r| r / threads as u64);
                     let kernels = Kernels::build_within_src(policy, src, allowance);
-                    budget.add_memory(kernels.bytes());
-                    Arc::new(match &meter {
+                    run.budget.add_memory(kernels.bytes());
+                    Arc::new(match &run.meter {
                         Some(m) => kernels.with_meter(Arc::clone(m)),
                         None => kernels,
                     })
@@ -939,87 +1021,148 @@ fn run_jobs(
             }
         },
         &|state, range, degraded| {
-            if degraded {
-                run_chunk_src(
-                    src,
-                    method,
-                    oracle.as_deref(),
-                    &Kernels::paper(),
-                    &mut state.scratch,
-                    range,
-                )
+            let paper;
+            let kernels = if degraded {
+                paper = Kernels::paper();
+                &paper
             } else {
-                run_chunk_src(
-                    src,
-                    method,
-                    oracle.as_deref(),
-                    &state.kernels,
-                    &mut state.scratch,
-                    range,
-                )
-            }
+                &*state.kernels
+            };
+            run_chunk_src(
+                src,
+                method,
+                oracle.as_deref(),
+                kernels,
+                &mut state.scratch,
+                range,
+            )
         },
     );
-    if let Some(m) = &meter {
-        m.flush_into(recorder);
-    }
-    // transient run memory (oracle, bitmaps, staged triangles) returns to
-    // the shared gauge; cache charges made directly on it persist
-    budget.settle();
-    Ok(conclude(method, n, jobs, prior, outcome))
+    Ok(match done.stop {
+        None => {
+            let chunks = done.pieces.len();
+            let mut cost = CostReport::default();
+            let mut triangles = Vec::new();
+            let mut piece_counts = Vec::with_capacity(chunks);
+            for p in done.pieces {
+                cost.accumulate(&p.cost);
+                piece_counts.push((p.chunk, p.triangles.len() as u32));
+                triangles.extend(p.triangles);
+            }
+            RunOutcome::Complete(ParallelRun {
+                cost,
+                triangles,
+                threads: done.threads,
+                chunks,
+                faults: done.faults,
+                piece_counts,
+            })
+        }
+        Some((reason, resume)) => RunOutcome::Partial(PartialRun {
+            reason,
+            completed: done.pieces,
+            resume,
+            faults: done.faults,
+            threads: done.threads,
+        }),
+    })
 }
 
-/// One chunk's merged output, tagged with its global index.
-type ChunkOutput = (u32, CostReport, Vec<(u32, u32, u32)>);
+/// Executions a chunk is allowed by default (see
+/// [`ResilientOpts::max_attempts`]).
+pub(crate) const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 
-/// What the scheduler hands back before the ordered merge.
-struct ScheduleOutcome {
-    results: Vec<ChunkOutput>,
-    threads: Vec<ThreadStats>,
-    faults: Vec<ChunkFault>,
-    stop: Option<StopReason>,
-}
-
-/// Run-level observability context handed to the scheduler: what to tag
-/// spans with, and where the run's clock origin sits.
-struct SpanCtx<'a> {
+/// The caller side of the scheduler, shared by every [`WorkDomain`]: the
+/// armed budget, span context and kernel meter of one run. A domain arms
+/// one, builds its per-run state (charging `budget`, emitting
+/// [`ChunkRun::setup_span`]s), then passes its jobs to [`schedule`] with a
+/// worker `init` and a chunk `exec`.
+pub(crate) struct ChunkRun<'a> {
+    pub(crate) budget: ActiveBudget,
+    /// One meter for all workers' kernel contexts, present only when a
+    /// real recorder listens — the unrecorded hot path never sees a
+    /// metered context at all.
+    pub(crate) meter: Option<Arc<KernelMeter>>,
     recorder: &'a dyn Recorder,
-    method: Method,
     /// Name of the configured kernel policy (degraded attempts report
     /// `"paper"` regardless).
     policy: &'static str,
+    /// The clock origin of span start offsets.
     origin: Instant,
+    plan: Option<&'a FaultPlan>,
+    max_attempts: u32,
+    /// Domain and shape pins; an interrupted run's token is this plus its
+    /// unvisited ranges.
+    shape: ResumePoint,
 }
 
-impl SpanCtx<'_> {
+/// A scheduled run merged in chunk order, before a domain wraps it in
+/// its outcome type.
+pub(crate) struct Concluded {
+    /// Completed pieces (prior ones included), ascending by chunk index.
+    pub(crate) pieces: Vec<ChunkPiece>,
+    /// Why the run stopped and what remains; `None` when every job has a
+    /// piece.
+    pub(crate) stop: Option<(StopReason, ResumePoint)>,
+    pub(crate) threads: Vec<ThreadStats>,
+    pub(crate) faults: Vec<ChunkFault>,
+}
+
+impl<'a> ChunkRun<'a> {
+    /// Arms `budget` and the span context for a run of `shape`'s domain
+    /// whose kernels follow `policy`.
+    pub(crate) fn start(
+        shape: ResumePoint,
+        policy: &'static str,
+        budget: &RunBudget,
+        recorder: Option<&'a dyn Recorder>,
+        plan: Option<&'a FaultPlan>,
+        max_attempts: u32,
+    ) -> Self {
+        let recorder = recorder.unwrap_or(&NOOP);
+        ChunkRun {
+            budget: budget.start(),
+            meter: recorder.enabled().then(|| Arc::new(KernelMeter::new())),
+            recorder,
+            policy,
+            origin: Instant::now(),
+            plan,
+            max_attempts: max_attempts.max(1),
+            shape,
+        }
+    }
+
     fn ns_since_origin(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.origin).as_nanos() as u64
     }
 
     /// Emits a [`ChunkSpan::SETUP`] span covering `started..now` on
-    /// `worker`: oracle builds and per-worker kernel construction, so the
-    /// span total accounts for run time spent outside chunk executions.
-    fn setup_span(&self, worker: usize, started: Instant) {
-        self.recorder.span(ChunkSpan {
-            method: self.method,
-            policy: "setup",
-            chunk: ChunkSpan::SETUP,
-            attempt: 0,
-            worker,
-            range: 0..0,
-            start_ns: self.ns_since_origin(started),
-            dur_ns: started.elapsed().as_nanos() as u64,
-            ops: 0,
-            ok: true,
-        });
+    /// `worker`: per-run builds (oracle, rank set) and per-worker kernel
+    /// construction, so the span total accounts for run time spent
+    /// outside chunk executions.
+    pub(crate) fn setup_span(&self, worker: usize, started: Instant) {
+        if self.recorder.enabled() {
+            self.recorder.span(ChunkSpan {
+                domain: self.shape.domain,
+                policy: "setup",
+                chunk: ChunkSpan::SETUP,
+                attempt: 0,
+                worker,
+                range: 0..0,
+                start_ns: self.ns_since_origin(started),
+                dur_ns: started.elapsed().as_nanos() as u64,
+                ops: 0,
+                ok: true,
+            });
+        }
     }
 }
 
 /// Worker-local state builder (kernel contexts, scratch — never shared).
 type InitFn<'a, S> = &'a (dyn Fn() -> S + Sync);
 
-/// What a worker computes for one visited range; the `bool` asks for the
-/// degraded (paper-faithful) path on a final retry.
+/// What a worker computes for one range of its domain; the `bool` asks
+/// for the degraded (paper-faithful) path on a final retry.
 type ExecFn<'a, S> = &'a (dyn Fn(&mut S, Range<u32>, bool) -> (CostReport, TriangleBuffer) + Sync);
 
 /// The work-stealing scheduler with budget checks, panic quarantine, and
@@ -1034,17 +1177,18 @@ type ExecFn<'a, S> = &'a (dyn Fn(&mut S, Range<u32>, bool) -> (CostReport, Trian
 /// triggered budget records the first [`StopReason`] and stops all workers
 /// at their next boundary; in-flight chunks finish, so completed output is
 /// never torn.
-#[allow(clippy::too_many_arguments)] // internal seam: scheduler wiring, not API
-fn run_schedule<S>(
+///
+/// Afterwards the meter is flushed, the run's memory returns to the shared
+/// gauge, and the pieces merge with `prior` in chunk order.
+pub(crate) fn schedule<S>(
+    run: &ChunkRun<'_>,
     jobs: &[(u32, Range<u32>)],
     threads: usize,
-    max_attempts: u32,
-    budget: &ActiveBudget,
-    plan: Option<&FaultPlan>,
-    ctx: &SpanCtx<'_>,
+    prior: Vec<ChunkPiece>,
     init: InitFn<'_, S>,
     exec: ExecFn<'_, S>,
-) -> ScheduleOutcome {
+) -> Concluded {
+    let (budget, plan, max_attempts) = (&run.budget, run.plan, run.max_attempts);
     // tasks are (job slot, attempt) pairs; all start at attempt 0
     let injector: Injector<(u32, u32)> = Injector::new();
     for slot in 0..jobs.len() as u32 {
@@ -1062,133 +1206,129 @@ fn run_schedule<S>(
     let worker_loop = {
         let (injector, stealers, stop, verdict, faults) =
             (&injector, &stealers, &stop, &verdict, &faults);
-        move |id: usize, local: Worker<(u32, u32)>| -> (ThreadStats, Vec<ChunkOutput>) {
-            {
-                {
-                    let recording = ctx.recorder.enabled();
-                    let worker_started = Instant::now();
-                    let mut stats = ThreadStats::default();
-                    let mut results: Vec<ChunkOutput> = Vec::new();
-                    let init_started = Instant::now();
-                    let mut state = init();
-                    if recording {
-                        ctx.setup_span(id, init_started);
+        move |id: usize, local: Worker<(u32, u32)>| -> (ThreadStats, Vec<ChunkPiece>) {
+            let recording = run.recorder.enabled();
+            let worker_started = Instant::now();
+            let mut stats = ThreadStats::default();
+            let mut results: Vec<ChunkPiece> = Vec::new();
+            let mut state = init();
+            run.setup_span(id, worker_started);
+            loop {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                if recording {
+                    run.recorder.add(Counter::BudgetChecks, 1);
+                }
+                if let Some(reason) = budget.check() {
+                    lock_tolerant(verdict).get_or_insert(reason);
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+                let ((slot, attempt), stolen) = match next_task(id, &local, injector, stealers) {
+                    Some(task) => task,
+                    None => break,
+                };
+                let (chunk, range) = &jobs[slot as usize];
+                let degraded = attempt > 0 && attempt + 1 >= max_attempts;
+                if recording {
+                    if attempt > 0 {
+                        run.recorder.add(Counter::ChunkRetries, 1);
                     }
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if recording {
-                            ctx.recorder.add(Counter::BudgetChecks, 1);
-                        }
-                        if let Some(reason) = budget.check() {
-                            let mut v = lock_tolerant(verdict);
-                            if v.is_none() {
-                                *v = Some(reason);
+                    if degraded {
+                        run.recorder.add(Counter::Degradations, 1);
+                    }
+                }
+                let started = Instant::now();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(plan) = plan {
+                        plan.inject(*chunk, attempt, budget);
+                    }
+                    exec(&mut state, range.clone(), degraded)
+                }));
+                // one duration for both the thread telemetry and
+                // the span, so span-derived load balance matches
+                // ThreadStats-derived exactly
+                let dur = started.elapsed();
+                stats.busy += dur;
+                let mut span = recording.then(|| ChunkSpan {
+                    domain: run.shape.domain,
+                    policy: if degraded { "paper" } else { run.policy },
+                    chunk: *chunk,
+                    attempt,
+                    worker: id,
+                    range: range.clone(),
+                    start_ns: run.ns_since_origin(started),
+                    dur_ns: dur.as_nanos() as u64,
+                    ops: 0,
+                    ok: false,
+                });
+                match outcome {
+                    Ok((cost, tris)) => {
+                        budget.add_memory(tris.bytes());
+                        stats.chunks += 1;
+                        stats.steals += stolen as u64;
+                        stats.operations = stats.operations.saturating_add(cost.operations());
+                        if let Some(span) = &mut span {
+                            span.ops = cost.operations();
+                            span.ok = true;
+                            run.recorder.observe(HistKind::ChunkWallNs, span.dur_ns);
+                            run.recorder.observe(HistKind::ChunkOps, span.ops);
+                            if matches!(
+                                run.shape.domain,
+                                WorkDomain::Listing(Method::T1 | Method::T2)
+                            ) {
+                                // T-method lookups are oracle
+                                // candidate checks; hits are
+                                // exactly the listed triangles
+                                run.recorder.add(Counter::OracleHits, cost.triangles);
+                                run.recorder.add(
+                                    Counter::OracleMisses,
+                                    cost.lookups.saturating_sub(cost.triangles),
+                                );
                             }
-                            stop.store(true, Ordering::Relaxed);
-                            break;
                         }
-                        let ((slot, attempt), stolen) =
-                            match next_task(id, &local, injector, stealers) {
-                                Some(task) => task,
-                                None => break,
-                            };
-                        let (chunk, range) = &jobs[slot as usize];
-                        let degraded = attempt > 0 && attempt + 1 >= max_attempts;
-                        if recording {
-                            if attempt > 0 {
-                                ctx.recorder.add(Counter::ChunkRetries, 1);
-                            }
-                            if degraded {
-                                ctx.recorder.add(Counter::Degradations, 1);
-                            }
-                        }
-                        let started = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(plan) = plan {
-                                plan.inject(*chunk, attempt, budget);
-                            }
-                            exec(&mut state, range.clone(), degraded)
-                        }));
-                        // one duration for both the thread telemetry and
-                        // the span, so span-derived load balance matches
-                        // ThreadStats-derived exactly
-                        let dur = started.elapsed();
-                        stats.busy += dur;
-                        let mut span = recording.then(|| ChunkSpan {
-                            method: ctx.method,
-                            policy: if degraded { "paper" } else { ctx.policy },
+                        results.push(ChunkPiece {
                             chunk: *chunk,
-                            attempt,
-                            worker: id,
                             range: range.clone(),
-                            start_ns: ctx.ns_since_origin(started),
-                            dur_ns: dur.as_nanos() as u64,
-                            ops: 0,
-                            ok: false,
+                            cost,
+                            triangles: tris.into_vec(),
                         });
-                        match outcome {
-                            Ok((cost, tris)) => {
-                                budget.add_memory(tris.bytes());
-                                stats.chunks += 1;
-                                stats.steals += stolen as u64;
-                                stats.operations =
-                                    stats.operations.saturating_add(cost.operations());
-                                if let Some(span) = &mut span {
-                                    span.ops = cost.operations();
-                                    span.ok = true;
-                                    ctx.recorder.observe(HistKind::ChunkWallNs, span.dur_ns);
-                                    ctx.recorder.observe(HistKind::ChunkOps, span.ops);
-                                    if matches!(ctx.method, Method::T1 | Method::T2) {
-                                        // T-method lookups are oracle
-                                        // candidate checks; hits are
-                                        // exactly the listed triangles
-                                        ctx.recorder.add(Counter::OracleHits, cost.triangles);
-                                        ctx.recorder.add(
-                                            Counter::OracleMisses,
-                                            cost.lookups.saturating_sub(cost.triangles),
-                                        );
-                                    }
-                                }
-                                results.push((*chunk, cost, tris.into_vec()));
-                            }
-                            Err(payload) => {
-                                let fatal = attempt + 1 >= max_attempts;
-                                lock_tolerant(faults).push(ChunkFault {
-                                    chunk: *chunk,
-                                    range: range.clone(),
-                                    worker: id,
-                                    attempt,
-                                    message: panic_message(payload.as_ref()),
-                                    fatal,
-                                });
-                                if !fatal {
-                                    injector.push((slot, attempt + 1));
-                                }
-                            }
-                        }
-                        if let Some(span) = span {
-                            ctx.recorder.span(span);
+                    }
+                    Err(payload) => {
+                        let fatal = attempt + 1 >= max_attempts;
+                        lock_tolerant(faults).push(ChunkFault {
+                            chunk: *chunk,
+                            range: range.clone(),
+                            worker: id,
+                            attempt,
+                            message: panic_message(payload.as_ref()),
+                            fatal,
+                        });
+                        if !fatal {
+                            injector.push((slot, attempt + 1));
                         }
                     }
-                    if recording {
-                        ctx.recorder.add(Counter::Steals, stats.steals);
-                        let idle = worker_started
-                            .elapsed()
-                            .saturating_sub(stats.busy)
-                            .as_nanos() as u64;
-                        ctx.recorder.observe(HistKind::WorkerIdleNs, idle);
-                    }
-                    (stats, results)
+                }
+                if let Some(span) = span {
+                    run.recorder.span(span);
                 }
             }
+            if recording {
+                run.recorder.add(Counter::Steals, stats.steals);
+                let idle = worker_started
+                    .elapsed()
+                    .saturating_sub(stats.busy)
+                    .as_nanos() as u64;
+                run.recorder.observe(HistKind::WorkerIdleNs, idle);
+            }
+            (stats, results)
         }
     };
 
     // One thread means no parallelism to buy: run the loop right here and
     // skip the spawn/join round trip (it costs more than a small request).
-    let mut per_worker: Vec<(ThreadStats, Vec<ChunkOutput>)> = if threads == 1 {
+    let mut per_worker: Vec<(ThreadStats, Vec<ChunkPiece>)> = if threads == 1 {
         let local = workers.into_iter().next().expect("one worker deque");
         vec![worker_loop(0, local)]
     } else {
@@ -1206,40 +1346,16 @@ fn run_schedule<S>(
         })
     };
 
-    let results = per_worker
-        .iter_mut()
-        .flat_map(|(_, r)| r.drain(..))
-        .collect();
-    ScheduleOutcome {
-        results,
-        threads: per_worker.into_iter().map(|(s, _)| s).collect(),
-        faults: faults.into_inner().unwrap_or_else(PoisonError::into_inner),
-        stop: verdict.into_inner().unwrap_or_else(PoisonError::into_inner),
+    if let Some(m) = &run.meter {
+        m.flush_into(run.recorder);
     }
-}
-
-/// Merges scheduler output (plus prior pieces from an interrupted run)
-/// into the final outcome: complete when every job has a piece, partial
-/// with a resume point otherwise.
-fn conclude(
-    method: Method,
-    n: u32,
-    jobs: &[(u32, Range<u32>)],
-    prior: Vec<ChunkPiece>,
-    out: ScheduleOutcome,
-) -> RunOutcome {
-    let ranges: HashMap<u32, Range<u32>> = jobs.iter().map(|(c, r)| (*c, r.clone())).collect();
+    // transient run memory (oracle, bitmaps, staged triangles) returns to
+    // the shared gauge; cache charges made directly on it persist
+    budget.settle();
     let mut pieces = prior;
-    pieces.extend(
-        out.results
-            .into_iter()
-            .map(|(chunk, cost, triangles)| ChunkPiece {
-                chunk,
-                range: ranges[&chunk].clone(),
-                cost,
-                triangles,
-            }),
-    );
+    for (_, results) in &mut per_worker {
+        pieces.append(results);
+    }
     pieces.sort_unstable_by_key(|p| p.chunk);
     let done: HashSet<u32> = pieces.iter().map(|p| p.chunk).collect();
     let missing: Vec<(u32, Range<u32>)> = jobs
@@ -1247,36 +1363,19 @@ fn conclude(
         .filter(|(c, _)| !done.contains(c))
         .cloned()
         .collect();
-    if missing.is_empty() {
-        let chunks = pieces.len();
-        let mut cost = CostReport::default();
-        let mut triangles = Vec::new();
-        let mut piece_counts = Vec::with_capacity(pieces.len());
-        for p in pieces {
-            cost.accumulate(&p.cost);
-            piece_counts.push((p.chunk, p.triangles.len() as u32));
-            triangles.extend(p.triangles);
-        }
-        RunOutcome::Complete(ParallelRun {
-            cost,
-            triangles,
-            threads: out.threads,
-            chunks,
-            faults: out.faults,
-            piece_counts,
-        })
-    } else {
-        RunOutcome::Partial(PartialRun {
-            reason: out.stop.unwrap_or(StopReason::ChunkFailed),
-            completed: pieces,
-            resume: ResumePoint {
-                method,
-                n,
-                ranges: missing,
-            },
-            faults: out.faults,
-            threads: out.threads,
-        })
+    let stop = (!missing.is_empty()).then(|| {
+        let reason = verdict.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let resume = ResumePoint {
+            ranges: missing,
+            ..run.shape.clone()
+        };
+        (reason.unwrap_or(StopReason::ChunkFailed), resume)
+    });
+    Concluded {
+        pieces,
+        stop,
+        threads: per_worker.into_iter().map(|(s, _)| s).collect(),
+        faults: faults.into_inner().unwrap_or_else(PoisonError::into_inner),
     }
 }
 
@@ -1424,8 +1523,9 @@ mod tests {
     #[test]
     fn resume_point_round_trips_through_text() {
         let rp = ResumePoint {
-            method: Method::E4,
+            domain: WorkDomain::Listing(Method::E4),
             n: 2_000,
+            edges: 0,
             ranges: vec![(3, 30..40), (7, 70..80), (9, 95..2_000)],
         };
         let text = rp.to_string();
@@ -1434,13 +1534,14 @@ mod tests {
             "trilist-resume v1 E4 n=2000 3:30-40 7:70-80 9:95-2000"
         );
         assert_eq!(text.parse::<ResumePoint>().unwrap(), rp);
-        // an empty remainder round-trips too
+        // an empty remainder is never emitted, so it is rejected as input
         let done = ResumePoint {
-            method: Method::T1,
+            domain: WorkDomain::Listing(Method::T1),
             n: 5,
+            edges: 0,
             ranges: vec![],
         };
-        assert_eq!(done.to_string().parse::<ResumePoint>().unwrap(), done);
+        assert!(done.to_string().parse::<ResumePoint>().is_err());
         // malformed inputs are rejected, never panic
         for bad in [
             "",
@@ -1451,6 +1552,12 @@ mod tests {
             "trilist-resume v1 E4 n=10 3:9",
             "trilist-resume v1 E4 n=10 3:9-5",
             "trilist-resume v1 E4 n=10 3:5-11",
+            // repeated, descending or overlapping chunks would list a
+            // range twice on replay
+            "trilist-resume v1 E4 n=10 0:0-10 0:0-10",
+            "trilist-resume v1 E4 n=10 2:5-10 1:0-5",
+            "trilist-resume v1 E4 n=10 0:0-6 1:5-10",
+            "trilist-resume v1 E4 n=10 1:5-10 2:0-5",
         ] {
             assert!(bad.parse::<ResumePoint>().is_err(), "accepted {bad:?}");
         }
@@ -1575,8 +1682,9 @@ mod tests {
     fn resume_rejects_wrong_graph() {
         let dg = fixture(1_500, 5);
         let rp = ResumePoint {
-            method: Method::E1,
+            domain: WorkDomain::Listing(Method::E1),
             n: 3,
+            edges: 0,
             ranges: vec![(0, 0..3)],
         };
         assert!(matches!(
@@ -1584,8 +1692,9 @@ mod tests {
             Err(ParallelError::InvalidResume(_))
         ));
         let bad = ResumePoint {
-            method: Method::E1,
+            domain: WorkDomain::Listing(Method::E1),
             n: dg.n() as u32,
+            edges: 0,
             ranges: vec![(0, 5..(dg.n() as u32 + 7))],
         };
         assert!(matches!(

@@ -271,11 +271,11 @@ pub fn render_measured_vs_model(report: &MeasuredVsModel) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trilist_core::Method;
+    use trilist_core::{Method, WorkDomain};
 
     fn span(worker: usize, chunk: u32, start: u64, dur: u64) -> ChunkSpan {
         ChunkSpan {
-            method: Method::T1,
+            domain: WorkDomain::Listing(Method::T1),
             policy: "paper",
             chunk,
             attempt: 0,

@@ -401,8 +401,26 @@ impl Client {
     /// resume token into the next request and merging the chunk-tagged
     /// pieces into exact sequential order.
     pub fn list_to_completion(&mut self, params: ListParams) -> Result<ChainResult, ClientError> {
+        let first = params.resume.clone();
+        self.drive_chain(first, |client, resume| {
+            client.list(ListParams {
+                resume,
+                ..params.clone()
+            })
+        })
+    }
+
+    /// The chain driver of both resume domains: `step` sends one request
+    /// carrying a resume token, each partial response's token feeds the
+    /// next step, and the chunk-tagged pieces merge into exact sequential
+    /// order.
+    fn drive_chain(
+        &mut self,
+        first: String,
+        mut step: impl FnMut(&mut Client, String) -> Result<RunResult, ClientError>,
+    ) -> Result<ChainResult, ClientError> {
         let mut responses: Vec<RunResult> = Vec::new();
-        let mut next = params;
+        let mut sent = first;
         // A partial response whose resume token equals the one we sent made
         // no progress. Tiny deadlines (possibly chaos-shrunk) can legitimately
         // produce a few of these in a row, but an unbounded run means the
@@ -410,7 +428,7 @@ impl Client {
         let mut zero_progress = 0u32;
         const MAX_ZERO_PROGRESS: u32 = 32;
         loop {
-            let res = self.list(next.clone())?;
+            let res = step(self, sent.clone())?;
             let complete = res.complete;
             let resume = res.resume.clone();
             responses.push(res);
@@ -420,7 +438,7 @@ impl Client {
             if resume.is_empty() {
                 return Err(ClientError::Unexpected("partial result without resume"));
             }
-            if resume == next.resume {
+            if resume == sent {
                 zero_progress += 1;
                 if zero_progress >= MAX_ZERO_PROGRESS {
                     return Err(ClientError::Unexpected(
@@ -430,7 +448,7 @@ impl Client {
             } else {
                 zero_progress = 0;
             }
-            next.resume = resume;
+            sent = resume;
         }
         let mut cost = CostReport::default();
         for res in &responses {
@@ -496,45 +514,13 @@ impl Client {
         &mut self,
         params: DeltaParams,
     ) -> Result<ChainResult, ClientError> {
-        let mut responses: Vec<RunResult> = Vec::new();
+        let first = params.resume.clone();
         let mut next = params;
-        let mut zero_progress = 0u32;
-        const MAX_ZERO_PROGRESS: u32 = 32;
-        loop {
-            let res = self.list_new(next.clone())?;
-            next.to_epoch = res.to_epoch;
-            let complete = res.result.complete;
-            let resume = res.result.resume.clone();
-            responses.push(res.result);
-            if complete {
-                break;
-            }
-            if resume.is_empty() {
-                return Err(ClientError::Unexpected("partial result without resume"));
-            }
-            if resume == next.resume {
-                zero_progress += 1;
-                if zero_progress >= MAX_ZERO_PROGRESS {
-                    return Err(ClientError::Unexpected(
-                        "resume chain made no progress across repeated partials",
-                    ));
-                }
-            } else {
-                zero_progress = 0;
-            }
+        self.drive_chain(first, |client, resume| {
             next.resume = resume;
-        }
-        let mut cost = CostReport::default();
-        for res in &responses {
-            cost.accumulate(&res.cost);
-        }
-        let triangles =
-            merge_pieces(&responses).ok_or(ClientError::Unexpected("inconsistent piece tables"))?;
-        Ok(ChainResult {
-            triangles,
-            cost,
-            requests: responses.len() as u32,
-            first_cache_hit: responses[0].cache_hit,
+            let res = client.list_new(next.clone())?;
+            next.to_epoch = res.to_epoch;
+            Ok(res.result)
         })
     }
 

@@ -1021,7 +1021,7 @@ mod tests {
             threads: 3,
             deadline_ms: 12,
             memory_bytes: 1 << 20,
-            resume: "trilist-delta-resume v1 n=10 edges=4 1:2-4".into(),
+            resume: "trilist-resume v1 delta n=10 edges=4 1:2-4".into(),
             ..DeltaParams::new("g", 2, 5)
         }));
         round_trip_request(&Request::Stats);
@@ -1093,7 +1093,7 @@ mod tests {
                     lookups: 9,
                     ..CostReport::default()
                 },
-                resume: "trilist-delta-resume v1 n=10 edges=2 1:1-2".into(),
+                resume: "trilist-resume v1 delta n=10 edges=2 1:1-2".into(),
                 chunks: vec![(0, 1)],
                 triangles: vec![(2, 5, 8)],
             },

@@ -12,34 +12,39 @@
 //!
 //! # Determinism across the wire
 //!
-//! Every `List`/`Count` request executes through
-//! [`list_resilient`] against the cached [`Prepared`] artifacts, with the
-//! entry's shared oracle (T-methods) and shared adaptive kernels
-//! (adaptive policy only — paper-policy requests build their own
-//! paper-faithful contexts so the policy a client names is the policy
-//! that runs). Both sharing hooks are read-only during execution, so the
-//! triangles and every `CostReport` field are byte-identical to a direct
-//! in-process run against the same artifacts
-//! (`tests/serve_differential.rs`).
+//! `List`, `Count` and `ListNewTriangles` all run on the one chunked
+//! runtime of [`trilist_core::resilient`] against the cached [`Prepared`]
+//! artifacts, through one admission prelude (`admit_run`) and one wire
+//! form (`wire_result`). Runs reuse the entry's shared oracle
+//! (T-methods) and adaptive kernels; paper-policy requests build their
+//! own contexts, so the policy a client names is the policy that runs.
+//! Sharing is read-only, so the triangles and every `CostReport` field
+//! are byte-identical to a direct in-process run against the same
+//! artifacts (`tests/serve_differential.rs`, `tests/serve_dynamic.rs`).
 //!
-//! # Budgets and the shared gauge
+//! # Budgets, partial results and resume
 //!
 //! Each request's [`RunBudget`] carries the server-wide [`MemoryGauge`]:
 //! the ceiling (per-request override or the server default) is checked
 //! against cache residency *plus* every in-flight run, one global number.
-//! Deadlines map to budget deadlines; an interrupted run answers with a
-//! partial [`RunResult`] whose resume token a follow-up request can
-//! continue — the per-chunk piece table in the response lets the client
-//! stitch the chain back into exact sequential order.
+//! Deadlines map to budget deadlines (the degrade ladder clamps listing
+//! deadlines only). An interrupted run answers with a partial
+//! [`RunResult`] whose [`ResumePoint`] token (`trilist-resume v1 <method>
+//! …` or `trilist-resume v1 delta …`) a follow-up request of the same kind
+//! can continue; a token for the other domain or shape, or one naming a
+//! range twice, answers an error frame. The per-chunk piece table lets the
+//! client stitch the chain back into exact sequential order.
 
-use crate::admission::{Admission, AdmissionConfig};
+use crate::admission::{Admission, AdmissionConfig, Permit};
 use crate::chaos::{write_all_resilient, ChaosHub, ChaosPlan, ChaosStream, ExecFault};
 use crate::event_loop;
 use crate::protocol::{
     encode_frame, scan_frame, DeltaParams, DeltaRunResult, EditInfo, ErrorCode, ErrorFrame,
     ListParams, PlanInfo, Request, Response, RunResult,
 };
-use crate::store::{CompactorHandle, EditReceipt, GraphStore, Prepared, StoreConfig, StoreError};
+use crate::store::{
+    CompactorHandle, EditReceipt, GraphStore, PlanSummary, Prepared, StoreConfig, StoreError,
+};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,11 +52,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trilist_core::{
-    list_new_triangles_src, list_resilient_src, Counter, DeltaOpts, DeltaOutcome, DeltaResumePoint,
-    GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method, ParallelOpts,
-    Recorder, ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome,
+    list_new_triangles_src, list_resilient_src, ChunkPiece, CostReport, Counter, DeltaOpts,
+    DeltaOutcome, GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method,
+    ParallelOpts, Recorder, ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome,
+    StopReason, WorkDomain,
 };
-use trilist_model::{price_delta, price_request};
+use trilist_model::{price_delta, price_request, RequestPrice};
 use trilist_order::OrderingKind;
 
 /// Server knobs.
@@ -183,7 +189,9 @@ impl Server {
         listener.set_nonblocking(true)?;
         let gauge = MemoryGauge::new();
         let blocking = cfg.blocking;
-        let recorder = Arc::new(InMemoryRecorder::new());
+        // `Stats` reads only counters and span aggregates; a span list
+        // would grow with every request served
+        let recorder = Arc::new(InMemoryRecorder::without_span_list());
         let chaos = cfg
             .chaos
             .map(|plan| Arc::new(ChaosHub::new(plan, Arc::clone(&recorder))));
@@ -687,6 +695,10 @@ fn parse_ordering(name: &str) -> Result<OrderingKind, ErrorFrame> {
     OrderingKind::from_name(name).ok_or_else(|| bad(format!("unknown ordering {name:?}")))
 }
 
+fn parse_policy(name: &str) -> Result<KernelPolicy, ErrorFrame> {
+    KernelPolicy::from_name(name).ok_or_else(|| bad(format!("unknown kernel policy {name:?}")))
+}
+
 fn predict(
     shared: &Shared,
     graph: &str,
@@ -729,23 +741,6 @@ fn explain_plan(shared: &Shared, graph: &str) -> Result<PlanInfo, ErrorFrame> {
     })
 }
 
-/// Maps relabeled triangles back to original node IDs, each triple sorted
-/// — the same convention as [`trilist_core::list_triangles`].
-fn map_triangles<'a>(
-    inverse: &'a [u32],
-    triangles: &'a [(u32, u32, u32)],
-) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
-    triangles.iter().map(move |&(x, y, z)| {
-        let mut t = [
-            inverse[x as usize],
-            inverse[y as usize],
-            inverse[z as usize],
-        ];
-        t.sort_unstable();
-        (t[0], t[1], t[2])
-    })
-}
-
 /// One rung down the kernel ladder: bitset → adaptive → paper-faithful.
 fn downgrade_policy(policy: KernelPolicy) -> KernelPolicy {
     match policy {
@@ -772,22 +767,8 @@ fn run_listing(
     p: &ListParams,
     materialize: bool,
 ) -> Result<RunResult, ErrorFrame> {
-    // Unpinned requests leave method/ordering/policy as empty strings;
-    // the blanks resolve from the store's per-graph listing plan, so an
-    // unpinned run is byte-identical to an explicit request naming the
-    // plan's choices (pinned by tests/serve_differential.rs). Explicitly
-    // pinned fields always win.
-    let unpinned = p.method.is_empty() || p.family.is_empty() || p.policy.is_empty();
-    let plan = if unpinned {
-        Some(
-            shared
-                .store
-                .listing_plan(&p.graph)
-                .map_err(|e| ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()))?,
-        )
-    } else {
-        None
-    };
+    let (plan, ordering, mut policy) =
+        resolve_plan(shared, &p.graph, p.method.is_empty(), &p.family, &p.policy)?;
     let method = match &plan {
         Some(s) if p.method.is_empty() => s.plan.method_hint,
         _ => parse_method(&p.method)?,
@@ -797,15 +778,6 @@ fn run_listing(
             "method {method} is not served (the parallel runtime covers T1, T2, E1, E4)"
         )));
     }
-    let ordering = match &plan {
-        Some(s) if p.family.is_empty() => s.plan.ordering,
-        _ => parse_ordering(&p.family)?,
-    };
-    let mut policy = match &plan {
-        Some(s) if p.policy.is_empty() => s.plan.policy,
-        _ => KernelPolicy::from_name(&p.policy)
-            .ok_or_else(|| bad(format!("unknown kernel policy {:?}", p.policy)))?,
-    };
     let (prepared, cache_hit) = shared
         .store
         .prepare(&p.graph, ordering)
@@ -826,63 +798,30 @@ fn run_listing(
             } else {
                 downgrade_policy(policy)
             };
+            let step = |taken: &AtomicU64| {
+                taken.fetch_add(1, Ordering::Relaxed);
+                shared.recorder.add(Counter::ServeDegradations, 1);
+            };
             if std::mem::discriminant(&stepped) != std::mem::discriminant(&policy) {
                 policy = stepped;
-                shared
-                    .counters
-                    .degraded_policy
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.recorder.add(Counter::ServeDegradations, 1);
+                step(&shared.counters.degraded_policy);
             }
             if pressure >= ladder.deadline_at
                 && deadline_ms > 0
                 && deadline_ms > ladder.degraded_deadline_ms
             {
                 deadline_ms = ladder.degraded_deadline_ms;
-                shared
-                    .counters
-                    .degraded_deadline
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.recorder.add(Counter::ServeDegradations, 1);
+                step(&shared.counters.degraded_deadline);
             }
             if pressure >= ladder.evict_at && shared.store.evict_cold(&p.graph) {
-                shared
-                    .counters
-                    .degraded_evict
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.recorder.add(Counter::ServeDegradations, 1);
+                step(&shared.counters.degraded_evict);
             }
         }
     }
 
     let price = price_request(method, &prepared.degrees_by_label);
-    shared
-        .admission
-        .check_price(&price)
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedCost, r.to_string()))?;
-    let permit = shared
-        .admission
-        .admit()
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string()))?;
-
-    let mut budget = RunBudget::unlimited().with_gauge(shared.gauge.clone());
-    if deadline_ms > 0 {
-        budget = budget.with_deadline(Duration::from_millis(deadline_ms));
-    }
-    let ceiling = if p.memory_bytes > 0 {
-        Some(p.memory_bytes)
-    } else {
-        shared.cfg.memory_bytes
-    };
-    if let Some(bytes) = ceiling {
-        budget = budget.with_memory_bytes(bytes);
-    }
-    let threads = if p.threads > 0 {
-        p.threads as usize
-    } else {
-        shared.cfg.workers
-    };
-    let recorder: Arc<dyn Recorder> = Arc::clone(&shared.recorder) as Arc<dyn Recorder>;
+    let (permit, budget, threads) =
+        admit_run(shared, &price, deadline_ms, p.memory_bytes, p.threads)?;
     let opts = ResilientOpts {
         parallel: ParallelOpts {
             threads,
@@ -895,90 +834,188 @@ fn run_listing(
             target_chunk_ops: 32768,
         },
         budget,
-        recorder: Some(recorder),
+        recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
         oracle: matches!(method, Method::T1 | Method::T2).then(|| Arc::clone(&prepared.oracle)),
-        // the cached kernel context is reusable whenever the request asks
-        // for exactly the policy it was built under (the store's plan) —
-        // paper-policy requests never take it, and a mismatched policy
-        // falls back to per-worker builds
-        kernels: (policy == prepared.kernels.policy()
-            && !matches!(policy, KernelPolicy::PaperFaithful))
-        .then(|| Arc::clone(&prepared.kernels)),
+        kernels: reusable_kernels(&prepared, policy),
         ..ResilientOpts::default()
     };
-
-    // list from the layout the plan chose; cost accounting and triangle
-    // output are layout-invariant (pinned by tests/serve_differential.rs)
-    let src = match &prepared.csr {
-        Some(c) => GraphSource::Compressed(c),
-        None => GraphSource::Plain(&prepared.dg),
-    };
+    let src = source(&prepared);
     let outcome = if p.resume.is_empty() {
         list_resilient_src(src, method, &opts)
     } else {
-        let rp: ResumePoint = p
-            .resume
-            .parse()
-            .map_err(|e: ResumeParseError| bad(e.to_string()))?;
-        if rp.method != method {
+        let rp = parse_resume(&p.resume)?;
+        if rp.domain != WorkDomain::Listing(method) {
             return Err(bad(format!(
-                "resume token is for {}, request names {}",
-                rp.method, method
+                "resume token is for {}, request names {method}",
+                rp.domain
             )));
         }
         rp.run_src(src, &opts)
     };
     drop(permit);
-    let outcome = outcome.map_err(|e| bad(e.to_string()))?;
-    Ok(wire_result(&prepared, cache_hit, materialize, outcome))
+    Ok(match outcome.map_err(|e| bad(e.to_string()))? {
+        RunOutcome::Complete(run) => wire_result(
+            &prepared,
+            cache_hit,
+            materialize,
+            run.cost,
+            run.piece_counts,
+            run.triangles.iter(),
+            None,
+        ),
+        RunOutcome::Partial(pr) => wire_result(
+            &prepared,
+            cache_hit,
+            materialize,
+            pr.cost(),
+            chunk_table(&pr.completed),
+            pr.completed.iter().flat_map(|piece| &piece.triangles),
+            Some((pr.reason, &pr.resume)),
+        ),
+    })
 }
 
-fn wire_result(
+/// Resolves a request's ordering and kernel policy. Unpinned requests
+/// leave fields blank; blanks resolve from the store's per-graph listing
+/// plan (returned when consulted, so a blank listing `method` can take
+/// its hint), which makes an unpinned run byte-identical to an explicit
+/// request naming the plan's choices (pinned by
+/// tests/serve_differential.rs). Pinned fields always win.
+fn resolve_plan(
+    shared: &Shared,
+    graph: &str,
+    method_blank: bool,
+    family: &str,
+    policy: &str,
+) -> Result<(Option<Arc<PlanSummary>>, OrderingKind, KernelPolicy), ErrorFrame> {
+    let plan = if method_blank || family.is_empty() || policy.is_empty() {
+        Some(
+            shared
+                .store
+                .listing_plan(graph)
+                .map_err(|e| store_err(&e))?,
+        )
+    } else {
+        None
+    };
+    let ordering = match &plan {
+        Some(s) if family.is_empty() => s.plan.ordering,
+        _ => parse_ordering(family)?,
+    };
+    let policy = match &plan {
+        Some(s) if policy.is_empty() => s.plan.policy,
+        _ => parse_policy(policy)?,
+    };
+    Ok((plan, ordering, policy))
+}
+
+/// The prelude every priced run shares: the admission gate (price
+/// ceiling, then a slot), then the run's budget and worker count from the
+/// request's overrides, server defaults where they are zero. The permit
+/// must live until the run ends.
+fn admit_run<'s>(
+    shared: &'s Shared,
+    price: &RequestPrice,
+    deadline_ms: u64,
+    memory_bytes: u64,
+    threads: u16,
+) -> Result<(Permit<'s>, RunBudget, usize), ErrorFrame> {
+    shared
+        .admission
+        .check_price(price)
+        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedCost, r.to_string()))?;
+    let permit = shared
+        .admission
+        .admit()
+        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string()))?;
+    let budget = RunBudget {
+        deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+        memory_bytes: (memory_bytes > 0)
+            .then_some(memory_bytes)
+            .or(shared.cfg.memory_bytes),
+        cancel: None,
+        gauge: Some(shared.gauge.clone()),
+    };
+    let threads = match threads {
+        0 => shared.cfg.workers,
+        t => t as usize,
+    };
+    Ok((permit, budget, threads))
+}
+
+fn parse_resume(token: &str) -> Result<ResumePoint, ErrorFrame> {
+    token
+        .parse()
+        .map_err(|e: ResumeParseError| bad(e.to_string()))
+}
+
+/// The layout the plan chose; cost accounting and triangle output are
+/// layout-invariant (pinned by tests/serve_differential.rs).
+fn source(prepared: &Prepared) -> GraphSource<'_> {
+    match &prepared.csr {
+        Some(c) => GraphSource::Compressed(c),
+        None => GraphSource::Plain(&prepared.dg),
+    }
+}
+
+/// The cached kernel context, when the request asks for exactly the
+/// policy it was built under (the store's plan). Paper-policy requests
+/// never take it, so the policy a client names is the policy that runs;
+/// `None` means the run builds its own.
+fn reusable_kernels(prepared: &Prepared, policy: KernelPolicy) -> Option<Arc<Kernels>> {
+    (policy == prepared.kernels.policy() && !matches!(policy, KernelPolicy::PaperFaithful))
+        .then(|| Arc::clone(&prepared.kernels))
+}
+
+/// The wire's per-chunk table: `(chunk, triangles)` in chunk order.
+fn chunk_table(pieces: &[ChunkPiece]) -> Vec<(u32, u32)> {
+    pieces
+        .iter()
+        .map(|piece| (piece.chunk, piece.triangles.len() as u32))
+        .collect()
+}
+
+/// What a finished run of either domain puts on the wire: its merged
+/// cost, its chunk table and triangles (when `materialize`), and the stop
+/// reason and resume token of a partial run. Triangles map back to
+/// original node IDs, each triple sorted — the same convention as
+/// [`trilist_core::list_triangles`].
+fn wire_result<'t>(
     prepared: &Prepared,
     cache_hit: bool,
     materialize: bool,
-    outcome: RunOutcome,
+    cost: CostReport,
+    chunks: Vec<(u32, u32)>,
+    triangles: impl Iterator<Item = &'t (u32, u32, u32)>,
+    stop: Option<(StopReason, &ResumePoint)>,
 ) -> RunResult {
-    match outcome {
-        RunOutcome::Complete(run) => RunResult {
-            complete: true,
-            stop_reason: String::new(),
-            cache_hit,
-            cost: run.cost,
-            resume: String::new(),
-            chunks: if materialize {
-                run.piece_counts
-            } else {
-                vec![]
-            },
-            triangles: if materialize {
-                map_triangles(&prepared.inverse, &run.triangles).collect()
-            } else {
-                vec![]
-            },
+    let (complete, stop_reason, resume) = match stop {
+        None => (true, String::new(), String::new()),
+        Some((reason, rp)) => (false, reason.to_string(), rp.to_string()),
+    };
+    RunResult {
+        complete,
+        stop_reason,
+        cache_hit,
+        cost,
+        resume,
+        chunks: if materialize { chunks } else { vec![] },
+        triangles: if materialize {
+            let inverse = &prepared.inverse;
+            triangles
+                .map(|&(x, y, z)| {
+                    let mut t = [
+                        inverse[x as usize],
+                        inverse[y as usize],
+                        inverse[z as usize],
+                    ];
+                    t.sort_unstable();
+                    (t[0], t[1], t[2])
+                })
+                .collect()
+        } else {
+            vec![]
         },
-        RunOutcome::Partial(pr) => {
-            let (chunks, triangles) = if materialize {
-                let mut chunks = Vec::with_capacity(pr.completed.len());
-                let mut tris = Vec::new();
-                for piece in &pr.completed {
-                    chunks.push((piece.chunk, piece.triangles.len() as u32));
-                    tris.extend(map_triangles(&prepared.inverse, &piece.triangles));
-                }
-                (chunks, tris)
-            } else {
-                (vec![], vec![])
-            };
-            RunResult {
-                complete: false,
-                stop_reason: pr.reason.to_string(),
-                cache_hit,
-                cost: pr.cost(),
-                resume: pr.resume.to_string(),
-                chunks,
-                triangles,
-            }
-        }
     }
 }
 
@@ -1012,28 +1049,7 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
         .delta_edges(&p.graph, p.from_epoch, to)
         .map_err(|e| store_err(&e))?;
 
-    // Blank family/policy resolve from the graph's autotuned plan, like
-    // unpinned List/Count requests.
-    let unpinned = p.family.is_empty() || p.policy.is_empty();
-    let plan = if unpinned {
-        Some(
-            shared
-                .store
-                .listing_plan(&p.graph)
-                .map_err(|e| store_err(&e))?,
-        )
-    } else {
-        None
-    };
-    let ordering = match &plan {
-        Some(s) if p.family.is_empty() => s.plan.ordering,
-        _ => parse_ordering(&p.family)?,
-    };
-    let policy = match &plan {
-        Some(s) if p.policy.is_empty() => s.plan.policy,
-        _ => KernelPolicy::from_name(&p.policy)
-            .ok_or_else(|| bad(format!("unknown kernel policy {:?}", p.policy)))?,
-    };
+    let (_, ordering, policy) = resolve_plan(shared, &p.graph, false, &p.family, &p.policy)?;
     let (prepared, cache_hit, _) = shared
         .store
         .prepare_at(&p.graph, ordering, Some(to))
@@ -1057,90 +1073,43 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
     label_edges.sort_unstable();
 
     let price = price_delta(&prepared.degrees_by_label, &label_edges);
-    shared
-        .admission
-        .check_price(&price)
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedCost, r.to_string()))?;
-    let permit = shared
-        .admission
-        .admit()
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string()))?;
-
-    let mut budget = RunBudget::unlimited().with_gauge(shared.gauge.clone());
-    if p.deadline_ms > 0 {
-        budget = budget.with_deadline(Duration::from_millis(p.deadline_ms));
-    }
-    let ceiling = if p.memory_bytes > 0 {
-        Some(p.memory_bytes)
-    } else {
-        shared.cfg.memory_bytes
-    };
-    if let Some(bytes) = ceiling {
-        budget = budget.with_memory_bytes(bytes);
-    }
-    let threads = if p.threads > 0 {
-        p.threads as usize
-    } else {
-        shared.cfg.workers
-    };
+    let (permit, budget, threads) =
+        admit_run(shared, &price, p.deadline_ms, p.memory_bytes, p.threads)?;
     let opts = DeltaOpts {
         threads,
         budget,
+        recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
         ..DeltaOpts::default()
     };
-
-    let src = match &prepared.csr {
-        Some(c) => GraphSource::Compressed(c),
-        None => GraphSource::Plain(&prepared.dg),
-    };
-    // Reuse the cached kernel context only when the request asks for
-    // exactly the policy it was built under; paper-policy requests build
-    // their own paper-faithful context, like run_listing.
-    let built = (policy != prepared.kernels.policy()
-        || matches!(policy, KernelPolicy::PaperFaithful))
-    .then(|| Kernels::build_src(policy, src));
-    let kernels: &Kernels = match &built {
-        Some(k) => k,
-        None => &prepared.kernels,
-    };
+    let src = source(&prepared);
+    let kernels = reusable_kernels(&prepared, policy)
+        .unwrap_or_else(|| Arc::new(Kernels::build_src(policy, src)));
     let outcome = if p.resume.is_empty() {
-        list_new_triangles_src(src, kernels, &label_edges, &opts)
+        list_new_triangles_src(src, &kernels, &label_edges, &opts)
     } else {
-        let rp: DeltaResumePoint = p
-            .resume
-            .parse()
-            .map_err(|e: ResumeParseError| bad(e.to_string()))?;
-        rp.run_src(src, kernels, &label_edges, &opts)
+        parse_resume(&p.resume)?
+            .run_new_triangles_src(src, &kernels, &label_edges, &opts)
             .map_err(|e| bad(e.to_string()))?
     };
     drop(permit);
-
-    let mut chunks = Vec::new();
-    let mut triangles = Vec::new();
-    for piece in outcome.pieces() {
-        chunks.push((piece.chunk, piece.triangles.len() as u32));
-        triangles.extend(map_triangles(&prepared.inverse, &piece.triangles));
-    }
-    let (complete, stop_reason, resume) = match &outcome {
-        DeltaOutcome::Complete { .. } => (true, String::new(), String::new()),
-        DeltaOutcome::Partial { resume, reason, .. } => {
-            (false, reason.to_string(), resume.to_string())
-        }
+    let stop = match &outcome {
+        DeltaOutcome::Complete { .. } => None,
+        DeltaOutcome::Partial { resume, reason, .. } => Some((*reason, resume)),
     };
     Ok(DeltaRunResult {
         from_epoch: p.from_epoch,
         to_epoch: to,
         new_edges: label_edges.len() as u64,
         removed_edges: net_removed.len() as u64,
-        result: RunResult {
-            complete,
-            stop_reason,
+        result: wire_result(
+            &prepared,
             cache_hit,
-            cost: outcome.cost(),
-            resume,
-            chunks,
-            triangles,
-        },
+            true,
+            outcome.cost(),
+            chunk_table(outcome.pieces()),
+            outcome.pieces().iter().flat_map(|piece| &piece.triangles),
+            stop,
+        ),
     })
 }
 
@@ -1233,4 +1202,34 @@ fn stats_fields(shared: &Shared) -> Vec<(String, u64)> {
     out.push(("recorder_spans".into(), shared.recorder.span_count()));
     out.push(("recorder_span_ns".into(), shared.recorder.span_total_ns()));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn recorder_counts_spans_without_keeping_them() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let edges: Vec<(u32, u32)> = (0..30u32)
+            .flat_map(|u| (u + 1..30).map(move |v| (u, v)))
+            .filter(|&(u, v)| u * v % 3 == 0)
+            .collect();
+        client.register_graph("g", 30, &edges[1..]).unwrap();
+        let spans = |c: &mut Client| {
+            let stats = c.stats().unwrap();
+            stats.iter().find(|(k, _)| k == "recorder_spans").unwrap().1
+        };
+        let before = spans(&mut client);
+        client.list(ListParams::new("g", "", "", "")).unwrap();
+        let listed = spans(&mut client);
+        client.add_edges("g", &edges[..1]).unwrap();
+        client
+            .list_new(DeltaParams::new("g", 0, DeltaParams::LATEST))
+            .unwrap();
+        assert!(before < listed && listed < spans(&mut client));
+        assert!(server.shared.recorder.spans().is_empty());
+    }
 }

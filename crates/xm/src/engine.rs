@@ -17,7 +17,7 @@
 use crate::storage::{EdgeFile, IoStats, ScratchDir};
 use trilist_core::kernel::{Kernels, ListDir};
 use trilist_core::obs::{ChunkSpan, Counter, HistKind, Recorder, NOOP};
-use trilist_core::{CostReport, Method, RunBudget, StopReason};
+use trilist_core::{CostReport, Method, RunBudget, StopReason, WorkDomain};
 use trilist_order::DirectedGraph;
 
 /// Estimated resident bytes per column edge: the `u32` target plus its
@@ -333,7 +333,7 @@ pub fn xm_e1_observed<F: FnMut(u32, u32, u32)>(
             recorder.observe(HistKind::ChunkWallNs, dur_ns);
             recorder.observe(HistKind::ChunkOps, ops);
             recorder.span(ChunkSpan {
-                method: Method::E1,
+                domain: WorkDomain::Listing(Method::E1),
                 policy: k.policy().name(),
                 chunk: pass as u32,
                 attempt: 0,
@@ -655,7 +655,7 @@ mod tests {
         for (a, s) in spans.iter().enumerate() {
             assert_eq!(s.chunk, a as u32);
             assert_eq!(s.range, parts.interval(a));
-            assert_eq!(s.method, Method::E1);
+            assert_eq!(s.domain, WorkDomain::Listing(Method::E1));
             assert!(s.ok);
         }
         assert_eq!(

@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 use rand::{Rng, SeedableRng};
 use trilist::core::{
     list_new_triangles_src, list_triangles, materialize, net_changes, CompressedCsr, CostReport,
-    DeltaOpts, DeltaOutcome, DeltaResumePoint, DeltaRun, GraphSource, KernelPolicy, Kernels,
-    Method, RunBudget,
+    DeltaOpts, DeltaOutcome, DeltaRun, GraphSource, KernelPolicy, Kernels, Method, ResumePoint,
+    RunBudget,
 };
 use trilist::graph::Graph;
 use trilist::order::{DirectedGraph, OrderFamily};
@@ -281,6 +281,7 @@ fn delta_cost_and_triangles_invariant_across_layout_threads_and_chunking() {
                                 threads,
                                 target_chunk_ops,
                                 budget: RunBudget::unlimited(),
+                                ..DeltaOpts::default()
                             },
                         );
                         assert!(matches!(outcome, DeltaOutcome::Complete { .. }));
@@ -314,6 +315,7 @@ fn interrupted_delta_run_resumes_byte_identically() {
             threads: 2,
             target_chunk_ops: 64,
             budget,
+            ..DeltaOpts::default()
         };
 
         let full = list_new_triangles_src(
@@ -351,10 +353,10 @@ fn interrupted_delta_run_resumes_byte_identically() {
         assert_eq!(reason.to_string(), "memory budget exhausted");
 
         // Round-trip the token through its wire text, then replay.
-        let token: DeltaResumePoint = resume.to_string().parse().expect("token parses");
+        let token: ResumePoint = resume.to_string().parse().expect("token parses");
         assert_eq!(token, resume);
         let resumed = token
-            .run_src(
+            .run_new_triangles_src(
                 src,
                 &kernels,
                 &f.label_edges,
@@ -368,7 +370,7 @@ fn interrupted_delta_run_resumes_byte_identically() {
 
         // Replaying a strict subset of chunks reproduces exactly those
         // pieces — chunk identity is stable, not positional.
-        let odd = DeltaResumePoint {
+        let odd = ResumePoint {
             n: token.n,
             edges: token.edges,
             ranges: token
@@ -377,10 +379,11 @@ fn interrupted_delta_run_resumes_byte_identically() {
                 .filter(|(c, _)| c % 2 == 1)
                 .cloned()
                 .collect(),
+            ..token.clone()
         };
         if !odd.ranges.is_empty() {
             let out = odd
-                .run_src(
+                .run_new_triangles_src(
                     src,
                     &kernels,
                     &f.label_edges,
@@ -396,12 +399,12 @@ fn interrupted_delta_run_resumes_byte_identically() {
         }
 
         // Mismatched shape pins are rejected, not silently mislisted.
-        let wrong = DeltaResumePoint {
+        let wrong = ResumePoint {
             edges: token.edges + 1,
             ..token.clone()
         };
         assert!(wrong
-            .run_src(
+            .run_new_triangles_src(
                 src,
                 &kernels,
                 &f.label_edges,

@@ -11,8 +11,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 use trilist::core::{
-    list_resilient, silence_injected_panics, ChunkSpan, Counter, FaultPlan, InMemoryRecorder,
-    KernelPolicy, Method, ResilientOpts, RunOutcome,
+    list_new_triangles_src, list_resilient, silence_injected_panics, ChunkSpan, Counter, DeltaOpts,
+    FaultPlan, GraphSource, InMemoryRecorder, KernelPolicy, Kernels, Method, ResilientOpts,
+    RunOutcome, WorkDomain,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -268,6 +269,66 @@ fn budget_interruption_spans_stay_within_completed_chunks() {
                 );
             }
             assert!(rec.counter(Counter::BudgetChecks) > 0, "budget was checked");
+        }
+    }
+}
+
+#[test]
+fn recorder_never_changes_delta_results_and_tags_delta_spans() {
+    let dg = fixture(3_000, 43);
+    let n = dg.n() as u32;
+    let src = GraphSource::Plain(&dg);
+    // every fourth edge as a net-new delta: its new triangles are the
+    // graph's triangles that touch it
+    let mut edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|v| dg.out(v).iter().map(move |&w| (v.min(w), v.max(w))))
+        .collect();
+    edges.sort_unstable();
+    let edges: Vec<(u32, u32)> = edges.into_iter().step_by(4).collect();
+    for (pname, policy) in [
+        ("paper", KernelPolicy::PaperFaithful),
+        ("adaptive", KernelPolicy::adaptive()),
+    ] {
+        let kernels = Kernels::build_src(policy, src);
+        for threads in [1usize, 2, 4] {
+            let ctx = format!("delta/{pname}/{threads}t");
+            let delta_opts = DeltaOpts {
+                threads,
+                target_chunk_ops: 256,
+                ..DeltaOpts::default()
+            };
+            let bare = list_new_triangles_src(src, &kernels, &edges, &delta_opts);
+            let rec = Arc::new(InMemoryRecorder::new());
+            let recorded = DeltaOpts {
+                recorder: Some(rec.clone()),
+                ..delta_opts
+            };
+            let observed = list_new_triangles_src(src, &kernels, &edges, &recorded);
+            // the accounting contract: recording is invisible to results
+            assert_eq!(observed, bare, "{ctx}: outcome");
+
+            // a listing run on the same recorder: its spans stay apart
+            let mut o = opts(threads, policy);
+            o.recorder = Some(rec.clone());
+            let listed = list_resilient(&dg, Method::E1, &o).unwrap();
+            let spans = rec.spans();
+            let (delta, listing): (Vec<ChunkSpan>, Vec<ChunkSpan>) = spans
+                .into_iter()
+                .partition(|s| s.domain == WorkDomain::Delta);
+            assert!(listing
+                .iter()
+                .all(|s| s.domain == WorkDomain::Listing(Method::E1)));
+            assert_spans_partition(&delta, edges.len() as u32, &ctx);
+            assert_spans_partition(&listing, n, &ctx);
+            let delta_chunks = delta.iter().filter(|s| !s.is_setup()).count();
+            assert_eq!(
+                delta_chunks,
+                bare.pieces().len(),
+                "{ctx}: one span per chunk"
+            );
+            let ops: u64 = delta.iter().map(|s| s.ops).sum();
+            assert_eq!(ops, bare.cost().operations(), "{ctx}: span ops");
+            assert!(matches!(listed, RunOutcome::Complete(_)), "{ctx}");
         }
     }
 }

@@ -12,8 +12,9 @@
 use rand::SeedableRng;
 use std::time::Duration;
 use trilist::core::{
-    list_resilient, silence_injected_panics, CancelToken, FaultPlan, Method, ResilientOpts,
-    ResumePoint, RunBudget, RunOutcome, StopReason,
+    list_new_triangles_src, list_resilient, silence_injected_panics, CancelToken, DeltaOpts,
+    DeltaOutcome, FaultPlan, GraphSource, Kernels, Method, ResilientOpts, ResumePoint, RunBudget,
+    RunOutcome, StopReason,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -255,4 +256,82 @@ fn default_resilient_path_matches_plain_runtime() {
         assert_eq!(resilient.cost, plain.cost, "{method}");
         assert!(resilient.faults.is_empty(), "{method}");
     }
+}
+
+/// A delta run's net-new edges over `dg`: every third edge as a sorted
+/// label pair. Any edge subset is a valid delta — its new triangles are
+/// the graph's triangles that touch it.
+fn delta_edges(dg: &DirectedGraph) -> Vec<(u32, u32)> {
+    let mut edges: Vec<(u32, u32)> = (0..dg.n() as u32)
+        .flat_map(|v| dg.out(v).iter().map(move |&w| (v.min(w), v.max(w))))
+        .collect();
+    edges.sort_unstable();
+    edges.into_iter().step_by(3).collect()
+}
+
+#[test]
+fn delta_fault_matrix_complete_or_resume_identical() {
+    silence_injected_panics();
+    let dg = fixture(500, 0xFA_25);
+    let src = GraphSource::Plain(&dg);
+    let kernels = Kernels::paper();
+    let edges = delta_edges(&dg);
+    let opts = |threads: usize, fault_plan: Option<FaultPlan>| DeltaOpts {
+        threads,
+        target_chunk_ops: 64, // plenty of chunks to fault
+        fault_plan,
+        ..DeltaOpts::default()
+    };
+    let clean = list_new_triangles_src(src, &kernels, &edges, &opts(1, None));
+    assert!(clean.pieces().len() >= 32, "want many chunks to fault");
+    type PlanFn = fn(u64) -> FaultPlan;
+    let plans: [(&str, PlanFn); 4] = [
+        ("panic-recoverable", |s| FaultPlan::panic_at(s, 300, 2)),
+        ("panic-permanent", |s| FaultPlan::panic_at(s, 150, u32::MAX)),
+        ("slow", |s| {
+            FaultPlan::slow_chunks(s, 400, Duration::from_micros(100))
+        }),
+        ("alloc", |s| FaultPlan::alloc_pressure(s, 400, 1 << 16)),
+    ];
+    let mut partials = 0usize;
+    for seed in [1u64, 2, 3] {
+        for (kind, plan) in &plans {
+            for threads in [1usize, 2, 4] {
+                let ctx = format!("delta {kind} seed={seed} threads={threads}");
+                let outcome =
+                    list_new_triangles_src(src, &kernels, &edges, &opts(threads, Some(plan(seed))));
+                let pieces = match outcome {
+                    DeltaOutcome::Complete { pieces } => {
+                        assert_ne!(*kind, "panic-permanent", "{ctx}: must leave a partial run");
+                        pieces
+                    }
+                    DeltaOutcome::Partial {
+                        mut pieces,
+                        resume,
+                        reason,
+                    } => {
+                        assert_eq!(*kind, "panic-permanent", "{ctx}: unexpected partial");
+                        assert_eq!(reason, StopReason::ChunkFailed, "{ctx}");
+                        partials += 1;
+                        // the token survives its wire text and finishes
+                        // the run without the faults
+                        let token: ResumePoint = resume.to_string().parse().expect("token parses");
+                        let rest = token
+                            .run_new_triangles_src(src, &kernels, &edges, &opts(threads, None))
+                            .unwrap_or_else(|e| panic!("{ctx}: resume rejected: {e}"));
+                        let DeltaOutcome::Complete { pieces: rest } = rest else {
+                            panic!("{ctx}: clean resume did not complete");
+                        };
+                        pieces.extend(rest);
+                        pieces.sort_by_key(|p| p.chunk);
+                        pieces
+                    }
+                };
+                // chunk for chunk: ranges, triangles and every cost field
+                assert_eq!(pieces, clean.pieces(), "{ctx}: diverged");
+            }
+        }
+    }
+    // the permanent-panic leg must actually exercise resume
+    assert_eq!(partials, 3 * 3, "3 seeds x 3 thread counts");
 }

@@ -13,7 +13,8 @@ use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Tr
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
 use trilist::serve::{
-    prepare_graph, prepare_seed_for, Client, ListParams, PlanMode, ServeConfig, Server, StoreConfig,
+    prepare_graph, prepare_seed_for, Client, ClientError, DeltaParams, ErrorCode, ListParams,
+    PlanMode, ServeConfig, Server, StoreConfig,
 };
 
 /// A reproducible Pareto α = 1.5 graph with plenty of triangles.
@@ -320,6 +321,80 @@ fn predict_matches_in_process_pricing() {
         assert_eq!(per_node.to_bits(), expected.per_node.to_bits());
         assert_eq!(total_ops.to_bits(), expected.total_ops.to_bits());
         assert_eq!(n, expected.n);
+    }
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// Resume tokens are outside input: one that names a range twice (or
+/// none, or the other domain's) gets an error frame, never a replay.
+fn rejected<T>(res: Result<T, ClientError>, token: &str) {
+    match res {
+        Err(ClientError::Server(frame)) => assert_eq!(frame.code, ErrorCode::BadRequest, "{token}"),
+        Ok(_) => panic!("{token}: replayed instead of rejected"),
+        Err(e) => panic!("{token}: {e}"),
+    }
+}
+
+#[test]
+fn replayed_tokens_must_name_each_range_once_on_list_and_list_new() {
+    let g = pareto_graph(400, 0x70C);
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.register_graph("tok", 400, &edges).unwrap();
+    // three absent edges make a delta window of three net-new edges
+    let absent: Vec<(u32, u32)> = (0..400u32)
+        .flat_map(|u| ((u + 1)..400).map(move |v| (u, v)))
+        .filter(|&(u, v)| !g.has_edge(u, v))
+        .step_by(997)
+        .take(3)
+        .collect();
+    client.add_edges("tok", &absent).unwrap();
+
+    let family = Method::E4.optimal_family().name();
+    let list = |resume: &str| ListParams {
+        resume: resume.into(),
+        ..ListParams::new("tok", "E4", family, "paper")
+    };
+    let whole = client.list(list("")).unwrap();
+    // one well-formed range covering the graph replays the whole run
+    let replay = client
+        .list(list("trilist-resume v1 E4 n=400 0:0-400"))
+        .unwrap();
+    assert!(replay.complete);
+    assert_eq!(replay.triangles, whole.triangles);
+    assert_eq!(replay.cost, whole.cost);
+    for token in [
+        "trilist-resume v1 E4 n=400 0:0-400 0:0-400",
+        "trilist-resume v1 E4 n=400 0:0-300 1:200-400",
+        "trilist-resume v1 E4 n=400 1:0-200 0:200-400",
+        "trilist-resume v1 E4 n=400",
+        "trilist-resume v1 delta n=400 edges=3 0:0-3",
+    ] {
+        rejected(client.list(list(token)), token);
+    }
+
+    let list_new = |resume: &str| DeltaParams {
+        resume: resume.into(),
+        ..DeltaParams::new("tok", 0, DeltaParams::LATEST)
+    };
+    let whole = client.list_new(list_new("")).unwrap();
+    assert_eq!(whole.new_edges, 3);
+    let replay = client
+        .list_new(list_new("trilist-resume v1 delta n=400 edges=3 0:0-3"))
+        .unwrap();
+    assert!(replay.result.complete);
+    assert_eq!(replay.result.triangles, whole.result.triangles);
+    assert_eq!(replay.result.cost, whole.result.cost);
+    for token in [
+        "trilist-resume v1 delta n=400 edges=3 0:0-3 0:0-3",
+        "trilist-resume v1 delta n=400 edges=3 0:0-2 1:1-3",
+        "trilist-resume v1 delta n=400 edges=3 1:0-1 0:1-3",
+        "trilist-resume v1 delta n=400 edges=3",
+        "trilist-resume v1 E4 n=400 0:0-400",
+    ] {
+        rejected(client.list_new(list_new(token)), token);
     }
     client.shutdown().unwrap();
     server.join();

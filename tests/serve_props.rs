@@ -324,7 +324,7 @@ fn deterministic_malformed_corpus() {
         edges: vec![(0, 1), (2, 3)],
     };
     let list_new = Request::ListNewTriangles(DeltaParams {
-        resume: "trilist-delta-resume v1 n=4 edges=2 0:0-2".into(),
+        resume: "trilist-resume v1 delta n=4 edges=2 0:0-2".into(),
         ..DeltaParams::new("g", 0, DeltaParams::LATEST)
     });
     for req in [&add, &list_new] {
@@ -373,7 +373,7 @@ fn deterministic_malformed_corpus() {
             stop_reason: "memory budget exhausted".into(),
             cache_hit: true,
             cost: CostReport::default(),
-            resume: "trilist-delta-resume v1 n=4 edges=2 1:1-2".into(),
+            resume: "trilist-resume v1 delta n=4 edges=2 1:1-2".into(),
             chunks: vec![(0, 1)],
             triangles: vec![(0, 1, 2)],
         },
