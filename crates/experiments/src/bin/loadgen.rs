@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--requests N] [--threads N] [--graph-n N]
-//!         [--workers N] [--seed S] [--out PATH] [--blocking]
+//!         [--workers N] [--seed S] [--out PATH]
 //!         [--warmup N] [--rates A,B,C] [--duration-secs S] [--conns N]
 //!         [--idle-conns N] [--chaos-seed N] [--retry]
 //! ```
 //!
 //! Without `--addr` it spawns an in-process server on an ephemeral
-//! loopback port (`--blocking` selects the legacy thread-per-connection
-//! layer), registers a Pareto α = 1.5 graph, and drives it with a
+//! loopback port, registers a Pareto α = 1.5 graph, and drives it with a
 //! deterministic mix of `List` / `Count` / `ModelPredict` / `Stats`
 //! requests.
 //!
@@ -62,7 +61,6 @@ struct Flags {
     workers: usize,
     seed: u64,
     out: String,
-    blocking: bool,
     warmup: u64,
     rates: Vec<f64>,
     duration_secs: f64,
@@ -81,7 +79,6 @@ fn parse_flags() -> Flags {
         workers: 2,
         seed: 0x010A_D6E4,
         out: "BENCH_serve.json".to_string(),
-        blocking: false,
         warmup: 24,
         rates: Vec::new(),
         duration_secs: 5.0,
@@ -104,7 +101,6 @@ fn parse_flags() -> Flags {
             "--workers" => f.workers = val("--workers", args.next()),
             "--seed" => f.seed = val("--seed", args.next()),
             "--out" => f.out = val("--out", args.next()),
-            "--blocking" => f.blocking = true,
             "--warmup" => f.warmup = val("--warmup", args.next()),
             "--duration-secs" => f.duration_secs = val("--duration-secs", args.next()),
             "--conns" => f.conns = val("--conns", args.next()),
@@ -416,7 +412,6 @@ fn main() {
                 "127.0.0.1:0",
                 ServeConfig {
                     workers: flags.workers,
-                    blocking: flags.blocking,
                     chaos: flags.chaos_seed.map(ChaosPlan::seeded),
                     ..ServeConfig::default()
                 },
@@ -527,7 +522,6 @@ fn main() {
     w.key("graph_n").u64(n as u64);
     w.key("graph_m").u64(m);
     w.key("server_workers").u64(flags.workers as u64);
-    w.key("blocking").bool(flags.blocking);
     w.key("in_process_server").bool(server.is_some());
     w.key("open_loop_conns").u64(flags.conns as u64);
     w.key("idle_conns").u64(flags.idle_conns as u64);

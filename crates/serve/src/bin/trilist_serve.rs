@@ -3,12 +3,9 @@
 //! ```text
 //! trilist_serve [--addr HOST:PORT] [--workers N] [--max-inflight N]
 //!               [--max-queue N] [--max-ops F] [--memory-bytes N]
-//!               [--cache-entries N] [--cache-bytes N] [--blocking]
+//!               [--cache-entries N] [--cache-bytes N]
 //!               [--chaos-seed N] [--no-degrade]
 //! ```
-//!
-//! `--blocking` selects the legacy thread-per-connection layer instead
-//! of the default event loop (kept for differential testing).
 //!
 //! `--chaos-seed N` arms deterministic fault injection: every connection
 //! suffers seeded short reads/writes, `WouldBlock`/`EINTR` storms,
@@ -49,7 +46,6 @@ fn main() {
             "--memory-bytes" => cfg.memory_bytes = Some(parse("--memory-bytes", args.next())),
             "--cache-entries" => cfg.store.max_entries = parse("--cache-entries", args.next()),
             "--cache-bytes" => cfg.store.cache_bytes = Some(parse("--cache-bytes", args.next())),
-            "--blocking" => cfg.blocking = true,
             "--chaos-seed" => {
                 cfg.chaos = Some(ChaosPlan::seeded(parse("--chaos-seed", args.next())));
             }

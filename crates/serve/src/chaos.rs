@@ -1,7 +1,7 @@
 //! Deterministic chaos injection for the serve stack.
 //!
 //! [`ChaosPlan`] extends the PR 3 fault-injection philosophy
-//! ([`trilist_core::FaultPlan`]) up through the connection layers: every
+//! ([`trilist_core::FaultPlan`]) up through the connection layer: every
 //! injection is a pure function of `(seed, conn_id, event_index)` — the
 //! same splitmix64 chain, via [`trilist_core::fault_roll`] — so a chaos
 //! run replays exactly from its seed, independent of thread interleaving
@@ -59,9 +59,9 @@ pub enum IoFault {
     /// Shut the socket down and fail with `ConnectionReset`.
     Reset,
     /// Fail with a spurious `WouldBlock` (level-triggered readiness
-    /// redelivers; the blocking layer treats it as an idle timeout).
+    /// redelivers the event).
     WouldBlock,
-    /// Fail with `Interrupted` — both layers retry.
+    /// Fail with `Interrupted` — the event loop retries the syscall.
     Interrupted,
     /// Sleep this long, then perform the operation (slowloris pacing).
     Stall(Duration),
@@ -276,7 +276,7 @@ impl ChaosHub {
 }
 
 /// A `TcpStream` wrapper injecting the plan's I/O faults. Without a hub
-/// it is a zero-cost passthrough, so both connection layers always speak
+/// it is a zero-cost passthrough, so the event loop always speaks
 /// through it. Each `read`/`write` call draws one event index; the
 /// counter advances on injected faults too, so the trace stays a pure
 /// function of how many syscalls the connection attempted.
@@ -295,11 +295,6 @@ impl ChaosStream {
             conn,
             event: 0,
         }
-    }
-
-    /// The wrapped socket (for `set_read_timeout` and friends).
-    pub(crate) fn get_ref(&self) -> &TcpStream {
-        &self.inner
     }
 
     /// Draws the fault for the next syscall attempt, bumping counters.
@@ -361,26 +356,6 @@ impl AsRawFd for ChaosStream {
     fn as_raw_fd(&self) -> RawFd {
         self.inner.as_raw_fd()
     }
-}
-
-/// `write_all` that survives injected `EINTR`/`WouldBlock` on a blocking
-/// socket (std's `write_all` gives up on `WouldBlock`, which a chaos
-/// stream — or a socket with a write timeout — can surface spuriously).
-pub(crate) fn write_all_resilient<W: Write>(w: &mut W, mut buf: &[u8]) -> io::Result<()> {
-    while !buf.is_empty() {
-        match w.write(buf) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

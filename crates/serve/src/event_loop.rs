@@ -1,7 +1,7 @@
-//! The nonblocking connection layer: one event-loop thread multiplexing
-//! every connection through readiness notifications (epoll via the
-//! vendored [`mio`] shim), with request execution decoupled onto a fixed
-//! worker pool.
+//! The connection layer: one event-loop thread multiplexing every
+//! connection through readiness notifications (epoll via the vendored
+//! [`mio`] shim), with request execution decoupled onto a fixed worker
+//! pool.
 //!
 //! # Shape
 //!
@@ -15,9 +15,9 @@
 //!            └───────────────────────────────────────────────┘
 //!                 express lane (Register/Predict, 2 workers)
 //!                 priced lane (List/Count, max_inflight + max_queue
-//!                 workers — so `Admission::admit` inside a worker never
-//!                 blocks longer than the blocking layer would, and the
-//!                 `queued` counter still measures real queue waits)
+//!                 workers — so only the admission gate ever makes a
+//!                 worker wait in `Admission::admit`, and the `queued`
+//!                 counter measures real queue waits)
 //! ```
 //!
 //! # Invariants
@@ -33,8 +33,8 @@
 //!   sequentially.
 //! - **Submit-time shedding.** The priced lane bounds its backlog at
 //!   `max_inflight + max_queue`; beyond that, requests are rejected busy
-//!   with the same wire message the blocking layer produces
-//!   ([`crate::admission::Admission::shed_busy`]).
+//!   with the admission gate's own wire message
+//!   ([`crate::admission::Admission::shed_busy`]), before pricing runs.
 //! - **Backpressure, not unbounded buffering.** A connection stops being
 //!   read (its `READABLE` interest is dropped) while it has
 //!   [`PER_CONN_BACKLOG`] responses outstanding or
@@ -43,12 +43,15 @@
 //! - **Idle costs nothing.** With no draining in progress the loop
 //!   blocks in the kernel with no timeout; completions and shutdown
 //!   arrive through an eventfd [`Waker`] (`tests/serve_idle.rs`).
+//! - **Bounded drain.** After shutdown, connections close once quiesced;
+//!   past [`DRAIN_GRACE`] every connection with nothing executing closes,
+//!   dropping half-read frames and unflushed answers, so a peer that
+//!   stops reading cannot hold the server open.
 
 use crate::chaos::ChaosStream;
 use crate::protocol::{encode_frame, scan_frame, ErrorCode, ErrorFrame, Request, Response};
 use crate::server::{
-    accept_error_action, classify, execute, execute_guarded, note_response, AcceptAction, Dispatch,
-    Shared,
+    accept_error_action, classify, execute, execute_guarded, AcceptAction, Dispatch, Shared,
 };
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -84,8 +87,8 @@ const OUT_HIGH_WATER: usize = 8 << 20;
 const EXPRESS_WORKERS: usize = 2;
 /// Poll cadence while draining (idle polls otherwise block forever).
 const DRAIN_POLL: Duration = Duration::from_millis(50);
-/// Grace a draining connection gets to finish a half-written frame —
-/// the same grace the blocking layer gives.
+/// Grace a draining connection gets to finish a half-written frame and
+/// to read its answers.
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
 /// Starts the event loop on a background thread. The returned [`Waker`]
@@ -169,9 +172,9 @@ struct Executor {
     priced: Arc<Lane>,
     /// Priced backlog bound *and* priced worker count: with exactly
     /// `max_inflight + max_queue` workers, at most `max_inflight` are
-    /// admitted and at most `max_queue` wait inside `admit()` —
-    /// reproducing the blocking layer's admission dynamics (including
-    /// the `queued` counter) with a fixed pool.
+    /// admitted and at most `max_queue` wait inside `admit()`, so the
+    /// gate's slots and its `queued` counter keep their meaning with a
+    /// fixed pool.
     priced_cap: usize,
     done: Arc<DoneQueue>,
     workers: Vec<JoinHandle<()>>,
@@ -419,8 +422,6 @@ impl Conn {
     }
 }
 
-/// Encodes and queues one response under its sequence number, feeding
-/// the error counter exactly as the blocking layer's `send` does.
 /// Whether answering this request on the loop thread is bounded work: a
 /// `ModelPredict` that would hit the prepared cache, answer a cheap
 /// typed error (unknown family or graph), or nothing at all. A predict
@@ -436,8 +437,13 @@ fn predict_is_bounded(shared: &Shared, req: &Request) -> bool {
     }
 }
 
+/// Encodes and queues one response under its sequence number. Every
+/// response passes here exactly once, so error frames feed the
+/// `responses_error` counter the way the wire sees them.
 fn queue_response(conn: &mut Conn, shared: &Shared, seq: u64, resp: &Response) {
-    note_response(shared, resp);
+    if matches!(resp, Response::Error(_)) {
+        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    }
     conn.pending
         .insert(seq, encode_frame(resp.kind(), &resp.payload()));
     conn.promote();
@@ -546,8 +552,7 @@ fn process_frames(conn: &mut Conn, shared: &Shared, executor: &Executor) {
                 conn.acc.drain(..total);
             }
             Err(e) => {
-                // Framing is broken: answer once, then close after flush —
-                // exactly the blocking layer's report-once-and-close.
+                // Framing is broken: answer once, then close after flush.
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 queue_response(
@@ -572,6 +577,7 @@ fn accept_all(
     registry: &Registry,
     shared: &Shared,
     conns: &mut HashMap<u64, Conn>,
+    next_conn: &mut u64,
 ) {
     loop {
         match listener.accept() {
@@ -580,7 +586,8 @@ fn accept_all(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+                let id = *next_conn;
+                *next_conn += 1;
                 let stream = ChaosStream::new(stream, shared.chaos.clone(), id);
                 let mut conn = Conn::new(id, Token(CONN_BASE + id as usize), stream);
                 conn.update_interest(registry);
@@ -669,6 +676,8 @@ fn run(mut poll: Poll, listener: TcpListener, shared: Arc<Shared>, waker: Arc<Wa
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut listener_open = true;
+    // Chaos keys I/O injections off these ids; never reused.
+    let mut next_conn: u64 = 0;
     let mut drain_since: Option<Instant> = None;
 
     loop {
@@ -681,10 +690,14 @@ fn run(mut poll: Poll, listener: TcpListener, shared: Arc<Shared>, waker: Arc<Wa
         }
         if let Some(since) = drain_since {
             let expired = since.elapsed() >= DRAIN_GRACE;
+            // Past the grace, unflushed answers no longer hold a
+            // connection open: a peer that stopped reading would
+            // otherwise block shutdown forever.
             let closable: Vec<u64> = conns
                 .values()
                 .filter(|c| {
-                    c.quiesced() && (c.acc.is_empty() || expired || c.read_closed || c.fatal)
+                    (expired && c.inflight == 0 && c.jobs.is_empty())
+                        || (c.quiesced() && (c.acc.is_empty() || c.read_closed || c.fatal))
                 })
                 .map(|c| c.id)
                 .collect();
@@ -714,7 +727,7 @@ fn run(mut poll: Poll, listener: TcpListener, shared: Arc<Shared>, waker: Arc<Wa
         }
 
         if accept_ready && listener_open {
-            accept_all(&listener, &registry, &shared, &mut conns);
+            accept_all(&listener, &registry, &shared, &mut conns, &mut next_conn);
         }
 
         for (id, readable, writable) in ready {

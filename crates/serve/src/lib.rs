@@ -4,7 +4,7 @@
 //! length-prefixed binary wire protocol ([`protocol`]), a registered-graph
 //! store with an LRU cache of prepared listing artifacts ([`store`]), and
 //! cost-model admission control ([`admission`]), glued together by a
-//! multi-threaded TCP [`server`] and a blocking [`client`].
+//! TCP [`server`] built on one event loop, and a blocking [`client`].
 //!
 //! The service exists to demonstrate — and test, differentially — that the
 //! determinism guarantees of the listing runtime survive a process
@@ -54,3 +54,6 @@ pub use store::{
     CompactReport, CompactorHandle, EditReceipt, EpochPin, GraphStore, PlanMode, PlanSummary,
     Prepared, StoreConfig, StoreError, StoreStats,
 };
+
+#[cfg(test)]
+mod oracle;

@@ -791,13 +791,11 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 /// frame of that kind; `Err` means the bytes already present violate the
 /// framing and the connection cannot resync.
 ///
-/// Both the blocking connection loop and the event-loop state machine
-/// parse through this one function, so the two servers reject exactly the
-/// same byte streams with exactly the same typed [`WireError`]s — and
-/// neither has a panicking path on a short read (the `try_into().unwrap()`
-/// this replaced could not panic either, but only by virtue of a length
-/// check several lines away; the bounds-checked [`Reader`] makes the
-/// safety local).
+/// The event loop's connection state machine parses through this one
+/// function, so the server rejects exactly the byte streams this rejects,
+/// answering with the same typed [`WireError`] — and has no panicking
+/// path on a short read (the bounds-checked [`Reader`] keeps that safety
+/// local rather than resting on a length check elsewhere).
 pub fn scan_frame(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
     let mut r = Reader::new(buf);
     let len = match r.u32() {

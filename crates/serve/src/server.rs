@@ -1,14 +1,12 @@
-//! The TCP server: one request core behind two interchangeable connection
-//! layers.
+//! The TCP server: one request core behind the event-loop connection
+//! layer.
 //!
-//! The default layer is the nonblocking event loop in [`crate::event_loop`]
-//! — one thread multiplexing every connection through readiness
-//! notifications, with request execution decoupled onto a fixed worker
-//! pool. `ServeConfig { blocking: true, .. }` selects the legacy
-//! thread-per-connection layer instead; both call the same
-//! [`classify`]/[`execute`] pair here, so for every deterministic frame
-//! type the two layers produce byte-identical responses
-//! (`tests/serve_async.rs` holds them to that differentially).
+//! [`crate::event_loop`] multiplexes every connection on one thread
+//! through readiness notifications and hands request execution to a
+//! fixed worker pool. It parses, gates and answers each frame through the
+//! [`classify`]/[`execute_guarded`] pair here; a socket-free driver in
+//! this crate's tests runs the same pair frame by frame and must answer
+//! byte-identically.
 //!
 //! # Determinism across the wire
 //!
@@ -36,21 +34,20 @@
 //! client stitch the chain back into exact sequential order.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
-use crate::chaos::{write_all_resilient, ChaosHub, ChaosPlan, ChaosStream, ExecFault};
+use crate::chaos::{ChaosHub, ChaosPlan, ExecFault};
 use crate::event_loop;
 use crate::protocol::{
-    encode_frame, scan_frame, DeltaParams, DeltaRunResult, EditInfo, ErrorCode, ErrorFrame,
-    ListParams, PlanInfo, Request, Response, RunResult,
+    DeltaParams, DeltaRunResult, EditInfo, ErrorCode, ErrorFrame, ListParams, PlanInfo, Request,
+    Response, RunResult,
 };
 use crate::store::{
     CompactorHandle, EditReceipt, GraphStore, PlanSummary, Prepared, StoreConfig, StoreError,
 };
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use trilist_core::{
     list_new_triangles_src, list_resilient_src, ChunkPiece, CostReport, Counter, DeltaOpts,
     DeltaOutcome, GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method,
@@ -74,12 +71,7 @@ pub struct ServeConfig {
     /// (cache residency + in-flight runs). A request's own
     /// `memory_bytes` overrides it. `None` = unlimited.
     pub memory_bytes: Option<u64>,
-    /// Serve connections on the legacy blocking thread-per-connection
-    /// layer instead of the default event loop. Kept for differential
-    /// testing: both layers must answer every deterministic frame type
-    /// byte-identically.
-    pub blocking: bool,
-    /// Deterministic fault injection across both connection layers and
+    /// Deterministic fault injection across the connection layer and
     /// the execution path. `None` (the default) injects nothing.
     pub chaos: Option<ChaosPlan>,
     /// The degrade-before-reject overload ladder.
@@ -93,7 +85,6 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             store: StoreConfig::default(),
             memory_bytes: None,
-            blocking: false,
             chaos: None,
             degrade: DegradeConfig::default(),
         }
@@ -155,7 +146,7 @@ pub(crate) struct RequestCounters {
     explain: AtomicU64,
     stats: AtomicU64,
     shutdown: AtomicU64,
-    errors: AtomicU64,
+    pub(crate) errors: AtomicU64,
     degraded_policy: AtomicU64,
     degraded_deadline: AtomicU64,
     degraded_evict: AtomicU64,
@@ -171,24 +162,16 @@ pub(crate) struct Shared {
     pub(crate) shutting: AtomicBool,
     pub(crate) counters: RequestCounters,
     pub(crate) chaos: Option<Arc<ChaosHub>>,
-    /// Connection-id well for the blocking layer (the event loop numbers
-    /// its own); chaos keys I/O injections off these ids.
-    pub(crate) next_conn: AtomicU64,
 }
 
-/// The service entry point.
-pub struct Server;
-
-impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the connection layer [`ServeConfig::blocking`] selects on a
-    /// background thread.
-    pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+impl Shared {
+    /// The state every connection shares, built from `cfg`, plus the
+    /// off-lane compaction worker: edit batches whose delta ratio trips
+    /// the threshold nudge it, so segment merges and autotuner re-runs
+    /// never block the connection layer. The handle drains and joins
+    /// when dropped.
+    pub(crate) fn new(cfg: ServeConfig) -> (Arc<Shared>, CompactorHandle) {
         let gauge = MemoryGauge::new();
-        let blocking = cfg.blocking;
         // `Stats` reads only counters and span aggregates; a span list
         // would grow with every request served
         let recorder = Arc::new(InMemoryRecorder::without_span_list());
@@ -199,10 +182,6 @@ impl Server {
             GraphStore::new(cfg.store.clone(), gauge.clone())
                 .with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>),
         );
-        // The off-lane compaction worker: edit batches whose delta ratio
-        // trips the threshold nudge it, so segment merges and autotuner
-        // re-runs never block a connection layer. The handle drains and
-        // joins when the server handle drops.
         let compactor = GraphStore::start_compactor(&store);
         let shared = Arc::new(Shared {
             store,
@@ -211,30 +190,32 @@ impl Server {
             shutting: AtomicBool::new(false),
             counters: RequestCounters::default(),
             chaos,
-            next_conn: AtomicU64::new(0),
             gauge,
             cfg,
         });
-        if blocking {
-            let accept_shared = Arc::clone(&shared);
-            let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
-            Ok(ServerHandle {
-                addr: local,
-                shared,
-                accept: Some(accept),
-                waker: None,
-                _compactor: compactor,
-            })
-        } else {
-            let (thread, waker) = event_loop::spawn(listener, Arc::clone(&shared))?;
-            Ok(ServerHandle {
-                addr: local,
-                shared,
-                accept: Some(thread),
-                waker: Some(waker),
-                _compactor: compactor,
-            })
-        }
+        (shared, compactor)
+    }
+}
+
+/// The service entry point.
+pub struct Server;
+
+impl Server {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// starts the event loop on a background thread.
+    pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let (shared, compactor) = Shared::new(cfg);
+        let (event_loop, waker) = event_loop::spawn(listener, Arc::clone(&shared))?;
+        Ok(ServerHandle {
+            addr: local,
+            shared,
+            event_loop: Some(event_loop),
+            waker,
+            _compactor: compactor,
+        })
     }
 }
 
@@ -242,9 +223,9 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    waker: Option<Arc<mio::Waker>>,
-    /// Joined by its own `Drop` after the accept thread (field order).
+    event_loop: Option<JoinHandle<()>>,
+    waker: Arc<mio::Waker>,
+    /// Joined by its own `Drop` after the event loop (field order).
     _compactor: CompactorHandle,
 }
 
@@ -255,18 +236,18 @@ impl ServerHandle {
     }
 
     /// Starts a graceful drain: stop accepting connections and new work,
-    /// finish what is in flight. Returns immediately.
+    /// finish what is in flight. A connection whose answers stay unread
+    /// a second into the drain is closed with them. Returns immediately.
     pub fn shutdown(&self) {
         self.shared.shutting.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
+        let _ = self.waker.wake();
     }
 
-    /// Drains and blocks until every connection thread has finished.
+    /// Drains and blocks until the event loop has closed every
+    /// connection.
     pub fn join(mut self) {
         self.shutdown();
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
     }
@@ -274,7 +255,7 @@ impl ServerHandle {
     /// Blocks until the server shuts down (a client's `Shutdown` request,
     /// or [`ServerHandle::shutdown`] from another thread).
     pub fn wait(mut self) {
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
     }
@@ -283,14 +264,13 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
     }
 }
 
-/// What an accept loop does after `accept` fails. Classified in one
-/// place so both connection layers react identically; public so the
+/// What the event loop does after `accept` fails. Public so the
 /// fd-exhaustion tests can pin the classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AcceptAction {
@@ -323,138 +303,6 @@ pub fn accept_error_action(e: &std::io::Error) -> AcceptAction {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                conns.push(std::thread::spawn(move || {
-                    serve_conn(&conn_shared, id, stream)
-                }));
-            }
-            Err(e) => match accept_error_action(&e) {
-                // the listener is nonblocking: WouldBlock is the idle
-                // poll, not an error
-                AcceptAction::WaitReadable => std::thread::sleep(Duration::from_millis(2)),
-                AcceptAction::Retry => {}
-                AcceptAction::Backoff(pause) => {
-                    shared
-                        .counters
-                        .accept_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(pause);
-                }
-            },
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-}
-
-fn send(stream: &mut ChaosStream, shared: &Shared, resp: &Response) -> bool {
-    note_response(shared, resp);
-    write_all_resilient(stream, &encode_frame(resp.kind(), &resp.payload())).is_ok()
-}
-
-/// Floor of the idle-read backoff (also the first timeout after data).
-const IDLE_BACKOFF_MIN: Duration = Duration::from_millis(25);
-/// Ceiling of the idle-read backoff — an idle blocking connection wakes
-/// at most ~1.25×/s, instead of the fixed 50 ms spin this replaced.
-const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(800);
-/// Poll cadence while draining, so closure is noticed promptly.
-const DRAIN_POLL: Duration = Duration::from_millis(50);
-/// Grace a draining connection gets to finish a half-written frame.
-const DRAIN_GRACE: Duration = Duration::from_secs(1);
-
-/// One blocking connection: accumulate bytes, answer every complete
-/// frame. The read timeout only paces the drain check — a timeout
-/// mid-frame leaves the buffer intact, so slow writers never
-/// desynchronize the stream — and doubles while the connection stays
-/// idle, so parked connections cost near-zero CPU
-/// (`tests/serve_idle.rs`).
-fn serve_conn(shared: &Shared, conn_id: u64, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let mut stream = ChaosStream::new(stream, shared.chaos.clone(), conn_id);
-    let mut acc: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    let mut backoff = IDLE_BACKOFF_MIN;
-    let mut timeout = Duration::ZERO; // differs from any real value, so the first pass sets one
-    let mut drain_since: Option<Instant> = None;
-    let mut next_seq: u64 = 0;
-    loop {
-        loop {
-            match scan_frame(&acc) {
-                Ok(None) => break,
-                Ok(Some((kind, total))) => {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let resp = match Request::decode(kind, &acc[6..total]) {
-                        Ok(req) => handle_request(shared, conn_id, seq, req),
-                        Err(e) => {
-                            Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string()))
-                        }
-                    };
-                    acc.drain(..total);
-                    if !send(&mut stream, shared, &resp) {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    // framing is broken; report once and close
-                    let frame_err = ErrorFrame::new(ErrorCode::Protocol, e.to_string());
-                    send(&mut stream, shared, &Response::Error(frame_err));
-                    return;
-                }
-            }
-        }
-        let want = if shared.shutting.load(Ordering::SeqCst) {
-            DRAIN_POLL
-        } else {
-            backoff
-        };
-        if want != timeout {
-            let _ = stream.get_ref().set_read_timeout(Some(want));
-            timeout = want;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                backoff = IDLE_BACKOFF_MIN;
-                drain_since = None;
-                acc.extend_from_slice(&tmp[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting.load(Ordering::SeqCst) {
-                    let since = *drain_since.get_or_insert_with(Instant::now);
-                    // grace for a half-written frame, then close
-                    if acc.is_empty() || since.elapsed() >= DRAIN_GRACE {
-                        return;
-                    }
-                } else {
-                    backoff = (backoff * 2).min(IDLE_BACKOFF_MAX);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Tallies a response the way the wire sees it — error frames feed the
-/// `responses_error` counter. Both connection layers call this exactly
-/// once per response.
-pub(crate) fn note_response(shared: &Shared, resp: &Response) {
-    if matches!(resp, Response::Error(_)) {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// What the connection layer should do with one decoded request.
 pub(crate) enum Dispatch {
     /// Answered at classification time, in frame order: `Stats`,
@@ -471,8 +319,8 @@ pub(crate) enum Dispatch {
 }
 
 /// Classifies one request at dispatch time. Counters and the drain gate
-/// live here so they observe frame arrival order — identically in both
-/// connection layers. In particular `Shutdown` flips the drain flag the
+/// live here so they observe frame arrival order, not execution order.
+/// In particular `Shutdown` flips the drain flag the
 /// moment its frame is parsed, so a pipelined `[List, Shutdown]` still
 /// answers the `List` but a later `[Shutdown, List]` rejects the `List`.
 pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
@@ -534,7 +382,7 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
 
 /// Executes one already-classified request. No gates and no counters —
 /// [`classify`] applied both — so the response depends only on the
-/// request and server state, never on which connection layer called it.
+/// request and server state, never on which lane or thread called it.
 pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
     match req {
         Request::RegisterGraph { name, n, edges } => {
@@ -585,13 +433,6 @@ pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
     }
 }
 
-fn handle_request(shared: &Shared, conn: u64, seq: u64, req: Request) -> Response {
-    match classify(shared, req) {
-        Dispatch::Inline(resp) => resp,
-        Dispatch::Express(req) | Dispatch::Priced(req) => execute_guarded(shared, conn, seq, req),
-    }
-}
-
 /// Ballast charged to the shared gauge for a scope; the `Drop` releases
 /// it even when the guarded execution panics.
 struct GaugeBallast {
@@ -616,11 +457,10 @@ impl Drop for GaugeBallast {
 }
 
 /// [`execute`] wrapped in the chaos plan's execution faults and panic
-/// isolation. Both connection layers run every Express/Priced request
+/// isolation. Every executor worker runs its Express/Priced requests
 /// through here, so a panicking request — injected or real — answers a
-/// typed `Internal` error instead of losing a worker (event loop) or the
-/// whole connection (blocking layer). Injected faults are drawn per
-/// `(conn, seq)`, the same identity the I/O faults key on.
+/// typed `Internal` error instead of losing the worker. Injected faults
+/// are drawn per `(conn, seq)`, the same identity the I/O faults key on.
 pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Request) -> Response {
     let mut inject_panic = false;
     let mut _ballast: Option<GaugeBallast> = None;

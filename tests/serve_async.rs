@@ -1,20 +1,23 @@
-//! Differential and pipelining suite for the event-loop connection
-//! layer: the async server (the default) and the legacy blocking server
-//! (`ServeConfig { blocking: true }`) must answer every deterministic
-//! frame type byte-identically — success results, every error class,
-//! framing violations, the shutdown gate, and budget-interrupted resume
-//! chains — and a pipelined batch on one connection must answer in
-//! order, byte-identical to issuing the same requests sequentially.
+//! Pipelining and connection-state suite for the event loop: a
+//! pipelined batch on one connection answers in order, byte-identical
+//! to issuing the same requests sequentially; priced requests pipelined
+//! on one connection compete for admission slots; the shutdown gate
+//! applies in frame order; short headers wait for bytes; framing
+//! violations answer the codec's own error once, then close; and a
+//! drain is bounded even when a peer never reads its answers. (The
+//! request-matrix and resume-chain differentials against a socket-free
+//! reference live in `trilist-serve`'s own tests.)
 
 use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Truncation};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
 use trilist::serve::{
-    encode_frame, read_frame, Client, ErrorCode, ListParams, Request, Response, ServeConfig,
-    Server, ServerHandle,
+    encode_frame, read_frame, scan_frame, Client, ErrorCode, ErrorFrame, ListParams, Request,
+    Response, ServeConfig, Server, ServerHandle,
 };
 
 /// A reproducible Pareto α = 1.5 graph with plenty of triangles.
@@ -25,15 +28,8 @@ fn pareto_graph(n: usize, seed: u64) -> Graph {
     ResidualSampler.generate(&seq, &mut rng).graph
 }
 
-fn bind(blocking: bool) -> ServerHandle {
-    Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            blocking,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind")
+fn bind() -> ServerHandle {
+    Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind")
 }
 
 /// A frame-level client: raw bytes out, raw frames back — so the tests
@@ -82,157 +78,6 @@ fn k4_edges() -> Vec<(u32, u32)> {
     vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 }
 
-/// The deterministic request matrix: registration, every fundamental
-/// method under both kernel policies (list + count), predictions, and
-/// one of every error class the server can produce.
-fn matrix_script(edges: &[(u32, u32)], n: u32) -> Vec<Request> {
-    let mut script = vec![Request::RegisterGraph {
-        name: "g".into(),
-        n,
-        edges: edges.to_vec(),
-    }];
-    for method in ["T1", "T2", "E1", "E4"] {
-        let family = match method {
-            "T1" | "T2" => "desc",
-            "E1" => "asc",
-            _ => "crr",
-        };
-        for policy in ["paper", "adaptive"] {
-            let params = ListParams {
-                threads: 2,
-                ..ListParams::new("g", method, family, policy)
-            };
-            script.push(Request::List(params.clone()));
-            script.push(Request::Count(params));
-        }
-        script.push(Request::ModelPredict {
-            graph: "g".into(),
-            method: method.into(),
-            family: family.into(),
-        });
-    }
-    // Every error class, deterministically:
-    script.push(Request::List(ListParams::new("g", "T9", "desc", "paper")));
-    script.push(Request::List(ListParams::new("g", "T1", "zig", "paper")));
-    script.push(Request::List(ListParams::new("g", "T1", "desc", "magic")));
-    script.push(Request::List(ListParams::new(
-        "nope", "T1", "desc", "paper",
-    )));
-    script.push(Request::ModelPredict {
-        graph: "nope".into(),
-        method: "T1".into(),
-        family: "desc".into(),
-    });
-    script.push(Request::RegisterGraph {
-        name: "bad".into(),
-        n: 2,
-        edges: vec![(0, 7)], // endpoint out of range
-    });
-    script.push(Request::List(ListParams {
-        resume: "not a resume token".into(),
-        ..ListParams::new("g", "T1", "desc", "paper")
-    }));
-    script.push(Request::List(ListParams {
-        resume: "trilist-resume v1 E4 n=10 0:0-10".into(),
-        ..ListParams::new("g", "T1", "desc", "paper") // token names E4
-    }));
-    script
-}
-
-/// Runs `script` sequentially (one request, one response) against a
-/// fresh server in the given mode and returns the raw response frames.
-fn run_script(blocking: bool, script: &[Request]) -> Vec<Vec<u8>> {
-    let server = bind(blocking);
-    let mut c = RawClient::connect(server.addr());
-    let frames = script
-        .iter()
-        .map(|req| {
-            c.send(req);
-            c.recv_frame()
-        })
-        .collect();
-    drop(c);
-    server.join();
-    frames
-}
-
-#[test]
-fn async_and_blocking_answer_the_matrix_byte_identically() {
-    let g = pareto_graph(500, 0xA51C);
-    let edges: Vec<(u32, u32)> = g.edges().collect();
-    let script = matrix_script(&edges, g.n() as u32);
-    let async_frames = run_script(false, &script);
-    let blocking_frames = run_script(true, &script);
-    assert_eq!(async_frames.len(), blocking_frames.len());
-    for (i, (a, b)) in async_frames.iter().zip(&blocking_frames).enumerate() {
-        assert_eq!(a, b, "request #{i} ({:?}) answered differently", script[i]);
-    }
-    // And at least one of each class actually appeared.
-    let errors = async_frames.iter().filter(|f| f[5] == 0xFF).count();
-    assert_eq!(errors, 8, "the script ends with eight error responses");
-}
-
-/// Budget-interrupted resume chains: a 1-byte memory ceiling interrupts
-/// deterministically (cache residency already exceeds it), and each
-/// follow-up carries the previous token. Every frame of the chain —
-/// partial results, tokens, piece tables — must match across layers.
-fn run_chain(blocking: bool, method: &str, family: &str) -> Vec<Vec<u8>> {
-    let g = pareto_graph(700, 0xC4A1);
-    let edges: Vec<(u32, u32)> = g.edges().collect();
-    let server = bind(blocking);
-    let mut c = RawClient::connect(server.addr());
-    c.send(&Request::RegisterGraph {
-        name: "g".into(),
-        n: g.n() as u32,
-        edges,
-    });
-    let mut frames = vec![c.recv_frame()];
-    let mut params = ListParams {
-        threads: 2,
-        memory_bytes: 1, // always exhausted: deterministic interruption
-        ..ListParams::new("g", method, family, "paper")
-    };
-    c.send(&Request::List(params.clone()));
-    let mut frame = c.recv_frame();
-    params.memory_bytes = 0; // let the rest of the chain run
-    loop {
-        let (kind, body) = trilist::serve::decode_frame(&frame).expect("frame");
-        frames.push(frame.clone());
-        let resp = Response::decode(kind, body).expect("response");
-        let run = match resp {
-            Response::ListResult(run) => run,
-            other => panic!("wanted ListResult, got {other:?}"),
-        };
-        if run.complete {
-            break;
-        }
-        assert_eq!(run.stop_reason, "memory budget exhausted");
-        assert!(!run.resume.is_empty(), "partial result carries a token");
-        params.resume = run.resume;
-        c.send(&Request::List(params.clone()));
-        frame = c.recv_frame();
-    }
-    drop(c);
-    server.join();
-    frames
-}
-
-#[test]
-fn interrupted_resume_chains_are_byte_identical_across_layers() {
-    for (method, family) in [("T1", "desc"), ("E4", "crr")] {
-        let async_chain = run_chain(false, method, family);
-        let blocking_chain = run_chain(true, method, family);
-        assert!(
-            async_chain.len() >= 3,
-            "{method}: register + at least two chain responses"
-        );
-        assert_eq!(
-            async_chain, blocking_chain,
-            "{method}: resume chain diverged between layers"
-        );
-    }
-}
-
 #[test]
 fn pipelined_batch_answers_in_order_and_matches_sequential_issue() {
     let g = pareto_graph(500, 0x9199);
@@ -274,7 +119,7 @@ fn pipelined_batch_answers_in_order_and_matches_sequential_issue() {
     ];
 
     // Pipelined: everything written before anything is read.
-    let server = bind(false);
+    let server = bind();
     let mut client = Client::connect(server.addr()).expect("connect");
     warm(&mut client);
     let pipelined = client.pipeline(&batch).expect("pipelined batch");
@@ -282,7 +127,7 @@ fn pipelined_batch_answers_in_order_and_matches_sequential_issue() {
     server.join();
 
     // Sequential: same requests, fresh identically-warmed server.
-    let server = bind(false);
+    let server = bind();
     let mut client = Client::connect(server.addr()).expect("connect");
     warm(&mut client);
     let sequential: Vec<Response> = batch
@@ -315,8 +160,8 @@ fn pipelined_batch_answers_in_order_and_matches_sequential_issue() {
 fn pipelined_priced_requests_execute_concurrently_and_shed_busy() {
     // max_inflight=1, max_queue=0: the second of two pipelined Counts is
     // shed busy while the first still runs — structural proof that
-    // execution is decoupled from the connection (the blocking layer
-    // would serialize them and answer both).
+    // execution is decoupled from the connection, and that a
+    // connection's own pipelined requests compete for admission slots.
     let g = pareto_graph(3000, 0xB059);
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut cfg = ServeConfig::default();
@@ -368,43 +213,38 @@ fn pipelined_priced_requests_execute_concurrently_and_shed_busy() {
 }
 
 #[test]
-fn shutdown_gate_applies_in_frame_order_in_both_layers() {
-    for blocking in [false, true] {
-        let server = bind(blocking);
-        let mut c = RawClient::connect(server.addr());
-        // One write: [Register, List, Shutdown, List]. The first List
-        // precedes the Shutdown frame, so it must be answered; the
-        // second follows it, so it must be rejected.
-        let reqs = [
-            Request::RegisterGraph {
-                name: "k".into(),
-                n: 4,
-                edges: k4_edges(),
-            },
-            Request::List(ListParams::new("k", "T1", "desc", "paper")),
-            Request::Shutdown,
-            Request::List(ListParams::new("k", "T1", "desc", "paper")),
-        ];
-        let mut bytes = Vec::new();
-        for req in &reqs {
-            bytes.extend_from_slice(&encode_frame(req.kind(), &req.payload()));
-        }
-        c.send_bytes(&bytes);
-        assert!(
-            matches!(c.recv(), Response::Registered { n: 4, m: 6 }),
-            "blocking={blocking}"
-        );
-        match c.recv() {
-            Response::ListResult(run) => assert_eq!(run.cost.triangles, 4),
-            other => panic!("blocking={blocking}: List before Shutdown runs, got {other:?}"),
-        }
-        assert!(matches!(c.recv(), Response::ShutdownAck));
-        match c.recv() {
-            Response::Error(e) => assert_eq!(e.code, ErrorCode::ShuttingDown),
-            other => panic!("blocking={blocking}: List after Shutdown gated, got {other:?}"),
-        }
-        server.join();
+fn shutdown_gate_applies_in_frame_order() {
+    let server = bind();
+    let mut c = RawClient::connect(server.addr());
+    // One write: [Register, List, Shutdown, List]. The first List
+    // precedes the Shutdown frame, so it must be answered; the second
+    // follows it, so it must be rejected.
+    let reqs = [
+        Request::RegisterGraph {
+            name: "k".into(),
+            n: 4,
+            edges: k4_edges(),
+        },
+        Request::List(ListParams::new("k", "T1", "desc", "paper")),
+        Request::Shutdown,
+        Request::List(ListParams::new("k", "T1", "desc", "paper")),
+    ];
+    let mut bytes = Vec::new();
+    for req in &reqs {
+        bytes.extend_from_slice(&encode_frame(req.kind(), &req.payload()));
     }
+    c.send_bytes(&bytes);
+    assert!(matches!(c.recv(), Response::Registered { n: 4, m: 6 }));
+    match c.recv() {
+        Response::ListResult(run) => assert_eq!(run.cost.triangles, 4),
+        other => panic!("List before Shutdown runs, got {other:?}"),
+    }
+    assert!(matches!(c.recv(), Response::ShutdownAck));
+    match c.recv() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::ShuttingDown),
+        other => panic!("List after Shutdown gated, got {other:?}"),
+    }
+    server.join();
 }
 
 #[test]
@@ -412,32 +252,30 @@ fn short_headers_wait_for_bytes_instead_of_erroring() {
     // Regression for the frame-length parse: a 3-byte header (or any
     // partial delivery, down to one byte at a time) is "not yet a
     // frame", never a protocol error or a panic.
-    for blocking in [false, true] {
-        let server = bind(blocking);
-        let mut c = RawClient::connect(server.addr());
-        let frame = encode_frame(Request::Stats.kind(), &Request::Stats.payload());
-        c.send_bytes(&frame[..3]); // 3 bytes of the length prefix
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        c.send_bytes(&frame[3..]);
-        assert!(
-            matches!(c.recv(), Response::StatsResult(_)),
-            "blocking={blocking}: split header still answers"
-        );
-        // Byte-at-a-time delivery of a whole request.
-        for b in &frame {
-            c.send_bytes(std::slice::from_ref(b));
-        }
-        assert!(
-            matches!(c.recv(), Response::StatsResult(_)),
-            "blocking={blocking}: byte-at-a-time delivery still answers"
-        );
-        drop(c);
-        server.join();
+    let server = bind();
+    let mut c = RawClient::connect(server.addr());
+    let frame = encode_frame(Request::Stats.kind(), &Request::Stats.payload());
+    c.send_bytes(&frame[..3]); // 3 bytes of the length prefix
+    std::thread::sleep(std::time::Duration::from_millis(60));
+    c.send_bytes(&frame[3..]);
+    assert!(
+        matches!(c.recv(), Response::StatsResult(_)),
+        "split header still answers"
+    );
+    // Byte-at-a-time delivery of a whole request.
+    for b in &frame {
+        c.send_bytes(std::slice::from_ref(b));
     }
+    assert!(
+        matches!(c.recv(), Response::StatsResult(_)),
+        "byte-at-a-time delivery still answers"
+    );
+    drop(c);
+    server.join();
 }
 
 #[test]
-fn framing_violations_answer_once_then_close_in_both_layers() {
+fn framing_violations_answer_the_codec_error_once_then_close() {
     // (name, poisoned bytes): each breaks the stream irrecoverably.
     let oversized = (trilist::serve::MAX_FRAME_BYTES + 1).to_le_bytes();
     let cases: Vec<(&str, Vec<u8>)> = vec![
@@ -446,52 +284,91 @@ fn framing_violations_answer_once_then_close_in_both_layers() {
         ("oversized length", oversized.to_vec()),
     ];
     for (name, poison) in &cases {
-        let mut per_mode: Vec<Vec<Vec<u8>>> = Vec::new();
-        for blocking in [false, true] {
-            let server = bind(blocking);
-            let mut c = RawClient::connect(server.addr());
-            // A valid request then the poison, in one write: the valid
-            // one answers, the poison draws one typed error, then EOF.
-            let mut bytes = encode_frame(Request::Stats.kind(), &Request::Stats.payload());
-            bytes.extend_from_slice(poison);
-            c.send_bytes(&bytes);
-            let first = c.recv_frame();
-            assert_eq!(first[5], 0x85, "{name}, blocking={blocking}: StatsResult");
-            let second = c.recv_frame();
-            assert_eq!(second[5], 0xFF, "{name}, blocking={blocking}: error frame");
-            c.expect_eof();
-            per_mode.push(vec![second]);
-            server.join();
-        }
-        assert_eq!(
-            per_mode[0], per_mode[1],
-            "{name}: error frames must be byte-identical across layers"
-        );
+        // The answer is the codec's own verdict on the poison, framed.
+        let err = scan_frame(poison).expect_err("poison violates the framing");
+        let expected = Response::Error(ErrorFrame::new(ErrorCode::Protocol, err.to_string()));
+        let expected = encode_frame(expected.kind(), &expected.payload());
+
+        let server = bind();
+        let mut c = RawClient::connect(server.addr());
+        // A valid request then the poison, in one write: the valid one
+        // answers, the poison draws one typed error, then EOF.
+        let mut bytes = encode_frame(Request::Stats.kind(), &Request::Stats.payload());
+        bytes.extend_from_slice(poison);
+        c.send_bytes(&bytes);
+        assert_eq!(c.recv_frame()[5], 0x85, "{name}: StatsResult");
+        assert_eq!(c.recv_frame(), expected, "{name}: error frame");
+        c.expect_eof();
+        server.join();
     }
     // A malformed *body* (valid framing) poisons only its own frame: the
     // connection answers the error and keeps serving.
-    for blocking in [false, true] {
-        let server = bind(blocking);
-        let mut c = RawClient::connect(server.addr());
-        c.send_bytes(&encode_frame(0x02, &[0xFF, 0xFF, 0xFF, 0xFF])); // List with garbage params
-        match c.recv() {
-            Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol),
-            other => panic!("blocking={blocking}: wanted protocol error, got {other:?}"),
-        }
-        c.send(&Request::Stats);
-        assert!(
-            matches!(c.recv(), Response::StatsResult(_)),
-            "blocking={blocking}: connection survives a bad body"
-        );
-        // An unknown kind byte is also only a per-frame error.
-        c.send_bytes(&encode_frame(0x7E, &[]));
-        match c.recv() {
-            Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol),
-            other => panic!("blocking={blocking}: unknown kind errors, got {other:?}"),
-        }
-        c.send(&Request::Stats);
-        assert!(matches!(c.recv(), Response::StatsResult(_)));
-        drop(c);
-        server.join();
+    let server = bind();
+    let mut c = RawClient::connect(server.addr());
+    c.send_bytes(&encode_frame(0x02, &[0xFF, 0xFF, 0xFF, 0xFF])); // List with garbage params
+    match c.recv() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol),
+        other => panic!("wanted protocol error, got {other:?}"),
     }
+    c.send(&Request::Stats);
+    assert!(
+        matches!(c.recv(), Response::StatsResult(_)),
+        "connection survives a bad body"
+    );
+    // An unknown kind byte is also only a per-frame error.
+    c.send_bytes(&encode_frame(0x7E, &[]));
+    match c.recv() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol),
+        other => panic!("unknown kind errors, got {other:?}"),
+    }
+    c.send(&Request::Stats);
+    assert!(matches!(c.recv(), Response::StatsResult(_)));
+    drop(c);
+    server.join();
+}
+
+#[test]
+fn drain_is_bounded_when_a_peer_never_reads() {
+    // K_100 lists 161 700 triangles: ~1.9 MB per answer, so twelve
+    // answers overflow any loopback socket buffer many times over.
+    let n = 100u32;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let server = bind();
+    let mut admin = Client::connect(server.addr()).expect("connect");
+    admin.register_graph("k", n, &edges).expect("register");
+    let requests = 12;
+    let mut bytes = Vec::new();
+    for _ in 0..requests {
+        let req = Request::List(ListParams::new("k", "T1", "desc", "paper"));
+        bytes.extend_from_slice(&encode_frame(req.kind(), &req.payload()));
+    }
+    // The hog writes every request and never reads an answer.
+    let mut hog = RawClient::connect(server.addr());
+    hog.send_bytes(&bytes);
+    // Wait until the server has taken every request on, so the drain
+    // must finish them rather than gate them.
+    let listed = |c: &mut Client| {
+        let stats = c.stats().expect("stats");
+        stats.iter().find(|(k, _)| k == "requests_list").unwrap().1
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while listed(&mut admin) < requests {
+        assert!(Instant::now() < deadline, "the server never read the batch");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(admin);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done_tx.send(());
+    });
+    // Drain grace is 1 s; the answers still executing may take a few
+    // more on a slow debug build.
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+        "join blocked on a peer that never reads"
+    );
+    drop(hog);
 }

@@ -67,70 +67,61 @@ fn accept_error_classification_is_typed() {
 fn fd_exhaustion_backs_off_then_recovers() {
     let edges = [(0u32, 1u32), (0, 2), (1, 2)];
 
-    for blocking in [false, true] {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServeConfig {
-                blocking,
-                ..ServeConfig::default()
-            },
-        )
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+
+    // A connection established before the famine: it must survive it.
+    let mut veteran = Client::connect(addr.as_str()).unwrap();
+    veteran.register_graph("k3", 3, &edges).unwrap();
+    let run = veteran
+        .list(ListParams::new("k3", "T1", "desc", "paper"))
         .unwrap();
-        let addr = server.addr().to_string();
+    assert_eq!(run.cost.triangles, 1);
+    let before = field(&veteran.stats().unwrap(), "accept_errors");
 
-        // A connection established before the famine: it must survive it.
-        let mut veteran = Client::connect(addr.as_str()).unwrap();
-        veteran.register_graph("k3", 3, &edges).unwrap();
-        let run = veteran
-            .list(ListParams::new("k3", "T1", "desc", "paper"))
-            .unwrap();
-        assert_eq!(run.cost.triangles, 1);
-        let before = field(&veteran.stats().unwrap(), "accept_errors");
-
-        // Hoard every free descriptor.
-        let mut hoard = Vec::new();
-        loop {
-            match File::open("/dev/null") {
-                Ok(f) => hoard.push(f),
-                Err(_) => break,
-            }
-            if hoard.len() >= MAX_HOARD {
-                println!("soft fd limit above {MAX_HOARD}, skipping the exhaustion drill");
-                return;
-            }
+    // Hoard every free descriptor.
+    let mut hoard = Vec::new();
+    loop {
+        match File::open("/dev/null") {
+            Ok(f) => hoard.push(f),
+            Err(_) => break,
         }
-        // Free exactly one slot and spend it on a dial: the kernel
-        // completes the handshake into the backlog, but the server's
-        // accept has no descriptor left and must hit EMFILE.
-        hoard.pop();
-        let pending = std::net::TcpStream::connect(addr.as_str()).unwrap();
-        // Give the accept path time to fail (and to prove it does not
-        // hot-spin: a spinning loop would rack up millions of errors).
-        std::thread::sleep(Duration::from_millis(120));
-
-        let stats = veteran.stats().expect("veteran connection survives famine");
-        let during = field(&stats, "accept_errors");
-        assert!(
-            during > before,
-            "blocking {blocking}: accept must have hit the fd wall (errors {before} -> {during})"
-        );
-        assert!(
-            during - before < 10_000,
-            "blocking {blocking}: accept loop is hot-spinning ({} errors in 120ms)",
-            during - before
-        );
-
-        // Famine over: the listener must still be armed, and fresh
-        // connections must work without a restart.
-        drop(pending);
-        drop(hoard);
-        let mut fresh = Client::connect(addr.as_str()).expect("accept recovers after famine");
-        let run = fresh
-            .list(ListParams::new("k3", "T1", "desc", "paper"))
-            .expect("fresh connection serves");
-        assert_eq!(run.cost.triangles, 1);
-
-        fresh.shutdown().unwrap();
-        server.join();
+        if hoard.len() >= MAX_HOARD {
+            println!("soft fd limit above {MAX_HOARD}, skipping the exhaustion drill");
+            return;
+        }
     }
+    // Free exactly one slot and spend it on a dial: the kernel
+    // completes the handshake into the backlog, but the server's
+    // accept has no descriptor left and must hit EMFILE.
+    hoard.pop();
+    let pending = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    // Give the accept path time to fail (and to prove it does not
+    // hot-spin: a spinning loop would rack up millions of errors).
+    std::thread::sleep(Duration::from_millis(120));
+
+    let stats = veteran.stats().expect("veteran connection survives famine");
+    let during = field(&stats, "accept_errors");
+    assert!(
+        during > before,
+        "accept must have hit the fd wall (errors {before} -> {during})"
+    );
+    assert!(
+        during - before < 10_000,
+        "accept loop is hot-spinning ({} errors in 120ms)",
+        during - before
+    );
+
+    // Famine over: the listener must still be armed, and fresh
+    // connections must work without a restart.
+    drop(pending);
+    drop(hoard);
+    let mut fresh = Client::connect(addr.as_str()).expect("accept recovers after famine");
+    let run = fresh
+        .list(ListParams::new("k3", "T1", "desc", "paper"))
+        .expect("fresh connection serves");
+    assert_eq!(run.cost.triangles, 1);
+
+    fresh.shutdown().unwrap();
+    server.join();
 }

@@ -1,7 +1,5 @@
-//! Idle connections must not burn CPU. The event loop blocks in the
-//! poller with no timeout when there is nothing to do, and the blocking
-//! layer's per-connection readers back off exponentially (25 ms → 800 ms)
-//! instead of spinning on a fixed 50 ms read timeout.
+//! Idle connections must not burn CPU: the event loop blocks in the
+//! poller with no timeout when there is nothing to do.
 //!
 //! This file holds exactly one test so `/proc/self/stat` measures only
 //! this process doing only this work.
@@ -23,39 +21,30 @@ fn cpu_ticks() -> u64 {
 }
 
 #[test]
-fn idle_connections_burn_near_zero_cpu_in_both_layers() {
+fn idle_connections_burn_near_zero_cpu() {
     let tick_ms = 1000 / unsafe { libc_sc_clk_tck() }.max(1);
-    for blocking in [false, true] {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServeConfig {
-                blocking,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("bind");
-        // Eight connections, each provably live (one round trip), then
-        // left idle.
-        let mut clients: Vec<Client> = (0..8)
-            .map(|_| {
-                let mut c = Client::connect(server.addr()).expect("connect");
-                c.stats().expect("round trip");
-                c
-            })
-            .collect();
-        let before = cpu_ticks();
-        std::thread::sleep(std::time::Duration::from_millis(1500));
-        let burned_ms = (cpu_ticks() - before) * tick_ms;
-        assert!(
-            burned_ms <= 200,
-            "blocking={blocking}: 8 idle connections burned ~{burned_ms} ms CPU over 1.5 s"
-        );
-        for c in &mut clients {
-            c.stats().expect("still serving after the idle window");
-        }
-        drop(clients);
-        server.join();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    // Eight connections, each provably live (one round trip), then left
+    // idle.
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| {
+            let mut c = Client::connect(server.addr()).expect("connect");
+            c.stats().expect("round trip");
+            c
+        })
+        .collect();
+    let before = cpu_ticks();
+    std::thread::sleep(std::time::Duration::from_millis(1500));
+    let burned_ms = (cpu_ticks() - before) * tick_ms;
+    assert!(
+        burned_ms <= 200,
+        "8 idle connections burned ~{burned_ms} ms CPU over 1.5 s"
+    );
+    for c in &mut clients {
+        c.stats().expect("still serving after the idle window");
     }
+    drop(clients);
+    server.join();
 }
 
 /// `sysconf(_SC_CLK_TCK)` without a libc crate dependency.
