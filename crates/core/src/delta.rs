@@ -327,21 +327,24 @@ impl<'a> OverlayView<'a> {
     }
 
     /// Materializes the overlay into an owned [`Graph`] — byte-identical
-    /// adjacency to what [`OverlayView::for_each_neighbor`] streams.
+    /// adjacency to what [`OverlayView::for_each_neighbor`] streams. One
+    /// [`Graph::patched`] splice: untouched rows are copied from the base,
+    /// only rows an edit touches are merged and re-checked, so the cost is
+    /// a CSR copy plus work proportional to the net window, not a
+    /// whole-graph sort and symmetry pass.
     pub fn to_graph(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.m);
-        for u in 0..self.n() as u32 {
-            self.for_each_neighbor(u, |v| {
-                if u < v {
-                    edges.push((u, v));
-                }
-            });
-        }
-        Graph::from_edges(self.n(), &edges).expect("overlay edges are validated")
+        let g = self
+            .base
+            .patched(&self.adds, &self.dels)
+            .expect("overlay toggles are validated");
+        debug_assert_eq!(g.m(), self.m);
+        g
     }
 }
 
-/// Materializes `base` + `runs` into an owned graph (see [`OverlayView`]).
+/// Materializes `base` + `runs` into an owned graph (see [`OverlayView`]
+/// and [`OverlayView::to_graph`]): `O(n + m)` copy plus `O(k log k)` for
+/// `k` toggles in the runs.
 pub fn materialize<'a, I>(base: &'a Graph, runs: I) -> Graph
 where
     I: IntoIterator<Item = &'a DeltaRun>,
@@ -659,12 +662,10 @@ fn run_delta(
     run.budget.add_memory(edges.len() as u64 * 16);
     let ranks = edge_ranks(edges);
     run.setup_span(0, started);
-    // No more workers than chunks: a one-chunk run executes inline.
-    let threads = opts.threads.max(1).min(jobs.len().max(1));
     let done = schedule(
         &run,
         jobs,
-        threads,
+        opts.threads,
         Vec::new(),
         &|| {
             // metering is worker-local observation: attach the run's meter

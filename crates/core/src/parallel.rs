@@ -53,7 +53,8 @@ use trilist_order::DirectedGraph;
 /// Tuning knobs for [`par_list_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOpts {
-    /// Worker threads (clamped to at least 1).
+    /// Worker threads (clamped to at least 1, and to at most the run's
+    /// chunk count).
     pub threads: usize,
     /// Predicted operations per chunk. Smaller chunks balance better but
     /// add queue traffic; ~1k operations keeps both costs negligible.

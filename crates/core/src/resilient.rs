@@ -1166,7 +1166,9 @@ type InitFn<'a, S> = &'a (dyn Fn() -> S + Sync);
 type ExecFn<'a, S> = &'a (dyn Fn(&mut S, Range<u32>, bool) -> (CostReport, TriangleBuffer) + Sync);
 
 /// The work-stealing scheduler with budget checks, panic quarantine, and
-/// retry. Independent of what a chunk computes.
+/// retry. Independent of what a chunk computes. It runs
+/// `min(threads, jobs.len())` workers (at least one), so no worker starts
+/// without a job to take and a one-job run executes inline.
 ///
 /// Every worker: check `stop`, check the budget, pop a task (own deque →
 /// injector batch → steal sweep), execute it inside `catch_unwind`. A
@@ -1189,6 +1191,7 @@ pub(crate) fn schedule<S>(
     exec: ExecFn<'_, S>,
 ) -> Concluded {
     let (budget, plan, max_attempts) = (&run.budget, run.plan, run.max_attempts);
+    let threads = threads.min(jobs.len()).max(1);
     // tasks are (job slot, attempt) pairs; all start at attempt 0
     let injector: Injector<(u32, u32)> = Injector::new();
     for slot in 0..jobs.len() as u32 {

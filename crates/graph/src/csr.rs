@@ -90,6 +90,81 @@ impl Graph {
         Self::from_adjacency(adj)
     }
 
+    /// This graph with `adds[v]` merged into and `dels[v]` removed from
+    /// each node `v`'s row: one CSR splice that copies untouched rows
+    /// verbatim and merges only the touched ones.
+    ///
+    /// Rows beyond `adds.len()` / `dels.len()` are untouched. Because the
+    /// base is already valid, only what changed is checked again, and any
+    /// violation is an error rather than a malformed graph:
+    ///
+    /// * every patch row is strictly ascending, in range and free of
+    ///   self-loops, and every spliced row is strictly ascending (an add
+    ///   already in the row is a [`GraphError::DuplicateEdge`]);
+    /// * every deleted neighbor is in the base row
+    ///   ([`GraphError::AbsentEdge`] otherwise);
+    /// * every added pair is present from both ends and every deleted pair
+    ///   absent from both ends ([`GraphError::Asymmetric`] otherwise).
+    ///
+    /// Untouched rows keep the base's symmetry, so the result holds
+    /// `2m` neighbor entries, exactly as [`Graph::from_adjacency`] would
+    /// build them from the patched lists. Cost: a copy of the CSR plus
+    /// `O(k log d)` for `k` patched entries — no sort and no whole-graph
+    /// symmetry pass.
+    ///
+    /// ```
+    /// use trilist_graph::Graph;
+    /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+    /// let h = g.patched(&[vec![2], vec![], vec![0]], &[vec![1], vec![0]]).unwrap();
+    /// assert_eq!(h, Graph::from_edges(3, &[(0, 2), (1, 2)]).unwrap());
+    /// ```
+    pub fn patched(&self, adds: &[Vec<NodeId>], dels: &[Vec<NodeId>]) -> Result<Graph, GraphError> {
+        let n = self.n();
+        for lists in [adds, dels] {
+            if let Some(v) = (n..lists.len()).find(|&v| !lists[v].is_empty()) {
+                return Err(GraphError::NodeOutOfRange {
+                    node: v as NodeId,
+                    n,
+                });
+            }
+        }
+        let added: usize = adds.iter().map(Vec::len).sum();
+        let deleted: usize = dels.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        let mut neighbors = Vec::with_capacity(self.neighbors.len() + added);
+        for v in 0..n {
+            let base = self.neighbors(v as NodeId);
+            let (add, del) = (patch_row(adds, v), patch_row(dels, v));
+            if add.is_empty() && del.is_empty() {
+                neighbors.extend_from_slice(base);
+            } else {
+                check_patch_row(v as NodeId, add, n)?;
+                check_patch_row(v as NodeId, del, n)?;
+                splice_row(v as NodeId, base, add, del, &mut neighbors)?;
+            }
+            offsets.push(neighbors.len());
+        }
+        let g = Graph { offsets, neighbors };
+        for v in 0..n.min(adds.len().max(dels.len())) {
+            for &u in patch_row(adds, v) {
+                if !g.has_edge(u, v as NodeId) {
+                    return Err(GraphError::Asymmetric {
+                        u: v as NodeId,
+                        v: u,
+                    });
+                }
+            }
+            for &u in patch_row(dels, v) {
+                if g.has_edge(u, v as NodeId) {
+                    return Err(GraphError::Asymmetric { u, v: v as NodeId });
+                }
+            }
+        }
+        debug_assert_eq!(g.neighbors.len(), self.neighbors.len() + added - deleted);
+        Ok(g)
+    }
+
     fn check_symmetry(&self) -> Result<(), GraphError> {
         for v in 0..self.n() as NodeId {
             for &u in self.neighbors(v) {
@@ -162,6 +237,64 @@ impl Graph {
     }
 }
 
+/// Node `v`'s row of a patch, empty past the end.
+fn patch_row(lists: &[Vec<NodeId>], v: usize) -> &[NodeId] {
+    lists.get(v).map_or(&[], Vec::as_slice)
+}
+
+/// Checks one patch row of node `v`: strictly ascending, in range, no
+/// self-loop.
+fn check_patch_row(v: NodeId, list: &[NodeId], n: usize) -> Result<(), GraphError> {
+    for (i, &u) in list.iter().enumerate() {
+        if u as usize >= n {
+            return Err(GraphError::NodeOutOfRange { node: u, n });
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u });
+        }
+        if i > 0 && list[i - 1] >= u {
+            return Err(if list[i - 1] == u {
+                GraphError::DuplicateEdge { u: v, v: u }
+            } else {
+                GraphError::UnsortedPatch { node: v }
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Appends `base − del + add` (all ascending) to `out` as node `v`'s
+/// row, rejecting a delete missing from `base` and an add already in it.
+fn splice_row(
+    v: NodeId,
+    base: &[NodeId],
+    add: &[NodeId],
+    del: &[NodeId],
+    out: &mut Vec<NodeId>,
+) -> Result<(), GraphError> {
+    let (mut a, mut d) = (add.iter().peekable(), del.iter().peekable());
+    for &w in base {
+        while let Some(&x) = a.next_if(|&&x| x < w) {
+            out.push(x);
+        }
+        if a.peek() == Some(&&w) {
+            return Err(GraphError::DuplicateEdge { u: v, v: w });
+        }
+        match d.peek() {
+            Some(&&x) if x == w => {
+                d.next();
+            }
+            Some(&&x) if x < w => return Err(GraphError::AbsentEdge { u: v, v: x }),
+            _ => out.push(w),
+        }
+    }
+    if let Some(&x) = d.next() {
+        return Err(GraphError::AbsentEdge { u: v, v: x });
+    }
+    out.extend(a);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +363,86 @@ mod tests {
         let g = Graph::from_adjacency(vec![vec![2, 1], vec![0, 2], vec![1, 0]]).unwrap();
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.m(), 3);
+    }
+
+    #[test]
+    fn patched_splices_touched_rows_only() {
+        let g = triangle_plus_tail();
+        // drop 2-3 (emptying row 3), add 0-3 and 1-3
+        let adds = vec![vec![3], vec![3], vec![], vec![0, 1]];
+        let dels = vec![vec![], vec![], vec![3], vec![2]];
+        let h = g.patched(&adds, &dels).unwrap();
+        let expect = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]).unwrap();
+        assert_eq!(h, expect);
+        // short patch lists leave the remaining rows untouched
+        assert_eq!(g.patched(&[], &[]).unwrap(), g);
+        let h = g.patched(&[], &[vec![], vec![], vec![3], vec![2]]).unwrap();
+        assert_eq!(h.neighbors(3), &[] as &[NodeId]);
+        assert_eq!(h.m(), 3);
+    }
+
+    #[test]
+    fn patched_rejects_malformed_patches() {
+        let g = triangle_plus_tail();
+        let none: Vec<Vec<NodeId>> = vec![vec![]; 4];
+        let row = |v: usize, list: Vec<NodeId>| {
+            let mut p = none.clone();
+            p[v] = list;
+            p
+        };
+        // added from one end only
+        assert!(matches!(
+            g.patched(&row(0, vec![3]), &none),
+            Err(GraphError::Asymmetric { u: 0, v: 3 })
+        ));
+        // deleted from one end only
+        assert!(matches!(
+            g.patched(&none, &row(2, vec![3])),
+            Err(GraphError::Asymmetric { u: 3, v: 2 })
+        ));
+        // an add already present, and a repeated add
+        let both = |a: NodeId, b: NodeId| {
+            let mut p = none.clone();
+            p[a as usize].push(b);
+            p[b as usize].push(a);
+            p
+        };
+        assert!(matches!(
+            g.patched(&both(0, 1), &none),
+            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
+        ));
+        assert!(matches!(
+            g.patched(&row(0, vec![3, 3]), &none),
+            Err(GraphError::DuplicateEdge { u: 0, v: 3 })
+        ));
+        // a delete of an absent edge
+        assert!(matches!(
+            g.patched(&none, &both(0, 3)),
+            Err(GraphError::AbsentEdge { u: 0, v: 3 })
+        ));
+        // self-loop, out of range, unsorted
+        assert!(matches!(
+            g.patched(&row(1, vec![1]), &none),
+            Err(GraphError::SelfLoop { node: 1 })
+        ));
+        assert!(matches!(
+            g.patched(&row(1, vec![9]), &none),
+            Err(GraphError::NodeOutOfRange { node: 9, n: 4 })
+        ));
+        assert!(matches!(
+            g.patched(&none, &row(2, vec![9])),
+            Err(GraphError::NodeOutOfRange { node: 9, n: 4 })
+        ));
+        let mut rows = none.clone();
+        rows.push(vec![0]);
+        assert!(matches!(
+            g.patched(&rows, &none),
+            Err(GraphError::NodeOutOfRange { node: 4, n: 4 })
+        ));
+        assert!(matches!(
+            g.patched(&none, &row(2, vec![3, 0])),
+            Err(GraphError::UnsortedPatch { node: 2 })
+        ));
     }
 
     #[test]

@@ -68,6 +68,19 @@ pub enum GraphError {
         /// The node missing the reverse edge.
         v: NodeId,
     },
+    /// A patch ([`Graph::patched`]) removes `v` from `u`'s row, where it
+    /// is not.
+    AbsentEdge {
+        /// The node whose row was patched.
+        u: NodeId,
+        /// The neighbor the patch names.
+        v: NodeId,
+    },
+    /// A patch row ([`Graph::patched`]) of `node` is not ascending.
+    UnsortedPatch {
+        /// The node whose patch row is out of order.
+        node: NodeId,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -80,6 +93,12 @@ impl std::fmt::Display for GraphError {
             }
             GraphError::Asymmetric { u, v } => {
                 write!(f, "asymmetric adjacency: {u} lists {v} but not vice versa")
+            }
+            GraphError::AbsentEdge { u, v } => {
+                write!(f, "patch removes {v} from node {u}, which does not list it")
+            }
+            GraphError::UnsortedPatch { node } => {
+                write!(f, "patch row of node {node} is not ascending")
             }
         }
     }

@@ -354,9 +354,11 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
             c.explain.fetch_add(1, Ordering::Relaxed);
             Dispatch::Express(req)
         }
-        // Edits are appends (validate + delta-run push); the expensive
-        // follow-up work — compaction — runs on the store's off lane, so
-        // the express lane stays express.
+        // Edits are appends: validate the batch, push its delta run and
+        // splice only the touched CSR rows into the next epoch (one copy
+        // of the graph plus work in the batch size, no sort or
+        // whole-graph check). Compaction runs on the store's off lane,
+        // so the express lane stays express.
         Request::AddEdges { .. } => {
             c.add_edges.fetch_add(1, Ordering::Relaxed);
             Dispatch::Express(req)

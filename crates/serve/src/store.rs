@@ -32,9 +32,12 @@
 //! reader needs. Runs are retained for the graph's lifetime so any
 //! `(epoch_a, epoch_b)` delta window stays answerable.
 //!
-//! Preparation is deliberately performed *under the store lock*: it makes
-//! the cache single-flight (two concurrent requests for the same key
-//! build once), at the price of serializing distinct-key preparations.
+//! Every state transition happens under the store lock, and each one is
+//! cheap: an edit validates its batch and splices the touched CSR rows
+//! ([`materialize`]), a prepare probes the cache. The one expensive step, a
+//! prepare miss's relabel/orient/oracle/kernel build, runs with the lock
+//! released; the entry is cached afterwards only if the graph was not
+//! replaced meanwhile (see [`GraphStore::prepare_at`]).
 //!
 //! [`RunBudget::with_gauge`]: trilist_core::RunBudget::with_gauge
 
@@ -500,6 +503,17 @@ struct StoreInner {
     cached_bytes: u64,
     plan_bytes: u64,
     compactions: u64,
+}
+
+impl StoreInner {
+    /// Advances the LRU clock and, if `key` is cached, marks it used and
+    /// returns its entry.
+    fn touch(&mut self, key: &(String, &'static str, u64)) -> Option<Arc<Prepared>> {
+        self.tick += 1;
+        let slot = self.prepared.get_mut(key)?;
+        slot.last_used = self.tick;
+        Some(Arc::clone(&slot.entry))
+    }
 }
 
 /// Registered graphs + the prepared LRU, behind one poison-tolerant lock.
@@ -1036,6 +1050,15 @@ impl GraphStore {
     /// ([`prepare_seed_at`]), so a given epoch's artifacts are
     /// byte-identical no matter when — or from which segment — they are
     /// rebuilt.
+    ///
+    /// The cache is probed before anything is materialized, so a hit on a
+    /// historical epoch rebuilds nothing. A miss materializes the epoch and
+    /// resolves the plan under the lock, then builds the entry with the
+    /// lock released, so other requests keep flowing meanwhile. Two
+    /// concurrent misses on one key may both build; the first to finish
+    /// caches its entry and the other returns that one. An entry built
+    /// across a `register` of the same name belongs to the replaced graph
+    /// and is served to its caller uncached.
     pub fn prepare_at(
         &self,
         name: &str,
@@ -1043,46 +1066,60 @@ impl GraphStore {
         epoch: Option<u64>,
     ) -> Result<(Arc<Prepared>, bool, u64), StoreError> {
         let ordering = ordering.into();
-        let mut inner = lock(&self.inner);
-        let entry = inner
-            .graphs
-            .get(name)
-            .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
-        let epoch = resolve_epoch(name, entry, epoch)?;
-        let graph = materialize_at(entry, epoch);
-        let key = (name.to_string(), ordering.name(), epoch);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(slot) = inner.prepared.get_mut(&key) {
-            slot.last_used = tick;
-            let entry = Arc::clone(&slot.entry);
-            inner.hits += 1;
-            return Ok((entry, true, epoch));
-        }
-        inner.misses += 1;
-        // resolve the mode once: in Autotune the graph-level plan is
-        // computed (and cached, and counted) here, then pinned for the
-        // entry build so the standalone builder reproduces it exactly
-        let mode = match self.cfg.plan {
-            PlanMode::Autotune { .. } => {
-                let summary = self.plan_locked(&mut inner, name, &graph);
-                PlanMode::Fixed(summary.plan.kernel_plan())
+        let (graph, key, mode, generation) = {
+            let mut inner = lock(&self.inner);
+            let entry = inner
+                .graphs
+                .get(name)
+                .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
+            let epoch = resolve_epoch(name, entry, epoch)?;
+            let generation = entry.generation;
+            let key = (name.to_string(), ordering.name(), epoch);
+            if let Some(hit) = inner.touch(&key) {
+                inner.hits += 1;
+                return Ok((hit, true, epoch));
             }
-            other => other,
+            let graph = materialize_at(&inner.graphs[name], epoch);
+            inner.misses += 1;
+            // resolve the mode once: in Autotune the graph-level plan is
+            // computed (and cached, and counted) here, then pinned for the
+            // entry build so the standalone builder reproduces it exactly
+            let mode = match self.cfg.plan {
+                PlanMode::Autotune { .. } => {
+                    let summary = self.plan_locked(&mut inner, name, &graph);
+                    PlanMode::Fixed(summary.plan.kernel_plan())
+                }
+                other => other,
+            };
+            (graph, key, mode, generation)
         };
+        let epoch = key.2;
         let seed = prepare_seed_at(self.cfg.prepare_seed, name, ordering.name(), epoch);
-        let entry = Arc::new(prepare_graph_with(&graph, ordering, seed, mode));
-        self.gauge.add(entry.bytes);
-        inner.cached_bytes += entry.bytes;
+        // the expensive part runs unlocked; nothing is charged until the
+        // entry is cached below
+        let built = Arc::new(prepare_graph_with(&graph, ordering, seed, mode));
+        let mut inner = lock(&self.inner);
+        if inner.graphs.get(name).map(|e| e.generation) != Some(generation) {
+            // replaced mid-build, as `compact_now` guards: the entry
+            // belongs to the old graph and must not be cached for the new
+            return Ok((built, false, epoch));
+        }
+        if let Some(cached) = inner.touch(&key) {
+            // a concurrent miss cached this key first; ours is dropped
+            return Ok((cached, false, epoch));
+        }
+        self.gauge.add(built.bytes);
+        inner.cached_bytes += built.bytes;
+        let tick = inner.tick;
         inner.prepared.insert(
             key,
             CacheSlot {
-                entry: Arc::clone(&entry),
+                entry: Arc::clone(&built),
                 last_used: tick,
             },
         );
         self.shrink(&mut inner);
-        Ok((entry, false, epoch))
+        Ok((built, false, epoch))
     }
 
     /// Evicts LRU entries until both the entry-count and byte bounds
@@ -1483,6 +1520,31 @@ mod tests {
         assert!(st.delta_bytes > 0);
         let resting = st.bytes + st.plan_bytes + st.delta_bytes + st.segment_bytes;
         assert_eq!(s.gauge().used(), resting, "gauge covers every residency");
+    }
+
+    #[test]
+    fn historical_hit_rebuilds_nothing() {
+        let s = store(8);
+        s.register("g", 30, &triangle_fan(30)).unwrap();
+        s.add_edges("g", &[(5, 9)]).unwrap();
+        s.add_edges("g", &[(7, 20)]).unwrap();
+        let (first, hit, epoch) = s.prepare_at("g", OrderFamily::Descending, Some(1)).unwrap();
+        assert!(!hit);
+        assert_eq!(epoch, 1);
+        // Swap the only segment that can serve epoch 1 for a base that
+        // already holds the edge epoch 1 inserts: rebuilding epoch 1 from
+        // it now panics, so only a probe-first hit can answer.
+        lock(&s.inner).graphs.get_mut("g").unwrap().segments[0].graph =
+            Arc::new(Graph::from_edges(30, &[(5, 9)]).unwrap());
+        let (again, hit, _) = s.prepare_at("g", OrderFamily::Descending, Some(1)).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&first, &again), "the hit is the cached entry");
+        let rebuild =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.graph_at("g", Some(1))));
+        assert!(
+            rebuild.is_err(),
+            "the swapped segment cannot rebuild epoch 1"
+        );
     }
 
     #[test]

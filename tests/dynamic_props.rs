@@ -14,6 +14,11 @@
 //!    epoch sees byte-identical graphs and byte-identical prepared
 //!    artifacts before and after a forced compaction, even though the
 //!    segment serving that epoch may have changed underneath.
+//! 4. **The row splice equals an independent rebuild** — over every window
+//!    of a random run sequence, [`materialize`] (which splices only the
+//!    touched CSR rows) equals `Graph::from_edges` of the edge set folded
+//!    run by run in a `BTreeSet`, through toggled-back edges, emptied rows,
+//!    previously isolated nodes and the end nodes `0` and `n − 1`.
 
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -103,8 +108,102 @@ fn churn_batches(base: &Graph, shuffle_seed: u64) -> Option<Churn> {
     Some((runs, present))
 }
 
+/// Runs plus the edge set at each epoch (`epochs[0]` is the base).
+type Epochs = (Vec<DeltaRun>, Vec<BTreeSet<(u32, u32)>>);
+
+/// Up to `runs` alternating insert/remove batches over `base` (in which
+/// `iso` has no edges), plus the edge set at every epoch, folded run by run
+/// without the delta layer. Inserts re-add edges the previous remove took
+/// and always try `(0, n − 1)` and an edge at `iso`; removes take back
+/// edges the previous insert added and empty the whole row of one of
+/// `0`, `n − 1`, `iso` or a random node.
+fn toggle_runs(base: &Graph, iso: u32, runs: usize, seed: u64) -> Epochs {
+    let n = base.n() as u32;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut epochs = vec![base.edges().collect::<BTreeSet<(u32, u32)>>()];
+    let mut out: Vec<DeltaRun> = Vec::new();
+    for r in 0..runs {
+        let present = epochs.last().unwrap().clone();
+        let prev: Vec<(u32, u32)> = out
+            .last()
+            .map(|run| [run.inserts(), run.removes()].concat())
+            .unwrap_or_default();
+        let mut batch: BTreeSet<(u32, u32)> =
+            prev.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        let insert = r % 2 == 0;
+        if insert {
+            let x = rng.gen_range(0..n);
+            batch.extend([(0, n - 1), (iso.min(x), iso.max(x))]);
+            for _ in 0..rng.gen_range(0..4) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                batch.insert((u.min(v), u.max(v)));
+            }
+            batch.retain(|&(u, v)| u != v && !present.contains(&(u, v)));
+        } else {
+            let victim = [0, n - 1, iso, rng.gen_range(0..n)][rng.gen_range(0..4)];
+            batch.extend(present.iter().filter(|&&(u, v)| u == victim || v == victim));
+            batch.extend(present.iter().copied().filter(|_| rng.gen_bool(0.1)));
+            batch.retain(|e| present.contains(e));
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        // fed reversed and shuffled: a batch normalizes to (min, max) order
+        let mut edges: Vec<(u32, u32)> = batch.iter().map(|&(u, v)| (v, u)).collect();
+        edges.shuffle(&mut rng);
+        let member = |u: u32, v: u32| present.contains(&(u, v));
+        let mut next = present.clone();
+        let run = if insert {
+            next.extend(batch.iter().copied());
+            DeltaRun::insert_batch(n as usize, &edges, member).unwrap()
+        } else {
+            next.retain(|e| !batch.contains(e));
+            DeltaRun::remove_batch(n as usize, &edges, member).unwrap()
+        };
+        out.push(run);
+        epochs.push(next);
+    }
+    (out, epochs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    // Every window (a, b] of a random run sequence materializes, from an
+    // independently built epoch-a graph, to exactly the graph
+    // `from_edges` builds from the folded edge set at epoch b.
+    #[test]
+    fn splice_equals_independent_rebuild(
+        n in 2u32..24,
+        graph_seed in 0u64..1 << 48,
+        edit_seed in 0u64..1 << 48,
+        iso_pick in 0u32..1 << 16,
+        runs in 1usize..7,
+    ) {
+        let iso = iso_pick % n;
+        let base_edges: Vec<(u32, u32)> = gnp_edges(n, 0.3, graph_seed)
+            .into_iter()
+            .filter(|&(u, v)| u != iso && v != iso)
+            .collect();
+        let base = Graph::from_edges(n as usize, &base_edges).unwrap();
+        let (runs, epochs) = toggle_runs(&base, iso, runs, edit_seed);
+        let rebuilt = |e: usize| {
+            let edges: Vec<(u32, u32)> = epochs[e].iter().copied().collect();
+            Graph::from_edges(n as usize, &edges).unwrap()
+        };
+        for a in 0..epochs.len() {
+            let from = rebuilt(a);
+            for b in a..epochs.len() {
+                prop_assert_eq!(
+                    materialize(&from, runs[a..b].iter()),
+                    rebuilt(b),
+                    "window ({}, {}]",
+                    a,
+                    b
+                );
+            }
+        }
+    }
 
     // Any two permutations of the same edit sequence produce identical
     // runs, identical net windows, and identical materialized graphs.

@@ -10,16 +10,24 @@
 //! matching proves no request was dropped, double-counted, or answered
 //! with an untyped error; the resting gauge matching the cache bytes
 //! proves every in-flight budget settled.
+//!
+//! A second test races `register` against prepare misses, which build
+//! with the store lock released: afterwards every cached entry must be
+//! the one its key's current graph produces, and the resting gauge must
+//! equal the store's own accounting.
 
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use trilist::core::MemoryGauge;
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Truncation};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
+use trilist::order::OrderFamily;
 use trilist::serve::{
-    AdmissionConfig, Client, ClientError, ErrorCode, ListParams, ServeConfig, Server, StoreConfig,
+    prepare_graph_with, prepare_seed_at, AdmissionConfig, Client, ClientError, ErrorCode,
+    GraphStore, ListParams, ServeConfig, Server, StoreConfig,
 };
 
 const THREADS: usize = 8;
@@ -217,4 +225,107 @@ fn stress_counters_reconcile_under_contention() {
 
     setup.shutdown().unwrap();
     server.join();
+}
+
+#[test]
+fn register_races_unlocked_prepares() {
+    const PASSES: usize = 4;
+    const REGISTERS: usize = 12;
+    let n = 600;
+    // two different graphs on the same nodes, so an entry built from one
+    // and cached under the other is detectable
+    let lists: Vec<Vec<(u32, u32)>> = [0x5A, 0xA5]
+        .iter()
+        .map(|&seed| pareto_graph(n, seed).edges().collect())
+        .collect();
+    let fresh = (1..n as u32)
+        .map(|v| (0, v))
+        .find(|e| lists.iter().all(|l| !l.contains(e)))
+        .unwrap();
+    let families = [
+        OrderFamily::Descending,
+        OrderFamily::Ascending,
+        OrderFamily::RoundRobin,
+    ];
+    let cfg = StoreConfig {
+        max_entries: 64,
+        ..StoreConfig::default()
+    };
+    let gauge = MemoryGauge::new();
+    let store = GraphStore::new(cfg.clone(), gauge.clone());
+    store.register("race", n as u32, &lists[0]).unwrap();
+
+    for pass in 0..PASSES {
+        // preparers run until both registrars are done, so the last
+        // registration lands while builds are in flight
+        let registrars_done = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (store, lists, done) = (&store, &lists, &registrars_done);
+                scope.spawn(move || {
+                    for i in 0..REGISTERS {
+                        store
+                            .register("race", n as u32, &lists[(pass + t + i) % 2])
+                            .unwrap();
+                        // epoch 1, unless the other registrar got there first
+                        let _ = store.add_edges("race", &[fresh]);
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            for t in 0..4 {
+                let (store, done) = (&store, &registrars_done);
+                scope.spawn(move || {
+                    let mut i = t;
+                    while done.load(Ordering::SeqCst) < 2 {
+                        let family = families[i % families.len()];
+                        if i % 2 == 0 {
+                            store.prepare("race", family).unwrap();
+                        } else {
+                            store.prepare_at("race", family, Some(0)).unwrap();
+                        }
+                        i += 1;
+                    }
+                });
+            }
+        });
+
+        // Every resident entry is visited once by the sweep below
+        // (nothing is evicted at this cache size) and must equal a fresh
+        // build from the current generation's graph at its epoch.
+        let resident = store.stats().entries;
+        let latest = store.latest_epoch("race").unwrap();
+        let mut verified = 0;
+        for epoch in 0..=latest {
+            let graph = store.graph_at("race", Some(epoch)).unwrap();
+            for family in families {
+                let (entry, hit, _) = store.prepare_at("race", family, Some(epoch)).unwrap();
+                if !hit {
+                    continue;
+                }
+                verified += 1;
+                let seed = prepare_seed_at(cfg.prepare_seed, "race", family.name(), epoch);
+                let expect = prepare_graph_with(&graph, family, seed, cfg.plan);
+                let ctx = format!("pass {pass}: {} at epoch {epoch}", family.name());
+                assert_eq!(entry.inverse, expect.inverse, "{ctx}");
+                assert_eq!(entry.degrees_by_label, expect.degrees_by_label, "{ctx}");
+                assert_eq!(entry.plan, expect.plan, "{ctx}");
+                assert_eq!(entry.bytes, expect.bytes, "{ctx}");
+                for v in 0..n as u32 {
+                    assert_eq!(entry.dg.out(v), expect.dg.out(v), "{ctx}: label {v}");
+                }
+            }
+        }
+        assert_eq!(
+            verified, resident,
+            "pass {pass}: an entry outside the current epochs"
+        );
+
+        let st = store.stats();
+        assert_eq!(
+            gauge.used(),
+            st.bytes + st.plan_bytes + st.delta_bytes + st.segment_bytes,
+            "pass {pass}: resting gauge == cache + plan + delta + segment"
+        );
+    }
 }
