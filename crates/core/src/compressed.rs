@@ -20,7 +20,7 @@
 //!   cost fields **and** `pointer_advances` are byte-identical to the
 //!   plain-layout drivers under every kernel policy, and only wall-clock
 //!   (decode cost vs. memory bandwidth) differs. That trade is what the
-//!   calibrated `KernelPlan` weighs.
+//!   autotuner's `compressed` flag weighs.
 
 use crate::cost::CostReport;
 use crate::kernel::{Kernels, ListDir, SideOwner};
@@ -68,7 +68,8 @@ fn encode_list(bytes: &mut Vec<u8>, list: &[u32]) {
 
 /// Decodes the byte range `[start, end)` front-to-back into `buf`
 /// (cleared first). This tight loop is the "decode" primitive whose
-/// throughput `trilist-model::calibrate` measures for the `KernelPlan`.
+/// throughput `trilist-model::kernel_throughputs` measures for the
+/// autotuner.
 #[inline]
 fn decode_into(bytes: &[u8], start: usize, end: usize, buf: &mut Vec<u32>) {
     buf.clear();
@@ -742,7 +743,6 @@ mod tests {
         let forced = KernelPolicy::Bitset(BitsetConfig {
             min_short: 0,
             min_density: 0,
-            stamp_crossover: u32::MAX,
             fallback: AdaptiveConfig::default(),
         });
         let meter = std::sync::Arc::new(KernelMeter::new());

@@ -50,7 +50,6 @@ use crate::intersect::{
 use crate::obs::{Counter, Recorder};
 use crate::oracle::EdgeOracle;
 use crate::source::GraphSource;
-use crate::stamp::{stamp_count, stamp_intersect};
 use crate::Method;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,11 +70,9 @@ pub struct KernelMeter {
     gallop: AtomicU64,
     bitmap: AtomicU64,
     bitset: AtomicU64,
-    stamp: AtomicU64,
     gallop_steps: AtomicU64,
     bitmap_probes: AtomicU64,
     bitset_words: AtomicU64,
-    stamp_probes: AtomicU64,
 }
 
 impl KernelMeter {
@@ -89,6 +86,23 @@ impl KernelMeter {
         field.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Tallies one routed call and the probes it made.
+    #[inline]
+    fn tally(&self, route: &Route<'_>, advances: u64) {
+        let (calls, steps) = match route {
+            Route::Paper => (&self.paper, None),
+            Route::Empty => (&self.bitset, None),
+            Route::Blocks(..) => (&self.bitset, Some(&self.bitset_words)),
+            Route::Row { .. } => (&self.bitmap, Some(&self.bitmap_probes)),
+            Route::Gallop { .. } => (&self.gallop, Some(&self.gallop_steps)),
+            Route::Branchless { .. } => (&self.branchless, None),
+        };
+        self.bump(calls, 1);
+        if let Some(steps) = steps {
+            self.bump(steps, advances);
+        }
+    }
+
     /// Drains every tally into `rec` (the tallies reset to zero), so one
     /// meter can be flushed repeatedly across chunks without double
     /// counting.
@@ -99,11 +113,9 @@ impl KernelMeter {
             (&self.gallop, Counter::IntersectGallop),
             (&self.bitmap, Counter::IntersectBitmap),
             (&self.bitset, Counter::IntersectBitset),
-            (&self.stamp, Counter::IntersectStamp),
             (&self.gallop_steps, Counter::GallopSteps),
             (&self.bitmap_probes, Counter::BitmapProbes),
             (&self.bitset_words, Counter::BitsetBlockSteps),
-            (&self.stamp_probes, Counter::StampProbes),
         ];
         for (field, counter) in pairs {
             let v = field.swap(0, Ordering::Relaxed);
@@ -175,14 +187,6 @@ pub struct BitsetConfig {
     /// *loses*. Full-list block totals are O(1) reads, so the gate
     /// rejects sparse pairs before any view is built.
     pub min_density: u32,
-    /// Skew gate for the source-anchored stamp path: when the owned `a`
-    /// side is at least this many times the length of `b` (and clears
-    /// `min_short`), mark `a`'s labels into the per-thread stamp array
-    /// (amortized across the anchor's run of calls) and answer with
-    /// `|b|` O(1) probes — the anchor side drops out of the per-pair
-    /// cost. `0` forces the stamp path whenever `a` is owned;
-    /// `u32::MAX` disables it.
-    pub stamp_crossover: u32,
     /// Dispatch used when a side has no [`SideOwner`] (so no block
     /// encoding applies), or when a slice fails the `min_short` /
     /// `min_density` gates. Also selects the hub-bitmap rows the context
@@ -201,7 +205,6 @@ impl Default for BitsetConfig {
         BitsetConfig {
             min_short: 16,
             min_density: 4,
-            stamp_crossover: 3,
             fallback: AdaptiveConfig::default(),
         }
     }
@@ -256,12 +259,11 @@ impl KernelPolicy {
     }
 }
 
-/// The calibrated execution choice for one (machine, graph) pair: which
-/// kernel policy to run and whether to keep adjacency in the compressed
-/// CSR. Emitted by `trilist-model::calibrate::kernel_plan` from measured
-/// word-intersect / varint-decode / gallop throughputs; consumed by
-/// `GraphStore::prepare` (which stores the winning plan per graph) and by
-/// anything that forwards a policy into the runtime. Paper cost fields are
+/// The execution choice for one graph: which kernel policy to run and
+/// whether to keep adjacency in the compressed CSR. Pinned by the store's
+/// `PlanMode::Fixed` or taken from the autotuner's [`ListingPlan`];
+/// consumed by `GraphStore::prepare` (which stores the plan per graph) and
+/// by anything that forwards a policy into the runtime. Paper cost fields are
 /// plan-invariant by the accounting contract, so a plan only ever moves
 /// wall-clock and memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,8 +279,8 @@ pub struct KernelPlan {
 }
 
 impl Default for KernelPlan {
-    /// Adaptive on the plain layout — the pre-calibration behavior every
-    /// layer shipped with, so an absent calibration changes nothing.
+    /// Adaptive on the plain layout — what every layer runs when no plan
+    /// is pinned or autotuned.
     fn default() -> Self {
         KernelPlan {
             policy: KernelPolicy::adaptive(),
@@ -516,26 +518,13 @@ pub struct Kernels {
     in_bits: Option<HubBitmap>,
     out_blocks: Option<BitsetBlocks>,
     in_blocks: Option<BitsetBlocks>,
-    /// Process-unique epoch embedded in stamp keys, so stamp markings
-    /// from other contexts (other graphs) can never be mistaken for ours.
-    /// Clones share the epoch — they describe the same graph, so their
-    /// markings are interchangeable.
-    stamp_epoch: u64,
     meter: Option<Arc<KernelMeter>>,
 }
 
 impl Kernels {
     /// The paper-faithful context (no bitmaps, branchy scan everywhere).
     pub fn paper() -> Self {
-        Kernels {
-            policy: KernelPolicy::PaperFaithful,
-            out_bits: None,
-            in_bits: None,
-            out_blocks: None,
-            in_blocks: None,
-            stamp_epoch: crate::stamp::next_epoch(),
-            meter: None,
-        }
+        Kernels::scan_only(KernelPolicy::PaperFaithful)
     }
 
     /// Builds the context for `policy` over `g` (bitmaps under `Adaptive`;
@@ -549,47 +538,29 @@ impl Kernels {
     /// which is what keeps `pointer_advances` byte-identical across
     /// plain/compressed runs under every policy.
     pub fn build_src(policy: KernelPolicy, src: GraphSource<'_>) -> Self {
+        let hubs = |cfg: AdaptiveConfig, dir| {
+            Some(HubBitmap::build_src(
+                src,
+                dir,
+                cfg.hub_degree_threshold,
+                cfg.max_hubs,
+            ))
+        };
         match policy {
             KernelPolicy::PaperFaithful => Kernels::paper(),
             KernelPolicy::Adaptive(cfg) => Kernels {
-                policy,
-                out_bits: Some(HubBitmap::build_src(
-                    src,
-                    ListDir::Out,
-                    cfg.hub_degree_threshold,
-                    cfg.max_hubs,
-                )),
-                in_bits: Some(HubBitmap::build_src(
-                    src,
-                    ListDir::In,
-                    cfg.hub_degree_threshold,
-                    cfg.max_hubs,
-                )),
-                out_blocks: None,
-                in_blocks: None,
-                stamp_epoch: crate::stamp::next_epoch(),
-                meter: None,
+                out_bits: hubs(cfg, ListDir::Out),
+                in_bits: hubs(cfg, ListDir::In),
+                ..Kernels::scan_only(policy)
             },
             KernelPolicy::Bitset(cfg) => Kernels {
-                policy,
                 // the hub rows keep serving the vertex iterators'
                 // BitmapOracle probes; selection follows the fallback knobs
-                out_bits: Some(HubBitmap::build_src(
-                    src,
-                    ListDir::Out,
-                    cfg.fallback.hub_degree_threshold,
-                    cfg.fallback.max_hubs,
-                )),
-                in_bits: Some(HubBitmap::build_src(
-                    src,
-                    ListDir::In,
-                    cfg.fallback.hub_degree_threshold,
-                    cfg.fallback.max_hubs,
-                )),
+                out_bits: hubs(cfg.fallback, ListDir::Out),
+                in_bits: hubs(cfg.fallback, ListDir::In),
                 out_blocks: Some(BitsetBlocks::build_src(src, ListDir::Out)),
                 in_blocks: Some(BitsetBlocks::build_src(src, ListDir::In)),
-                stamp_epoch: crate::stamp::next_epoch(),
-                meter: None,
+                ..Kernels::scan_only(policy)
             },
         }
     }
@@ -620,6 +591,14 @@ impl Kernels {
         let Some(budget) = allowance else {
             return Kernels::build_src(policy, src);
         };
+        let hub_need = |cfg: AdaptiveConfig| {
+            [ListDir::Out, ListDir::In]
+                .map(|dir| {
+                    HubBitmap::estimate_bytes_src(src, dir, cfg.hub_degree_threshold, cfg.max_hubs)
+                })
+                .iter()
+                .sum::<u64>()
+        };
         let mut cfg = match policy {
             KernelPolicy::PaperFaithful => return Kernels::paper(),
             KernelPolicy::Adaptive(cfg) => cfg,
@@ -627,18 +606,7 @@ impl Kernels {
                 let blocks_need = BitsetBlocks::estimate_bytes(src, ListDir::Out)
                     + BitsetBlocks::estimate_bytes(src, ListDir::In);
                 loop {
-                    let hub_need = HubBitmap::estimate_bytes_src(
-                        src,
-                        ListDir::Out,
-                        cfg.fallback.hub_degree_threshold,
-                        cfg.fallback.max_hubs,
-                    ) + HubBitmap::estimate_bytes_src(
-                        src,
-                        ListDir::In,
-                        cfg.fallback.hub_degree_threshold,
-                        cfg.fallback.max_hubs,
-                    );
-                    if blocks_need + hub_need <= budget {
+                    if blocks_need + hub_need(cfg.fallback) <= budget {
                         return Kernels::build_src(KernelPolicy::Bitset(cfg), src);
                     }
                     if cfg.fallback.max_hubs == 0 {
@@ -649,21 +617,10 @@ impl Kernels {
             }
         };
         loop {
-            let need = HubBitmap::estimate_bytes_src(
-                src,
-                ListDir::Out,
-                cfg.hub_degree_threshold,
-                cfg.max_hubs,
-            ) + HubBitmap::estimate_bytes_src(
-                src,
-                ListDir::In,
-                cfg.hub_degree_threshold,
-                cfg.max_hubs,
-            );
             if cfg.max_hubs == 0 {
                 return Kernels::scan_only(policy);
             }
-            if need <= budget {
+            if hub_need(cfg) <= budget {
                 return Kernels::build_src(KernelPolicy::Adaptive(cfg), src);
             }
             cfg.max_hubs /= 2;
@@ -681,14 +638,13 @@ impl Kernels {
             in_bits: None,
             out_blocks: None,
             in_blocks: None,
-            stamp_epoch: crate::stamp::next_epoch(),
             meter: None,
         }
     }
 
-    /// Attaches a dispatch meter: subsequent [`Kernels::intersect`] /
-    /// [`Kernels::count`] calls tally which kernel variant ran (and its
-    /// probe counts) into `meter`. Metering is pure observation — dispatch
+    /// Attaches a dispatch meter: subsequent intersections, labelled or
+    /// label-free, tally which kernel variant ran (and its probe counts)
+    /// into `meter`. Metering is pure observation — dispatch
     /// decisions and results are unchanged.
     pub fn with_meter(mut self, meter: Arc<KernelMeter>) -> Self {
         self.meter = Some(meter);
@@ -724,13 +680,6 @@ impl Kernels {
         self.out_blocks.as_ref()
     }
 
-    /// The stamp key identifying `dir`-list(`v`) under this context's
-    /// epoch (see [`crate::stamp`]).
-    #[inline]
-    fn stamp_key(&self, v: u32, dir: ListDir) -> u64 {
-        (self.stamp_epoch << 33) | ((v as u64) << 1) | matches!(dir, ListDir::In) as u64
-    }
-
     #[inline]
     fn bitmap_row(&self, own: SideOwner) -> Option<&[u64]> {
         let (v, dir) = own?;
@@ -740,176 +689,174 @@ impl Kernels {
         }
     }
 
-    /// Resolves the blocked-kernel dispatch for one owned slice pair:
-    /// bounded views over the common value range `[max(a₀,b₀),
-    /// min(a_last,b_last)]` of both slices. Outer `None` = not eligible
-    /// (missing owner or encoding — fall back to adaptive dispatch); inner
-    /// `None` = eligible with provably empty intersection.
     #[inline]
-    #[allow(clippy::type_complexity)]
-    fn block_views(
+    fn blocks_for(&self, dir: ListDir) -> Option<&BitsetBlocks> {
+        match dir {
+            ListDir::Out => self.out_blocks.as_ref(),
+            ListDir::In => self.in_blocks.as_ref(),
+        }
+    }
+
+    /// The routing decision for one pair with both sides non-empty, made
+    /// here once for every entry point. `a` is a labelled slice; `b` is
+    /// described by its length, its owner and its first and last labels —
+    /// read from the slice by [`Kernels::intersect`]/[`Kernels::count`],
+    /// from the block encoding by the label-free entry points (`None`
+    /// when no encoding covers `b`, which closes the block route). The
+    /// bounds are asked for only once the block gates pass, so a pair
+    /// routed elsewhere never touches `b`'s encoding.
+    ///
+    /// Always inlined: an outlined call hands the `Route` back through
+    /// memory, which costs more than the short intersections it routes.
+    #[inline(always)]
+    fn route(
+        &self,
+        a: &[u32],
+        a_own: SideOwner,
+        b_len: usize,
+        b_own: SideOwner,
+        b_bounds: impl FnOnce() -> Option<(u32, u32)>,
+    ) -> Route<'_> {
+        let cfg = match self.policy {
+            KernelPolicy::PaperFaithful => return Route::Paper,
+            KernelPolicy::Adaptive(cfg) => cfg,
+            KernelPolicy::Bitset(bcfg) => {
+                'blocks: {
+                    if a.len().min(b_len) < bcfg.min_short as usize {
+                        break 'blocks;
+                    }
+                    let (Some((va, da)), Some((vb, db))) = (a_own, b_own) else {
+                        break 'blocks;
+                    };
+                    let (Some(ba), Some(bb)) = (self.blocks_for(da), self.blocks_for(db)) else {
+                        break 'blocks;
+                    };
+                    // density gate on the O(1) full-list block totals:
+                    // sparse encodings walk ~1 label per block and lose to
+                    // the merge fallback, and gating here rejects them
+                    // before any view is built
+                    if a.len() + b_len
+                        < bcfg.min_density as usize * (ba.node_blocks(va) + bb.node_blocks(vb))
+                    {
+                        break 'blocks;
+                    }
+                    let Some((b0, bl)) = b_bounds() else {
+                        break 'blocks;
+                    };
+                    let (a0, al) = (a[0], a[a.len() - 1]);
+                    // value ranges disjoint → no common element, skip view
+                    // setup
+                    if a0 > bl || b0 > al {
+                        return Route::Empty;
+                    }
+                    // each view is bounded to its *own* slice's closed
+                    // value range: a view then represents its slice
+                    // exactly, so the merge of the two views is exactly
+                    // the slice intersection. (Narrowing both sides to the
+                    // range overlap would also be exact, but costs
+                    // interior binary searches on every call; own-range
+                    // bounds coincide with list ends for full lists,
+                    // prefixes, and suffixes — the hot shapes — and the
+                    // block merge skips non-overlapping bases at one
+                    // branchless step each.)
+                    return match (ba.view(va, a0, al), bb.view(vb, b0, bl)) {
+                        (Some(x), Some(y)) => Route::Blocks(x, y),
+                        _ => Route::Empty,
+                    };
+                }
+                bcfg.fallback
+            }
+        };
+        let a_short = a.len() <= b_len;
+        let (short_own, long_own) = if a_short {
+            (a_own, b_own)
+        } else {
+            (b_own, a_own)
+        };
+        // a hub row on the longer side turns the whole intersection into
+        // |short| word probes; a row on the shorter side still beats any
+        // scan (|long| probes < |short| + |long| advances)
+        if let Some(row) = self.bitmap_row(long_own) {
+            return Route::Row {
+                row,
+                probe_a: a_short,
+            };
+        }
+        if let Some(row) = self.bitmap_row(short_own) {
+            return Route::Row {
+                row,
+                probe_a: !a_short,
+            };
+        }
+        let (short, long) = if a_short {
+            (a.len(), b_len)
+        } else {
+            (b_len, a.len())
+        };
+        if long as u64 >= cfg.gallop_crossover as u64 * short as u64 {
+            Route::Gallop { a_short }
+        } else {
+            Route::Branchless { a_short }
+        }
+    }
+
+    /// Executes `route` on `a`/`b`, delivering matches through `d`, and
+    /// tallies it on the meter.
+    #[inline]
+    fn run<D: Deliver>(&self, route: Route<'_>, a: &[u32], b: &[u32], d: D) -> ScanStats {
+        let ordered = |a_short| if a_short { (a, b) } else { (b, a) };
+        let stats = match route {
+            Route::Paper => d.scan(a, b),
+            Route::Empty => ScanStats::default(),
+            Route::Blocks(va, vb) => d.blocks(va, vb),
+            Route::Row { row, probe_a } => d.probe(if probe_a { a } else { b }, row),
+            Route::Gallop { a_short } => {
+                let (short, long) = ordered(a_short);
+                d.gallop(short, long)
+            }
+            Route::Branchless { a_short } => {
+                let (short, long) = ordered(a_short);
+                d.merge(short, long)
+            }
+        };
+        if let Some(m) = &self.meter {
+            m.tally(&route, stats.advances);
+        }
+        stats
+    }
+
+    #[inline]
+    fn labelled<D: Deliver>(
         &self,
         a: &[u32],
         a_own: SideOwner,
         b: &[u32],
         b_own: SideOwner,
-        min_density: u32,
-    ) -> Option<Option<(BlockView<'_>, BlockView<'_>)>> {
-        let (va, da) = a_own?;
-        let (vb, db) = b_own?;
-        let blocks_of = |dir| match dir {
-            ListDir::Out => self.out_blocks.as_ref(),
-            ListDir::In => self.in_blocks.as_ref(),
-        };
-        let (ba, bb) = (blocks_of(da)?, blocks_of(db)?);
-        // density gate on the O(1) full-list block totals: sparse
-        // encodings walk ~1 label per block and lose to the merge
-        // fallback, and gating here rejects them before any view is built
-        if a.len() + b.len() < min_density as usize * (ba.node_blocks(va) + bb.node_blocks(vb)) {
-            return None;
+        d: D,
+    ) -> ScanStats {
+        if a.is_empty() || b.is_empty() {
+            return ScanStats::default();
         }
-        // value ranges disjoint → no common element, skip view setup
-        if a[0] > b[b.len() - 1] || b[0] > a[a.len() - 1] {
-            return Some(None);
-        }
-        // each view is bounded to its *own* slice's closed value range: a
-        // view then represents its slice exactly, so the merge of the two
-        // views is exactly the slice intersection. (Narrowing both sides
-        // to the range overlap would also be exact, but costs interior
-        // binary searches on every call; own-range bounds coincide with
-        // list ends for full lists, prefixes, and suffixes — the hot
-        // shapes — and the block merge skips non-overlapping bases at one
-        // branchless step each.)
-        match (
-            ba.view(va, a[0], a[a.len() - 1]),
-            bb.view(vb, b[0], b[b.len() - 1]),
-        ) {
-            (Some(x), Some(y)) => Some(Some((x, y))),
-            _ => Some(None),
-        }
+        let route = self.route(a, a_own, b.len(), b_own, || Some((b[0], b[b.len() - 1])));
+        self.run(route, a, b, d)
     }
 
-    /// Label-free intersection for compressed sources: tries to answer the
-    /// pair from the block encodings alone, so the caller can skip
-    /// decoding the remote list. `b_own`/`b_len` describe the remote side,
-    /// which must be the owner's *entire* `b_own.1`-list (the block
-    /// encoding stands in for the labels, so a sub-slice would be wrong).
-    ///
-    /// Returns `None` when the dispatch needs decoded labels — the caller
-    /// decodes and invokes [`Kernels::intersect`], which re-derives the
-    /// same routing decision. The gate sequence below mirrors the
-    /// [`KernelPolicy::Bitset`] arm of `intersect` exactly (same gates,
-    /// same view bounds, same merge), so `advances` — and therefore the
-    /// `CostReport` — is byte-identical to the plain-layout run whether or
-    /// not the label-free path fires.
-    pub fn intersect_remote<F: FnMut(u32)>(
+    #[inline]
+    fn label_free<D: Deliver>(
         &self,
         a: &[u32],
         a_own: SideOwner,
-        b_own: (u32, ListDir),
+        (v, dir): (u32, ListDir),
         b_len: usize,
-        sink: F,
+        d: D,
     ) -> Option<ScanStats> {
         if a.is_empty() || b_len == 0 {
             return Some(ScanStats::default());
         }
-        let KernelPolicy::Bitset(bcfg) = self.policy else {
-            return None;
-        };
-        // stamp gate first, as in `intersect`: stamps probe decoded labels
-        if a_own.is_some()
-            && a.len() >= bcfg.min_short as usize
-            && a.len() as u64 >= bcfg.stamp_crossover as u64 * b_len as u64
-            && self.bitmap_row(a_own).is_none()
-        {
-            return None;
-        }
-        // block stage: answered entirely from the encodings when dense
-        // enough; a density-gate miss falls through to the fallback
-        // mirror below, exactly like the labeled dispatch
-        'blocks: {
-            if a.len().min(b_len) < bcfg.min_short as usize {
-                break 'blocks;
-            }
-            let Some((va_node, da)) = a_own else {
-                break 'blocks;
-            };
-            let (vb_node, db) = b_own;
-            let blocks_of = |dir| match dir {
-                ListDir::Out => self.out_blocks.as_ref(),
-                ListDir::In => self.in_blocks.as_ref(),
-            };
-            let (Some(ba), Some(bb)) = (blocks_of(da), blocks_of(db)) else {
-                break 'blocks;
-            };
-            if a.len() + b_len
-                < bcfg.min_density as usize * (ba.node_blocks(va_node) + bb.node_blocks(vb_node))
-            {
-                break 'blocks;
-            }
-            // the remote slice is the full list, so its value range —
-            // what `block_views` reads from the decoded slice — is O(1)
-            let Some((b0, bl)) = bb.label_bounds(vb_node) else {
-                break 'blocks;
-            };
-            if a[0] > bl || b0 > a[a.len() - 1] {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitset, 1);
-                }
-                return Some(ScanStats::default());
-            }
-            let (Some(va), Some(vb)) = (
-                ba.view(va_node, a[0], a[a.len() - 1]),
-                bb.view(vb_node, b0, bl),
-            ) else {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitset, 1);
-                }
-                return Some(ScanStats::default());
-            };
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitset, 1);
-            }
-            let stats = intersect_blocks(va, vb, sink);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitset_words, stats.advances);
-            }
-            return Some(stats);
-        }
-        // fallback mirror: the adaptive row paths probe the *short* side's
-        // labels against the long side's row (or the long side's labels
-        // against a short-side row). Whenever the probed side is the
-        // already-decoded local slice, the remote labels are never read —
-        // answer label-free. Branch order matches `intersect`'s fallback:
-        // row(long) first, then row(short).
-        let b_row_own: SideOwner = Some(b_own);
-        if a.len() <= b_len {
-            // short = local a, long = remote: row(long) probes `a`
-            if let Some(row) = self.bitmap_row(b_row_own) {
-                let stats = probe_bitmap(a, row, sink);
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitmap, 1);
-                    m.bump(&m.bitmap_probes, stats.advances);
-                }
-                return Some(stats);
-            }
-            // row(short) would probe the remote labels
-            return None;
-        }
-        // short = remote, long = local a: row(long) probes the remote
-        if self.bitmap_row(a_own).is_some() {
-            return None;
-        }
-        // row(short) probes the long side — the local slice
-        if let Some(row) = self.bitmap_row(b_row_own) {
-            let stats = probe_bitmap(a, row, sink);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return Some(stats);
-        }
-        None
+        let b_bounds = || self.blocks_for(dir)?.label_bounds(v);
+        let route = self.route(a, a_own, b_len, Some((v, dir)), b_bounds);
+        // a route that never reads `b` runs on an empty stand-in
+        (!route.reads_b()).then(|| self.run(route, a, &[], d))
     }
 
     /// Intersects two ascending-sorted slices under the policy, invoking
@@ -924,96 +871,7 @@ impl Kernels {
         b_own: SideOwner,
         sink: F,
     ) -> ScanStats {
-        if a.is_empty() || b.is_empty() {
-            return ScanStats::default();
-        }
-        let cfg = match self.policy {
-            KernelPolicy::PaperFaithful => {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.paper, 1);
-                }
-                return intersect_sorted(a, b, sink);
-            }
-            KernelPolicy::Adaptive(cfg) => cfg,
-            KernelPolicy::Bitset(bcfg) => {
-                // skew: anchor-side marking answers the pair in |b| probes.
-                // Anchors with a precomputed hub row skip this — the row
-                // path below is the same probe shape without marking cost.
-                if let Some((v, dir)) = a_own {
-                    if a.len() >= bcfg.min_short as usize
-                        && a.len() as u64 >= bcfg.stamp_crossover as u64 * b.len() as u64
-                        && self.bitmap_row(a_own).is_none()
-                    {
-                        let stats = stamp_intersect(self.stamp_key(v, dir), a, b, sink);
-                        if let Some(m) = &self.meter {
-                            m.bump(&m.stamp, 1);
-                            m.bump(&m.stamp_probes, stats.advances);
-                        }
-                        return stats;
-                    }
-                }
-                if a.len().min(b.len()) >= bcfg.min_short as usize {
-                    match self.block_views(a, a_own, b, b_own, bcfg.min_density) {
-                        // no encoding, or too sparse for blocks: fall back
-                        None => {}
-                        Some(None) => {
-                            // bounded ranges don't overlap: provably empty
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset, 1);
-                            }
-                            return ScanStats::default();
-                        }
-                        Some(Some((va, vb))) => {
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset, 1);
-                            }
-                            let stats = intersect_blocks(va, vb, sink);
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset_words, stats.advances);
-                            }
-                            return stats;
-                        }
-                    }
-                }
-                bcfg.fallback
-            }
-        };
-        let (short, short_own, long, long_own) = if a.len() <= b.len() {
-            (a, a_own, b, b_own)
-        } else {
-            (b, b_own, a, a_own)
-        };
-        // a hub row on the longer side turns the whole intersection into
-        // |short| word probes; a row on the shorter side still beats any
-        // scan (|long| probes < |short| + |long| advances)
-        if let Some(row) = self.bitmap_row(long_own) {
-            let stats = probe_bitmap(short, row, sink);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return stats;
-        }
-        if let Some(row) = self.bitmap_row(short_own) {
-            let stats = probe_bitmap(long, row, sink);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return stats;
-        }
-        if long.len() as u64 >= cfg.gallop_crossover as u64 * short.len() as u64 {
-            let stats = intersect_gallop(short, long, sink);
-            if let Some(m) = &self.meter {
-                m.bump(&m.gallop, 1);
-                m.bump(&m.gallop_steps, stats.advances);
-            }
-            return stats;
-        }
-        if let Some(m) = &self.meter {
-            m.bump(&m.branchless, 1);
-        }
-        intersect_branchless(short, long, sink)
+        self.labelled(a, a_own, b, b_own, Emit(sink))
     }
 
     /// Counting-only intersection: identical `matches` (and, for the merge
@@ -1022,98 +880,34 @@ impl Kernels {
     /// pure counter.
     #[inline]
     pub fn count(&self, a: &[u32], a_own: SideOwner, b: &[u32], b_own: SideOwner) -> ScanStats {
-        if a.is_empty() || b.is_empty() {
-            return ScanStats::default();
-        }
-        let cfg = match self.policy {
-            KernelPolicy::PaperFaithful => {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.paper, 1);
-                }
-                return intersect_sorted(a, b, |_| {});
-            }
-            KernelPolicy::Adaptive(cfg) => cfg,
-            KernelPolicy::Bitset(bcfg) => {
-                if let Some((v, dir)) = a_own {
-                    if a.len() >= bcfg.min_short as usize
-                        && a.len() as u64 >= bcfg.stamp_crossover as u64 * b.len() as u64
-                        && self.bitmap_row(a_own).is_none()
-                    {
-                        let stats = stamp_count(self.stamp_key(v, dir), a, b);
-                        if let Some(m) = &self.meter {
-                            m.bump(&m.stamp, 1);
-                            m.bump(&m.stamp_probes, stats.advances);
-                        }
-                        return stats;
-                    }
-                }
-                if a.len().min(b.len()) >= bcfg.min_short as usize {
-                    match self.block_views(a, a_own, b, b_own, bcfg.min_density) {
-                        None => {}
-                        Some(None) => {
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset, 1);
-                            }
-                            return ScanStats::default();
-                        }
-                        Some(Some((va, vb))) => {
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset, 1);
-                            }
-                            let stats = count_blocks(va, vb);
-                            if let Some(m) = &self.meter {
-                                m.bump(&m.bitset_words, stats.advances);
-                            }
-                            return stats;
-                        }
-                    }
-                }
-                bcfg.fallback
-            }
-        };
-        let (short, short_own, long, long_own) = if a.len() <= b.len() {
-            (a, a_own, b, b_own)
-        } else {
-            (b, b_own, a, a_own)
-        };
-        if let Some(row) = self.bitmap_row(long_own) {
-            let stats = count_bitmap(short, row);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return stats;
-        }
-        if let Some(row) = self.bitmap_row(short_own) {
-            let stats = count_bitmap(long, row);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return stats;
-        }
-        if long.len() as u64 >= cfg.gallop_crossover as u64 * short.len() as u64 {
-            let stats = intersect_gallop(short, long, |_| {});
-            if let Some(m) = &self.meter {
-                m.bump(&m.gallop, 1);
-                m.bump(&m.gallop_steps, stats.advances);
-            }
-            return stats;
-        }
-        if let Some(m) = &self.meter {
-            m.bump(&m.branchless, 1);
-        }
-        count_branchless(short, long)
+        self.labelled(a, a_own, b, b_own, Count)
+    }
+
+    /// Label-free intersection for compressed sources: answers the pair
+    /// without the remote side's labels when the route allows, so the
+    /// caller can skip decoding the remote list. `b_own`/`b_len` describe
+    /// the remote side, which must be the owner's *entire* `b_own.1`-list
+    /// (its block encoding and hub row stand in for the labels, so a
+    /// sub-slice would be wrong).
+    ///
+    /// Takes the same route [`Kernels::intersect`] takes on the decoded
+    /// list, and returns `None` exactly when that route reads the remote
+    /// labels; the caller then decodes and calls `intersect`. Either way
+    /// `advances` — and therefore the `CostReport` — is byte-identical to
+    /// the plain-layout run.
+    pub fn intersect_remote<F: FnMut(u32)>(
+        &self,
+        a: &[u32],
+        a_own: SideOwner,
+        b_own: (u32, ListDir),
+        b_len: usize,
+        sink: F,
+    ) -> Option<ScanStats> {
+        self.label_free(a, a_own, b_own, b_len, Emit(sink))
     }
 
     /// Label-free *counting* for compressed sources: [`Kernels::count`]'s
-    /// twin of [`Kernels::intersect_remote`]. Tries to answer the pair
-    /// from the block encodings (`count_blocks` popcount) or a hub row
-    /// (`count_bitmap`) without decoding the remote list; returns `None`
-    /// when the dispatch needs decoded labels, and the caller decodes and
-    /// calls [`Kernels::count`] — which re-derives the same routing, so
-    /// `advances` stays byte-identical either way. The gate sequence
-    /// mirrors `intersect_remote` clause for clause.
+    /// twin of [`Kernels::intersect_remote`], with the same contract.
     pub fn count_remote(
         &self,
         a: &[u32],
@@ -1121,96 +915,100 @@ impl Kernels {
         b_own: (u32, ListDir),
         b_len: usize,
     ) -> Option<ScanStats> {
-        if a.is_empty() || b_len == 0 {
-            return Some(ScanStats::default());
+        self.label_free(a, a_own, b_own, b_len, Count)
+    }
+}
+
+/// One intersection's kernel choice, made by [`Kernels::route`].
+#[derive(Clone, Copy)]
+enum Route<'k> {
+    /// The paper's branchy two-pointer scan.
+    Paper,
+    /// Block-eligible, and the slices' value ranges share no label.
+    Empty,
+    /// The blocked word kernel over bounded views of both slices.
+    Blocks(BlockView<'k>, BlockView<'k>),
+    /// Word probes of one side's labels (`a`'s iff `probe_a`) against
+    /// the other side's hub row.
+    Row { row: &'k [u64], probe_a: bool },
+    /// Galloping search of the shorter side into the longer.
+    Gallop { a_short: bool },
+    /// Branchless merge of the shorter side against the longer.
+    Branchless { a_short: bool },
+}
+
+impl Route<'_> {
+    /// Whether running this route reads `b`'s labels.
+    #[inline]
+    fn reads_b(&self) -> bool {
+        match *self {
+            Route::Empty | Route::Blocks(..) => false,
+            Route::Row { probe_a, .. } => !probe_a,
+            Route::Paper | Route::Gallop { .. } | Route::Branchless { .. } => true,
         }
-        let KernelPolicy::Bitset(bcfg) = self.policy else {
-            return None;
-        };
-        // stamp gate first, as in `count`: stamps probe decoded labels
-        if a_own.is_some()
-            && a.len() >= bcfg.min_short as usize
-            && a.len() as u64 >= bcfg.stamp_crossover as u64 * b_len as u64
-            && self.bitmap_row(a_own).is_none()
-        {
-            return None;
-        }
-        // block stage: answered entirely from the encodings when dense
-        // enough; a density-gate miss falls through to the fallback
-        // mirror below, exactly like the labeled dispatch
-        'blocks: {
-            if a.len().min(b_len) < bcfg.min_short as usize {
-                break 'blocks;
-            }
-            let Some((va_node, da)) = a_own else {
-                break 'blocks;
-            };
-            let (vb_node, db) = b_own;
-            let blocks_of = |dir| match dir {
-                ListDir::Out => self.out_blocks.as_ref(),
-                ListDir::In => self.in_blocks.as_ref(),
-            };
-            let (Some(ba), Some(bb)) = (blocks_of(da), blocks_of(db)) else {
-                break 'blocks;
-            };
-            if a.len() + b_len
-                < bcfg.min_density as usize * (ba.node_blocks(va_node) + bb.node_blocks(vb_node))
-            {
-                break 'blocks;
-            }
-            let Some((b0, bl)) = bb.label_bounds(vb_node) else {
-                break 'blocks;
-            };
-            if a[0] > bl || b0 > a[a.len() - 1] {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitset, 1);
-                }
-                return Some(ScanStats::default());
-            }
-            let (Some(va), Some(vb)) = (
-                ba.view(va_node, a[0], a[a.len() - 1]),
-                bb.view(vb_node, b0, bl),
-            ) else {
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitset, 1);
-                }
-                return Some(ScanStats::default());
-            };
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitset, 1);
-            }
-            let stats = count_blocks(va, vb);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitset_words, stats.advances);
-            }
-            return Some(stats);
-        }
-        // fallback mirror: answer label-free whenever the probed side is
-        // the already-decoded local slice (see `intersect_remote`)
-        let b_row_own: SideOwner = Some(b_own);
-        if a.len() <= b_len {
-            if let Some(row) = self.bitmap_row(b_row_own) {
-                let stats = count_bitmap(a, row);
-                if let Some(m) = &self.meter {
-                    m.bump(&m.bitmap, 1);
-                    m.bump(&m.bitmap_probes, stats.advances);
-                }
-                return Some(stats);
-            }
-            return None;
-        }
-        if self.bitmap_row(a_own).is_some() {
-            return None;
-        }
-        if let Some(row) = self.bitmap_row(b_row_own) {
-            let stats = count_bitmap(a, row);
-            if let Some(m) = &self.meter {
-                m.bump(&m.bitmap, 1);
-                m.bump(&m.bitmap_probes, stats.advances);
-            }
-            return Some(stats);
-        }
-        None
+    }
+}
+
+/// How a routed intersection delivers its matches: [`Emit`] to a sink or
+/// [`Count`] only. [`Kernels::run`] is generic over it, so each entry
+/// point compiles to direct kernel calls.
+trait Deliver {
+    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats;
+    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats;
+    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats;
+    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats;
+    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats;
+}
+
+/// Delivers every match to the wrapped sink, in ascending order.
+struct Emit<F>(F);
+
+impl<F: FnMut(u32)> Deliver for Emit<F> {
+    #[inline]
+    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats {
+        intersect_sorted(a, b, self.0)
+    }
+    #[inline]
+    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
+        intersect_blocks(a, b, self.0)
+    }
+    #[inline]
+    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats {
+        probe_bitmap(probe, row, self.0)
+    }
+    #[inline]
+    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats {
+        intersect_gallop(short, long, self.0)
+    }
+    #[inline]
+    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats {
+        intersect_branchless(short, long, self.0)
+    }
+}
+
+/// Counts matches without delivering them.
+struct Count;
+
+impl Deliver for Count {
+    #[inline]
+    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats {
+        intersect_sorted(a, b, |_| {})
+    }
+    #[inline]
+    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
+        count_blocks(a, b)
+    }
+    #[inline]
+    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats {
+        count_bitmap(probe, row)
+    }
+    #[inline]
+    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats {
+        intersect_gallop(short, long, |_| {})
+    }
+    #[inline]
+    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats {
+        count_branchless(short, long)
     }
 }
 
@@ -1535,20 +1333,17 @@ mod tests {
     fn bitset_intersect_agrees_with_paper_on_all_dispatch_paths() {
         let dg = random_directed(140, 0.25, 13);
         let paper = Kernels::paper();
-        // force each path: blocks-everywhere, stamps-everywhere,
-        // fallback-everywhere, default
+        // force each path: blocks-everywhere, density-gated fallback
+        // without hub rows, fallback-everywhere, default
         let configs = [
             BitsetConfig {
                 min_short: 0,
                 min_density: 0,
-                stamp_crossover: u32::MAX,
                 fallback: AdaptiveConfig::default(),
             },
             BitsetConfig {
                 min_short: 0,
                 min_density: u32::MAX,
-                stamp_crossover: 0,
-                // no hub rows, so every owned anchor routes to stamps
                 fallback: AdaptiveConfig {
                     max_hubs: 0,
                     ..AdaptiveConfig::default()
@@ -1557,7 +1352,6 @@ mod tests {
             BitsetConfig {
                 min_short: u32::MAX,
                 min_density: 0,
-                stamp_crossover: u32::MAX,
                 fallback: AdaptiveConfig::default(),
             },
             BitsetConfig::default(),
@@ -1621,7 +1415,6 @@ mod tests {
         let policy = KernelPolicy::Bitset(BitsetConfig {
             min_short: 0,
             min_density: 0,
-            stamp_crossover: u32::MAX,
             fallback: AdaptiveConfig {
                 gallop_crossover: 4,
                 hub_degree_threshold: 0,
@@ -1674,7 +1467,6 @@ mod tests {
             KernelPolicy::Bitset(BitsetConfig {
                 min_short: 0,
                 min_density: 0,
-                stamp_crossover: u32::MAX,
                 fallback: AdaptiveConfig::default(),
             }),
             &dg,
@@ -1707,40 +1499,5 @@ mod tests {
         );
         assert!(rec.counter(Counter::BitsetBlockSteps) > 0);
         assert_eq!(rec.counter(Counter::IntersectBranchless), 0);
-        // stamp_crossover 0 routes the same calls to the stamp bitmap
-        let stamped = Kernels::build(
-            KernelPolicy::Bitset(BitsetConfig {
-                min_short: 0,
-                min_density: 0,
-                stamp_crossover: 0,
-                fallback: AdaptiveConfig {
-                    max_hubs: 0,
-                    ..AdaptiveConfig::default()
-                },
-            }),
-            &dg,
-        )
-        .with_meter(Arc::clone(&meter));
-        let mut stamp_calls = 0u64;
-        for z in 0..dg.n() as u32 {
-            let out = dg.out(z);
-            for (j, &y) in out.iter().enumerate() {
-                let local = &out[..j];
-                let remote = dg.out(y);
-                if local.is_empty() || remote.is_empty() {
-                    continue;
-                }
-                stamp_calls += 1;
-                stamped.count(
-                    local,
-                    Some((z, ListDir::Out)),
-                    remote,
-                    Some((y, ListDir::Out)),
-                );
-            }
-        }
-        meter.flush_into(&rec);
-        assert_eq!(rec.counter(Counter::IntersectStamp), stamp_calls);
-        assert!(rec.counter(Counter::StampProbes) > 0);
     }
 }

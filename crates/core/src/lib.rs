@@ -47,7 +47,6 @@ pub mod resilient;
 pub mod sei;
 pub mod sink;
 pub mod source;
-pub mod stamp;
 pub mod unrelabeled;
 pub mod vertex;
 

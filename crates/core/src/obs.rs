@@ -85,11 +85,10 @@ pub enum Counter {
     /// Block-pointer steps inside bitset-routed intersections (each
     /// aligned pair costs 2, each skipped block 1).
     BitsetBlockSteps,
-    /// Intersections answered by the source-anchored stamp bitmap.
+    /// Always 0: the stamp kernel it counted was removed. Kept because
+    /// the benchmark (`perfbench`) names this variant and reads its
+    /// `recorder_intersect_stamp` key from the server's `Stats`.
     IntersectStamp,
-    /// Stamp-array probes plus fresh marks inside stamp-routed
-    /// intersections.
-    StampProbes,
     /// Serve-layer degradation steps taken by the overload ladder (kernel
     /// downgrade, deadline clamp, or cold-cache eviction).
     ServeDegradations,
@@ -104,7 +103,7 @@ pub enum Counter {
 
 impl Counter {
     /// How many counters exist.
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -123,7 +122,6 @@ impl Counter {
         Counter::IntersectBitset,
         Counter::BitsetBlockSteps,
         Counter::IntersectStamp,
-        Counter::StampProbes,
         Counter::ServeDegradations,
         Counter::ChaosInjections,
         Counter::PlanEvaluations,
@@ -154,7 +152,6 @@ impl Counter {
             Counter::IntersectBitset => "intersect_bitset",
             Counter::BitsetBlockSteps => "bitset_block_steps",
             Counter::IntersectStamp => "intersect_stamp",
-            Counter::StampProbes => "stamp_probes",
             Counter::ServeDegradations => "serve_degradations",
             Counter::ChaosInjections => "chaos_injections",
             Counter::PlanEvaluations => "plan_evaluations",

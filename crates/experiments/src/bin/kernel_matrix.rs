@@ -1,7 +1,7 @@
 //! Kernel-selection matrix: the Table-3 analogue for the intersection
 //! kernel layer.
 //!
-//! Four measurements, all on this machine:
+//! Three measurements, all on this machine:
 //!
 //! 1. **Crossover sweep** — branchless two-pointer merge vs galloping
 //!    intersection over a ladder of `|long|/|short|` ratios, on *random*
@@ -20,12 +20,17 @@
 //!    wall-clock.
 //! 3. **§2.4 calibration** — the measured scan/hash elementary-operation
 //!    ratio (the paper's 95×) fed into `trilist_model::wn::sei_wins`.
-//! 4. **Kernel-plan calibration** — word-intersect / varint-decode /
-//!    gallop throughputs and the [`KernelPlan`] they imply
-//!    (`trilist_model::kernel_plan`).
 //!
 //! Results are printed as tables and written machine-readably to
-//! `BENCH_listing.json` in the working directory.
+//! `BENCH_listing.json` in the working directory. Run from the repository
+//! root, that overwrites the committed baseline `--gate` compares
+//! against, so run exploratory sweeps from a scratch directory:
+//!
+//! ```sh
+//! REPO=$PWD; mkdir -p /tmp/kernel_matrix && cd /tmp/kernel_matrix
+//! cargo run --release -q --manifest-path "$REPO/Cargo.toml" \
+//!     -p trilist-experiments --bin kernel_matrix -- --max-n 10000
+//! ```
 //!
 //! **Regression gate:** `--gate` re-measures the matrix and compares the
 //! pinned cells — E1/E4 × adaptive/bitset × plain/csr at the largest `n`,
@@ -44,8 +49,8 @@ use rand::{Rng, SeedableRng};
 use trilist_core::intersect::{intersect_branchless, intersect_gallop};
 use trilist_core::source::GraphSource;
 use trilist_core::{
-    list_resilient_src, CompressedCsr, HashOracle, KernelPlan, KernelPolicy, Kernels, Method,
-    ParallelOpts, ResilientOpts,
+    list_resilient_src, CompressedCsr, HashOracle, KernelPolicy, Kernels, Method, ParallelOpts,
+    ResilientOpts,
 };
 use trilist_experiments::{JsonWriter, Opts, Table};
 use trilist_graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Truncation};
@@ -303,15 +308,12 @@ fn measure(
 /// deterministic [`JsonWriter`]: stable field order, fixed float
 /// formatting — regenerating on the same measurements reproduces the file
 /// byte-for-byte.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     crossover: Option<u32>,
     curve: &[CurvePoint],
     cal: &calibrate::Calibration,
     wn: f64,
     sei_recommended: bool,
-    tp: &calibrate::KernelThroughputs,
-    plan: KernelPlan,
     cells: &[Cell],
 ) -> String {
     let mut w = JsonWriter::new();
@@ -339,16 +341,6 @@ fn render_json(
     w.key("speed_ratio").f64_prec(cal.speed_ratio, 3);
     w.key("wn").f64_prec(wn, 3);
     w.key("sei_recommended").bool(sei_recommended);
-    w.end_object();
-    w.key("kernel_plan").begin_object();
-    w.key("word_intersect_ops_per_sec")
-        .f64_prec(tp.word_intersect_ops_per_sec, 1);
-    w.key("decode_ops_per_sec")
-        .f64_prec(tp.decode_ops_per_sec, 1);
-    w.key("gallop_ops_per_sec")
-        .f64_prec(tp.gallop_ops_per_sec, 1);
-    w.key("policy").string(plan.policy.name());
-    w.key("compressed").bool(plan.compressed);
     w.end_object();
     w.key("results").begin_array();
     for c in cells {
@@ -611,8 +603,7 @@ fn main() -> ExitCode {
     scaling.print();
     println!();
 
-    // 3. §2.4 calibration + 4. kernel-plan calibration, both on the
-    // largest E1-oriented graph
+    // 3. §2.4 calibration on the largest E1-oriented graph
     let dg = oriented_fixture(n_max, 1.5, opts.seed ^ n_max as u64, Method::E1);
     let cal = calibrate::calibrate(&dg, rounds);
     let wn = trilist_model::wn_of_graph(&dg);
@@ -625,17 +616,6 @@ fn main() -> ExitCode {
         cal.speed_ratio,
         wn,
         if sei { "SEI (E1)" } else { "hash (T1)" },
-    );
-    let tp = calibrate::kernel_throughputs(&dg, rounds);
-    let plan = calibrate::kernel_plan(&tp);
-    println!(
-        "kernel plan: word-intersect {:.1}M, decode {:.1}M, gallop {:.1}M ops/s -> \
-         policy={}, compressed={}",
-        tp.word_intersect_ops_per_sec / 1e6,
-        tp.decode_ops_per_sec / 1e6,
-        tp.gallop_ops_per_sec / 1e6,
-        plan.policy.name(),
-        plan.compressed,
     );
 
     let path = "BENCH_listing.json";
@@ -673,7 +653,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     } else {
-        let json = render_json(crossover, &curve, &cal, wn, sei, &tp, plan, &cells);
+        let json = render_json(crossover, &curve, &cal, wn, sei, &cells);
         std::fs::write(path, &json).expect("write BENCH_listing.json");
         println!("\nwrote {path} ({} result cells)", cells.len());
         ExitCode::SUCCESS
@@ -713,21 +693,7 @@ mod tests {
             scan_ops_per_sec: 2e8,
             speed_ratio: 2.0,
         };
-        let tp = calibrate::KernelThroughputs {
-            word_intersect_ops_per_sec: 3e8,
-            decode_ops_per_sec: 4e8,
-            gallop_ops_per_sec: 2e8,
-        };
-        let json = render_json(
-            Some(8),
-            &[],
-            &cal,
-            3.5,
-            false,
-            &tp,
-            KernelPlan::default(),
-            &cells,
-        );
+        let json = render_json(Some(8), &[], &cal, 3.5, false, &cells);
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "E1/bitset/plain/t2/n10000");

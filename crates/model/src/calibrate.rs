@@ -12,9 +12,7 @@
 //! [`sei_wins`](crate::wn::sei_wins) in place of the paper's 95.
 
 use std::time::Instant;
-use trilist_core::{
-    par_list_with, CompressedCsr, HashOracle, KernelPlan, KernelPolicy, Method, ParallelOpts,
-};
+use trilist_core::{par_list_with, CompressedCsr, HashOracle, KernelPolicy, Method, ParallelOpts};
 use trilist_order::DirectedGraph;
 
 /// Measured elementary-operation speeds on this machine.
@@ -138,39 +136,6 @@ pub fn kernel_throughputs(g: &DirectedGraph, rounds: usize) -> KernelThroughputs
     }
 }
 
-/// Turns measured throughputs into the [`KernelPlan`] that per-call
-/// dispatch consults:
-///
-/// * **policy** — blocked bitset iff it retired E1's scan operations at
-///   least as fast as the adaptive kernel on this machine (ties go to
-///   bitset: equal speed with smaller cache footprint per probe);
-///   otherwise the adaptive baseline.
-/// * **compressed** — the delta/varint CSR iff decode throughput at
-///   least matches the winning kernel's consumption rate, i.e. decoding
-///   can feed the kernel without becoming the bottleneck.
-pub fn kernel_plan(tp: &KernelThroughputs) -> KernelPlan {
-    let bitset_wins = tp.word_intersect_ops_per_sec >= tp.gallop_ops_per_sec;
-    let winner_ops = if bitset_wins {
-        tp.word_intersect_ops_per_sec
-    } else {
-        tp.gallop_ops_per_sec
-    };
-    KernelPlan {
-        policy: if bitset_wins {
-            KernelPolicy::bitset()
-        } else {
-            KernelPolicy::adaptive()
-        },
-        compressed: tp.decode_ops_per_sec >= winner_ops,
-    }
-}
-
-/// Convenience: measure on `g` and emit the plan in one call.
-pub fn calibrate_kernel_plan(g: &DirectedGraph, rounds: usize) -> (KernelPlan, KernelThroughputs) {
-    let tp = kernel_throughputs(g, rounds);
-    (kernel_plan(&tp), tp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,43 +192,5 @@ mod tests {
         ] {
             assert!(v > 0.0 && v.is_finite(), "{tp:?}");
         }
-    }
-
-    #[test]
-    fn kernel_plan_follows_measured_ordering() {
-        let bitset_fast = KernelThroughputs {
-            word_intersect_ops_per_sec: 4e9,
-            decode_ops_per_sec: 5e9,
-            gallop_ops_per_sec: 1e9,
-        };
-        let plan = kernel_plan(&bitset_fast);
-        assert!(matches!(plan.policy, KernelPolicy::Bitset(_)));
-        assert!(plan.compressed);
-
-        let gallop_fast = KernelThroughputs {
-            word_intersect_ops_per_sec: 1e9,
-            decode_ops_per_sec: 2e9,
-            gallop_ops_per_sec: 4e9,
-        };
-        let plan = kernel_plan(&gallop_fast);
-        assert!(matches!(plan.policy, KernelPolicy::Adaptive(_)));
-        assert!(!plan.compressed);
-
-        let slow_decode = KernelThroughputs {
-            word_intersect_ops_per_sec: 4e9,
-            decode_ops_per_sec: 1e8,
-            gallop_ops_per_sec: 1e9,
-        };
-        assert!(!kernel_plan(&slow_decode).compressed);
-    }
-
-    #[test]
-    fn calibrated_plan_is_usable_end_to_end() {
-        let dg = fixture();
-        let (plan, _) = calibrate_kernel_plan(&dg, 1);
-        // whatever the machine says, the plan's policy must round-trip
-        // through the kernel registry by name
-        let name = plan.policy.name();
-        assert!(KernelPolicy::from_name(name).is_some(), "{name}");
     }
 }

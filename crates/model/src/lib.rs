@@ -42,8 +42,7 @@ pub mod weight;
 pub mod wn;
 
 pub use calibrate::{
-    calibrate, calibrate_kernel_plan, kernel_plan, kernel_throughputs, sei_recommended,
-    Calibration, KernelThroughputs,
+    calibrate, kernel_throughputs, sei_recommended, Calibration, KernelThroughputs,
 };
 pub use comparison::{e1_beats_e4, t1_beats_t2, u_space_cost, OptimalPair};
 pub use continuous::continuous_cost;

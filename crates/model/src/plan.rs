@@ -20,7 +20,8 @@
 //!    [`MachineProfile`] — either [`MachineProfile::reference`] (the
 //!    paper's Table-3 machine, fully deterministic, used by golden pins)
 //!    or measured [`Calibration`] + [`KernelThroughputs`] from
-//!    [`calibrate_kernel_plan`](crate::calibrate_kernel_plan);
+//!    [`calibrate`](crate::calibrate()) and
+//!    [`kernel_throughputs`](crate::kernel_throughputs);
 //! 4. **Rank** ascending by predicted seconds, tie-broken toward the paper
 //!    default ([`ListingPlan::default`]: E1 under `θ_D`, adaptive, plain).
 
@@ -300,8 +301,8 @@ fn family_model_ops(sample: &DegreeSample, family: OrderFamily, method: Method, 
 /// are scored the same way when the graph is small (exact mode), and by
 /// the sampled Proposition-4 model otherwise. Candidate policies map
 /// operation counts to seconds through `profile`; the `compressed` flag
-/// follows the `kernel_plan` rule (compressed iff decode can feed the
-/// chosen kernel) and is never set for hash-paying T methods.
+/// is set iff decode can feed the chosen kernel (decode throughput at
+/// least the kernel's) and never for hash-paying T methods.
 pub fn rank_plans(graph: &Graph, profile: &MachineProfile, cfg: &PlanConfig) -> RankedPlans {
     let default_plan = ListingPlan::default();
     if graph.n() == 0 {

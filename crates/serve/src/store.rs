@@ -57,17 +57,8 @@ use trilist_order::{DirectedGraph, OrderFamily, OrderingKind};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanMode {
     /// Every entry gets this plan. The default is
-    /// `KernelPlan::default()` — adaptive kernels over the plain CSR —
-    /// i.e. exactly the pre-calibration behavior.
+    /// `KernelPlan::default()` — adaptive kernels over the plain CSR.
     Fixed(KernelPlan),
-    /// Measure kernel throughputs on each freshly oriented graph
-    /// ([`trilist_model::calibrate::kernel_throughputs`]) and store the
-    /// winning plan with the entry. Costs `rounds` timed E1 runs per
-    /// cache miss, so reserve it for long-lived registrations.
-    Calibrate {
-        /// Timing repetitions per kernel (best round kept).
-        rounds: usize,
-    },
     /// Run the full per-graph ordering autotuner
     /// ([`trilist_model::rank_plans`]): one [`ListingPlan`] is computed
     /// and cached per registered graph, and every prepared entry adopts
@@ -273,9 +264,6 @@ pub fn prepare_graph_with(
     let degrees_by_label: Vec<u32> = (0..dg.n() as u32).map(|v| dg.degree(v) as u32).collect();
     let plan = match mode {
         PlanMode::Fixed(plan) => plan,
-        PlanMode::Calibrate { rounds } => {
-            trilist_model::kernel_plan(&trilist_model::kernel_throughputs(&dg, rounds))
-        }
         PlanMode::Autotune { rounds } => autotune_plan(graph, rounds).plan.kernel_plan(),
     };
     let oracle = Arc::new(HashOracle::build(&dg));
@@ -983,18 +971,6 @@ impl GraphStore {
         }
         let summary = match self.cfg.plan {
             PlanMode::Fixed(plan) => PlanSummary::fixed(plan),
-            PlanMode::Calibrate { rounds } => {
-                // mode-faithful: the calibrated kernel plan of the
-                // default orientation, no ordering/method autotuning
-                let seed =
-                    prepare_seed_for(self.cfg.prepare_seed, name, OrderFamily::Descending.name());
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let relabeling = OrderFamily::Descending.relabeling(graph, &mut rng);
-                let dg = DirectedGraph::orient(graph, &relabeling);
-                PlanSummary::fixed(trilist_model::kernel_plan(
-                    &trilist_model::kernel_throughputs(&dg, rounds),
-                ))
-            }
             PlanMode::Autotune { rounds } => {
                 // the planner's transient scratch (candidate labelings +
                 // the degree sample) is charged to the shared gauge for
@@ -1357,7 +1333,10 @@ mod tests {
         s.register("g", 50, &triangle_fan(50)).unwrap();
         let (entry, _) = s.prepare("g", OrderFamily::Descending).unwrap();
         assert_eq!(entry.plan, plan);
-        assert_eq!(entry.kernels.policy(), plan.policy);
+        // the stored plan is internally consistent and by-name addressable
+        assert!(KernelPolicy::from_name(entry.plan.policy.name()).is_some());
+        assert_eq!(entry.kernels.policy(), entry.plan.policy);
+        assert_eq!(entry.csr.is_some(), entry.plan.compressed);
         let csr = entry.csr.as_ref().expect("compressed plan keeps a CSR");
         assert!(csr.bytes() > 0);
         // the default-plan entry for the same graph is strictly smaller:
@@ -1371,26 +1350,6 @@ mod tests {
         // drop the entry: every byte comes back
         s.register("g", 10, &triangle_fan(10)).unwrap();
         assert_eq!(s.gauge().used(), 0);
-    }
-
-    #[test]
-    fn calibrate_mode_yields_a_registry_policy() {
-        use trilist_core::KernelPolicy;
-        let s = GraphStore::new(
-            StoreConfig {
-                plan: PlanMode::Calibrate { rounds: 1 },
-                ..StoreConfig::default()
-            },
-            MemoryGauge::new(),
-        );
-        s.register("g", 60, &triangle_fan(60)).unwrap();
-        let (entry, _) = s.prepare("g", OrderFamily::Descending).unwrap();
-        // whatever the machine measured, the stored plan must be
-        // internally consistent and by-name addressable
-        assert!(KernelPolicy::from_name(entry.plan.policy.name()).is_some());
-        assert_eq!(entry.kernels.policy(), entry.plan.policy);
-        assert_eq!(entry.csr.is_some(), entry.plan.compressed);
-        assert_eq!(s.gauge().used(), entry.bytes);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn assert_round_trip(dg: &DirectedGraph) {
 
 /// Kernel policies swept by the layout differential: the three shipped
 /// policies plus bitset configs that force each dispatch path (all
-/// blocks, all stamps, all fallback).
+/// blocks, all fallback).
 fn policies() -> Vec<KernelPolicy> {
     vec![
         KernelPolicy::PaperFaithful,
@@ -81,21 +81,12 @@ fn policies() -> Vec<KernelPolicy> {
         KernelPolicy::Bitset(BitsetConfig {
             min_short: 1,
             min_density: 0,
-            stamp_crossover: u32::MAX,
-            fallback: AdaptiveConfig::default(),
-        }),
-        // skew pairs take the stamp path, everything else blocks
-        KernelPolicy::Bitset(BitsetConfig {
-            min_short: 1,
-            min_density: 0,
-            stamp_crossover: 1,
             fallback: AdaptiveConfig::default(),
         }),
         // gates unreachable: bitset policy running purely on its fallback
         KernelPolicy::Bitset(BitsetConfig {
             min_short: u32::MAX,
             min_density: u32::MAX,
-            stamp_crossover: u32::MAX,
             fallback: AdaptiveConfig::default(),
         }),
     ]

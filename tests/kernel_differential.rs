@@ -6,18 +6,19 @@
 //! `pointer_advances` — an implementation-level metric — and wall-clock
 //! may differ. The adaptive configs swept here force every dispatch path:
 //! bitmap-everything, gallop-everything, branchless-merge-everything, and
-//! the shipped defaults; the bitset configs likewise force all-blocks,
-//! stamp-routing, and gates-closed fallback dispatch.
+//! the shipped defaults; the bitset configs likewise force all-blocks and
+//! gates-closed fallback dispatch.
 
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use trilist::core::{
-    count_triangles_with, list_triangles_with, AdaptiveConfig, BitsetConfig, CostReport,
-    KernelPolicy, Method,
+    count_triangles_with, list_triangles_with, AdaptiveConfig, BitsetConfig, CostReport, Counter,
+    CounterSnapshot, InMemoryRecorder, KernelMeter, KernelPolicy, Kernels, ListDir, Method,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
-use trilist::order::OrderFamily;
+use trilist::order::{DirectedGraph, OrderFamily};
 
 /// Adaptive configurations that force each kernel-dispatch path.
 fn adaptive_configs() -> [AdaptiveConfig; 4] {
@@ -45,26 +46,17 @@ fn adaptive_configs() -> [AdaptiveConfig; 4] {
 }
 
 /// Bitset configurations that force each of that policy's dispatch paths:
-/// all-blocks, stamp-plus-blocks, and gates-closed (pure fallback), plus
-/// the shipped defaults.
-fn bitset_configs() -> [BitsetConfig; 4] {
+/// all-blocks and gates-closed (pure fallback), plus the shipped defaults.
+fn bitset_configs() -> [BitsetConfig; 3] {
     [
         BitsetConfig {
             min_short: 1,
             min_density: 0,
-            stamp_crossover: u32::MAX,
-            fallback: AdaptiveConfig::default(),
-        },
-        BitsetConfig {
-            min_short: 1,
-            min_density: 0,
-            stamp_crossover: 1,
             fallback: AdaptiveConfig::default(),
         },
         BitsetConfig {
             min_short: u32::MAX,
             min_density: u32::MAX,
-            stamp_crossover: u32::MAX,
             fallback: AdaptiveConfig::default(),
         },
         BitsetConfig::default(),
@@ -194,4 +186,97 @@ fn counting_fast_path_reports_identical_cost_to_listing() {
             }
         }
     }
+}
+
+/// Drains a meter and returns what it had tallied since the last drain.
+fn drain(meter: &KernelMeter) -> CounterSnapshot {
+    let rec = InMemoryRecorder::new();
+    meter.flush_into(&rec);
+    rec.snapshot()
+}
+
+#[test]
+fn remote_routes_match_the_labelled_dispatch_pair_by_pair() {
+    // The compressed drivers ask `intersect_remote`/`count_remote` first
+    // and decode the remote list only when they decline. Whenever they
+    // answer, the answer must be the labelled dispatch's on the decoded
+    // full list: same matches, same advances, same meter tallies. The
+    // pairs are random owned slices, so a hub-row probe may even disagree
+    // with the true intersection; the twins must still agree. At n = 2000
+    // the tail reaches past the default hub threshold, so every bitset
+    // config's fallback has hub rows to route to.
+    let g = pareto(2000, 1.5, 23);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let relabeling = OrderFamily::Descending.relabeling(&g, &mut rng);
+    let dg = DirectedGraph::orient(&g, &relabeling);
+    let n = dg.n() as u32;
+    let list = |v: u32, dir: ListDir| match dir {
+        ListDir::Out => dg.out(v),
+        ListDir::In => dg.in_(v),
+    };
+    let pick_dir = |rng: &mut rand::rngs::StdRng| {
+        if rng.gen_bool(0.5) {
+            ListDir::Out
+        } else {
+            ListDir::In
+        }
+    };
+    let nothing = CounterSnapshot::default();
+    // tallies of every pair answered label-free, across the sweep
+    let mut answered = CounterSnapshot::default();
+    for policy in std::iter::once(KernelPolicy::PaperFaithful).chain(challenger_policies()) {
+        let base = Kernels::build(policy, &dg);
+        let (remote_meter, full_meter) =
+            (Arc::new(KernelMeter::new()), Arc::new(KernelMeter::new()));
+        let remote_k = base.clone().with_meter(Arc::clone(&remote_meter));
+        let full_k = base.with_meter(Arc::clone(&full_meter));
+        for _ in 0..3000 {
+            let (z, z_dir) = (rng.gen_range(0..n), pick_dir(&mut rng));
+            let own = list(z, z_dir);
+            let i = rng.gen_range(0..=own.len());
+            let j = rng.gen_range(i..=own.len());
+            let a = &own[i..j];
+            let a_own = rng.gen_bool(0.9).then_some((z, z_dir));
+            let (v, v_dir) = (rng.gen_range(0..n), pick_dir(&mut rng));
+            let b = list(v, v_dir);
+            let ctx = format!("{policy:?} a={z}:{z_dir:?}[{i}..{j}] own={a_own:?} b={v}:{v_dir:?}");
+
+            let mut got = Vec::new();
+            match remote_k.intersect_remote(a, a_own, (v, v_dir), b.len(), |x| got.push(x)) {
+                Some(stats) => {
+                    let mut want = Vec::new();
+                    let labelled =
+                        full_k.intersect(a, a_own, b, Some((v, v_dir)), |x| want.push(x));
+                    assert_eq!(got, want, "intersect matches: {ctx}");
+                    assert_eq!(stats, labelled, "intersect stats: {ctx}");
+                    let tallies = drain(&remote_meter);
+                    assert_eq!(tallies, drain(&full_meter), "intersect tallies: {ctx}");
+                    answered = answered.merge(&tallies);
+                }
+                None => assert_eq!(
+                    drain(&remote_meter),
+                    nothing,
+                    "declined, yet tallied: {ctx}"
+                ),
+            }
+
+            match remote_k.count_remote(a, a_own, (v, v_dir), b.len()) {
+                Some(stats) => {
+                    let labelled = full_k.count(a, a_own, b, Some((v, v_dir)));
+                    assert_eq!(stats, labelled, "count stats: {ctx}");
+                    let tallies = drain(&remote_meter);
+                    assert_eq!(tallies, drain(&full_meter), "count tallies: {ctx}");
+                    answered = answered.merge(&tallies);
+                }
+                None => assert_eq!(
+                    drain(&remote_meter),
+                    nothing,
+                    "declined, yet tallied: {ctx}"
+                ),
+            }
+        }
+    }
+    // the sweep reached both label-free routes: blocks and hub rows
+    assert!(answered.get(Counter::BitsetBlockSteps) > 0, "{answered:?}");
+    assert!(answered.get(Counter::BitmapProbes) > 0, "{answered:?}");
 }
