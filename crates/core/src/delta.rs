@@ -633,7 +633,7 @@ impl ResumePoint {
     ) -> Result<DeltaOutcome, ResumeParseError> {
         self.fits(&delta_shape(src, edges))
             .map_err(ResumeParseError)?;
-        Ok(run_delta(src, kernels, edges, &self.ranges, opts))
+        Ok(run_delta(src, kernels, edges, self.ranges(), opts))
     }
 }
 

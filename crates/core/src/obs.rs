@@ -48,115 +48,83 @@ pub fn log2_bucket(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-/// Monotonic event counters kept by a [`Recorder`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Counter {
+/// Declares [`Counter`]: each variant once, next to its stable name.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $counter:ident => $name:literal,)*) => {
+        /// Monotonic event counters kept by a [`Recorder`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])* $counter,)*
+        }
+
+        impl Counter {
+            /// How many counters exist.
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every counter, in index order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$counter),*];
+
+            /// Stable snake_case name for tables and JSON.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$counter => $name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Intersections routed through the paper's branchy two-pointer scan.
-    IntersectPaper,
+    IntersectPaper => "intersect_paper",
     /// Intersections routed through the branchless merge kernel.
-    IntersectBranchless,
+    IntersectBranchless => "intersect_branchless",
     /// Intersections routed through the galloping kernel.
-    IntersectGallop,
+    IntersectGallop => "intersect_gallop",
     /// Intersections answered by hub-bitmap word probes.
-    IntersectBitmap,
+    IntersectBitmap => "intersect_bitmap",
     /// Probed positions inside galloping intersections (doubling plus
     /// binary-search probes).
-    GallopSteps,
+    GallopSteps => "gallop_steps",
     /// Hub-bitmap word probes across bitmap-routed intersections.
-    BitmapProbes,
+    BitmapProbes => "bitmap_probes",
     /// Oracle candidate checks that found an edge (vertex iterators:
     /// exactly the triangles).
-    OracleHits,
+    OracleHits => "oracle_hits",
     /// Oracle candidate checks that found no edge.
-    OracleMisses,
+    OracleMisses => "oracle_misses",
     /// Chunks obtained by stealing from a sibling worker's deque.
-    Steals,
+    Steals => "steals",
     /// Chunk executions that were retries (attempt > 0) after a quarantined
     /// panic.
-    ChunkRetries,
+    ChunkRetries => "chunk_retries",
     /// Budget checks performed at chunk/pass boundaries.
-    BudgetChecks,
+    BudgetChecks => "budget_checks",
     /// Chunk executions that ran degraded (paper-faithful kernels on a
     /// final retry).
-    Degradations,
+    Degradations => "degradations",
     /// Intersections answered by the blocked bitset word kernel (including
     /// provably-empty range rejections).
-    IntersectBitset,
+    IntersectBitset => "intersect_bitset",
     /// Block-pointer steps inside bitset-routed intersections (each
     /// aligned pair costs 2, each skipped block 1).
-    BitsetBlockSteps,
+    BitsetBlockSteps => "bitset_block_steps",
     /// Always 0: the stamp kernel it counted was removed. Kept because
     /// the benchmark (`perfbench`) names this variant and reads its
     /// `recorder_intersect_stamp` key from the server's `Stats`.
-    IntersectStamp,
-    /// Serve-layer degradation steps taken by the overload ladder (kernel
-    /// downgrade, deadline clamp, or cold-cache eviction).
-    ServeDegradations,
-    /// Faults injected by the serve-layer chaos plan (I/O and execution).
-    ChaosInjections,
+    IntersectStamp => "intersect_stamp",
     /// Autotuner plan candidates evaluated (one per `(method, ordering,
     /// policy)` triple scored during `GraphStore::prepare`).
-    PlanEvaluations,
+    PlanEvaluations => "plan_evaluations",
     /// Autotuner plans picked and stored (one per planned graph).
-    PlanPick,
+    PlanPick => "plan_pick",
 }
 
 impl Counter {
-    /// How many counters exist.
-    pub const COUNT: usize = 19;
-
-    /// Every counter, in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::IntersectPaper,
-        Counter::IntersectBranchless,
-        Counter::IntersectGallop,
-        Counter::IntersectBitmap,
-        Counter::GallopSteps,
-        Counter::BitmapProbes,
-        Counter::OracleHits,
-        Counter::OracleMisses,
-        Counter::Steals,
-        Counter::ChunkRetries,
-        Counter::BudgetChecks,
-        Counter::Degradations,
-        Counter::IntersectBitset,
-        Counter::BitsetBlockSteps,
-        Counter::IntersectStamp,
-        Counter::ServeDegradations,
-        Counter::ChaosInjections,
-        Counter::PlanEvaluations,
-        Counter::PlanPick,
-    ];
-
     /// Dense index of this counter (its position in [`Counter::ALL`]).
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Stable snake_case name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::IntersectPaper => "intersect_paper",
-            Counter::IntersectBranchless => "intersect_branchless",
-            Counter::IntersectGallop => "intersect_gallop",
-            Counter::IntersectBitmap => "intersect_bitmap",
-            Counter::GallopSteps => "gallop_steps",
-            Counter::BitmapProbes => "bitmap_probes",
-            Counter::OracleHits => "oracle_hits",
-            Counter::OracleMisses => "oracle_misses",
-            Counter::Steals => "steals",
-            Counter::ChunkRetries => "chunk_retries",
-            Counter::BudgetChecks => "budget_checks",
-            Counter::Degradations => "degradations",
-            Counter::IntersectBitset => "intersect_bitset",
-            Counter::BitsetBlockSteps => "bitset_block_steps",
-            Counter::IntersectStamp => "intersect_stamp",
-            Counter::ServeDegradations => "serve_degradations",
-            Counter::ChaosInjections => "chaos_injections",
-            Counter::PlanEvaluations => "plan_evaluations",
-            Counter::PlanPick => "plan_pick",
-        }
     }
 }
 

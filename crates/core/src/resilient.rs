@@ -539,20 +539,79 @@ pub struct ChunkPiece {
 /// input: it must hold at least one range, chunk indices must strictly
 /// ascend, and ranges must ascend without overlap inside the domain
 /// (`0..n`, or `0..edges` for delta), so no replay can list a range twice.
+/// [`ResumePoint::new`] checks these rules, and every point is built
+/// through it, so a point that exists obeys them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumePoint {
-    /// What the ranges index.
-    pub domain: WorkDomain,
-    /// Node count of the graph the chunking was computed for.
-    pub n: u32,
-    /// Net-new edge count of a delta run (0 for listing, which the token
-    /// does not spell).
-    pub edges: u64,
-    /// `(chunk index, range)` still to execute, ascending.
-    pub ranges: Vec<(u32, Range<u32>)>,
+    domain: WorkDomain,
+    n: u32,
+    edges: u64,
+    ranges: Vec<(u32, Range<u32>)>,
 }
 
 impl ResumePoint {
+    /// A point over `ranges` of a `domain` run on an `n`-node graph, with
+    /// `edges` net-new edges for a delta run (0 for listing, which the
+    /// token does not spell). Fails unless the ranges obey the token rules
+    /// (see [`ResumePoint`]).
+    pub fn new(
+        domain: WorkDomain,
+        n: u32,
+        edges: u64,
+        ranges: Vec<(u32, Range<u32>)>,
+    ) -> Result<ResumePoint, ResumeParseError> {
+        let err = |m: String| Err(ResumeParseError(m));
+        let extent = match domain {
+            WorkDomain::Listing(_) if edges == 0 => n as u64,
+            WorkDomain::Listing(_) => return err("a listing point has no edge count".into()),
+            WorkDomain::Delta => edges,
+        };
+        if ranges.is_empty() {
+            return err("resume point has no ranges".into());
+        }
+        let mut prev: Option<(u32, u32)> = None;
+        for (chunk, r) in &ranges {
+            if r.start > r.end || r.end as u64 > extent {
+                return err(format!(
+                    "chunk {chunk} range {}..{} outside 0..{extent}",
+                    r.start, r.end
+                ));
+            }
+            if prev.is_some_and(|(last, end)| *chunk <= last || r.start < end) {
+                return err(format!(
+                    "chunk {chunk} repeats, descends or overlaps the range before it"
+                ));
+            }
+            prev = Some((*chunk, r.end));
+        }
+        Ok(ResumePoint {
+            domain,
+            n,
+            edges,
+            ranges,
+        })
+    }
+
+    /// What the ranges index.
+    pub fn domain(&self) -> WorkDomain {
+        self.domain
+    }
+
+    /// Node count of the graph the chunking was computed for.
+    pub fn n(&self) -> u32 {
+        self.n
+    }
+
+    /// Net-new edge count of a delta run (0 for listing).
+    pub fn edges(&self) -> u64 {
+        self.edges
+    }
+
+    /// `(chunk index, range)` still to execute, ascending.
+    pub fn ranges(&self) -> &[(u32, Range<u32>)] {
+        &self.ranges
+    }
+
     /// Chunks still unvisited.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
@@ -612,7 +671,7 @@ impl ResumePoint {
     }
 
     /// Checks this point against the `shape` of the run it is offered to:
-    /// same domain and pins, and ranges that obey the token rules.
+    /// same domain and pins.
     pub(crate) fn fits(&self, shape: &ResumePoint) -> Result<(), String> {
         let pins = |p: &ResumePoint| (p.domain, p.n, p.edges);
         if pins(self) != pins(shape) {
@@ -620,33 +679,6 @@ impl ResumePoint {
                 "resume point is for {} n={} edges={}, the run is {} n={} edges={}",
                 self.domain, self.n, self.edges, shape.domain, shape.n, shape.edges
             ));
-        }
-        self.check_ranges()
-    }
-
-    /// The range rules of the token grammar (see [`ResumePoint`]).
-    fn check_ranges(&self) -> Result<(), String> {
-        let extent = match self.domain {
-            WorkDomain::Listing(_) => self.n as u64,
-            WorkDomain::Delta => self.edges,
-        };
-        if self.ranges.is_empty() {
-            return Err("resume point has no ranges".into());
-        }
-        let mut prev: Option<(u32, u32)> = None;
-        for (chunk, r) in &self.ranges {
-            if r.start > r.end || r.end as u64 > extent {
-                return Err(format!(
-                    "chunk {chunk} range {}..{} outside 0..{extent}",
-                    r.start, r.end
-                ));
-            }
-            if prev.is_some_and(|(last, end)| *chunk <= last || r.start < end) {
-                return Err(format!(
-                    "chunk {chunk} repeats, descends or overlaps the range before it"
-                ));
-            }
-            prev = Some((*chunk, r.end));
         }
         Ok(())
     }
@@ -717,14 +749,7 @@ impl std::str::FromStr for ResumePoint {
             let end = end.parse::<u32>().map_err(|_| err("bad range end"))?;
             ranges.push((chunk, start..end));
         }
-        let point = ResumePoint {
-            domain,
-            n,
-            edges,
-            ranges,
-        };
-        point.check_ranges().map_err(ResumeParseError)?;
-        Ok(point)
+        ResumePoint::new(domain, n, edges, ranges)
     }
 }
 
@@ -1368,10 +1393,11 @@ pub(crate) fn schedule<S>(
         .collect();
     let stop = (!missing.is_empty()).then(|| {
         let reason = verdict.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let resume = ResumePoint {
-            ranges: missing,
-            ..run.shape.clone()
-        };
+        let ResumePoint {
+            domain, n, edges, ..
+        } = run.shape;
+        // a non-empty, ascending subset of the run's jobs: always valid
+        let resume = ResumePoint::new(domain, n, edges, missing).expect("unvisited jobs fit");
         (reason.unwrap_or(StopReason::ChunkFailed), resume)
     });
     Concluded {
@@ -1564,6 +1590,10 @@ mod tests {
         ] {
             assert!(bad.parse::<ResumePoint>().is_err(), "accepted {bad:?}");
         }
+        // the token cannot spell an edge count for a listing run
+        let listing = WorkDomain::Listing(Method::T1);
+        assert!(ResumePoint::new(listing, 5, 3, vec![(0, 0..5)]).is_err());
+        assert!(ResumePoint::new(listing, 5, 0, vec![(0, 0..5)]).is_ok());
     }
 
     #[test]
@@ -1694,15 +1724,10 @@ mod tests {
             rp.run(&dg, &opts(1)),
             Err(ParallelError::InvalidResume(_))
         ));
-        let bad = ResumePoint {
-            domain: WorkDomain::Listing(Method::E1),
-            n: dg.n() as u32,
-            edges: 0,
-            ranges: vec![(0, 5..(dg.n() as u32 + 7))],
-        };
-        assert!(matches!(
-            bad.run(&dg, &opts(1)),
-            Err(ParallelError::InvalidResume(_))
-        ));
+        // a range past the graph cannot even be built
+        let n = dg.n() as u32;
+        assert!(
+            ResumePoint::new(WorkDomain::Listing(Method::E1), n, 0, vec![(0, 5..n + 7)]).is_err()
+        );
     }
 }

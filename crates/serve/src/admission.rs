@@ -11,7 +11,6 @@
 //! `max_queue` wait, and everything beyond that is rejected as busy
 //! (closed-loop clients see backpressure instead of unbounded latency).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use trilist_model::RequestPrice;
 
@@ -80,30 +79,11 @@ struct Slots {
     waiting: usize,
 }
 
-/// Monotonic admission counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests granted an execution slot.
-    pub admitted: u64,
-    /// Requests that waited in the queue before admission.
-    pub queued: u64,
-    /// Requests rejected because slots and queue were full.
-    pub rejected_busy: u64,
-    /// Requests rejected by the price ceiling.
-    pub rejected_cost: u64,
-    /// Requests executing right now.
-    pub inflight: u64,
-}
-
 /// The gate. One per server.
 pub struct Admission {
     cfg: AdmissionConfig,
     slots: Mutex<Slots>,
     freed: Condvar,
-    admitted: AtomicU64,
-    queued: AtomicU64,
-    rejected_busy: AtomicU64,
-    rejected_cost: AtomicU64,
 }
 
 fn lock(m: &Mutex<Slots>) -> MutexGuard<'_, Slots> {
@@ -117,10 +97,6 @@ impl Admission {
             cfg,
             slots: Mutex::new(Slots::default()),
             freed: Condvar::new(),
-            admitted: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            rejected_cost: AtomicU64::new(0),
         }
     }
 
@@ -129,7 +105,6 @@ impl Admission {
     pub fn check_price(&self, price: &RequestPrice) -> Result<(), Rejection> {
         if let Some(ceiling) = self.cfg.max_predicted_ops {
             if price.exceeds(ceiling) {
-                self.rejected_cost.fetch_add(1, Ordering::Relaxed);
                 return Err(Rejection::TooExpensive {
                     predicted_ops: price.total_ops,
                     ceiling,
@@ -140,20 +115,17 @@ impl Admission {
     }
 
     /// Claims an execution slot, waiting in the bounded queue if all
-    /// slots are taken. The returned [`Permit`] frees the slot on drop.
+    /// slots are taken. The returned [`Permit`] frees the slot on drop and
+    /// tells whether the request waited.
     pub fn admit(&self) -> Result<Permit<'_>, Rejection> {
         let max_inflight = self.cfg.max_inflight.max(1);
         let mut slots = lock(&self.slots);
-        if slots.inflight >= max_inflight {
+        let waited = slots.inflight >= max_inflight;
+        if waited {
             if slots.waiting >= self.cfg.max_queue {
-                self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                return Err(Rejection::Busy {
-                    max_inflight,
-                    max_queue: self.cfg.max_queue,
-                });
+                return Err(self.shed_busy());
             }
             slots.waiting += 1;
-            self.queued.fetch_add(1, Ordering::Relaxed);
             while slots.inflight >= max_inflight {
                 slots = self
                     .freed
@@ -163,17 +135,14 @@ impl Admission {
             slots.waiting -= 1;
         }
         slots.inflight += 1;
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Permit { gate: self })
+        Ok(Permit { gate: self, waited })
     }
 
-    /// Records a busy rejection decided *outside* [`Admission::admit`] —
-    /// the event loop's executor sheds at submit time, before a worker is
-    /// occupied — and returns the same [`Rejection::Busy`] the in-band
-    /// path produces, so the wire message and the `rejected_busy` counter
-    /// are identical across connection layers.
+    /// The [`Rejection::Busy`] [`Admission::admit`] answers with a full
+    /// queue. The event loop's executor sheds at submit time, before a
+    /// worker is occupied, and answers with this same rejection, so the
+    /// wire message does not depend on where the request was shed.
     pub fn shed_busy(&self) -> Rejection {
-        self.rejected_busy.fetch_add(1, Ordering::Relaxed);
         Rejection::Busy {
             max_inflight: self.cfg.max_inflight.max(1),
             max_queue: self.cfg.max_queue,
@@ -189,21 +158,23 @@ impl Admission {
         ((slots.inflight + slots.waiting) as f64 / cap).min(1.0)
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            rejected_cost: self.rejected_cost.load(Ordering::Relaxed),
-            inflight: lock(&self.slots).inflight as u64,
-        }
+    /// Requests executing right now.
+    pub fn inflight(&self) -> usize {
+        lock(&self.slots).inflight
     }
 }
 
 /// An execution slot; dropping it wakes one queued waiter.
 pub struct Permit<'a> {
     gate: &'a Admission,
+    waited: bool,
+}
+
+impl Permit<'_> {
+    /// Whether the request waited in the queue before it was admitted.
+    pub fn waited(&self) -> bool {
+        self.waited
+    }
 }
 
 impl Drop for Permit<'_> {
@@ -218,7 +189,7 @@ impl Drop for Permit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -229,13 +200,15 @@ mod tests {
             max_predicted_ops: None,
         });
         let p = gate.admit().unwrap();
+        assert!(!p.waited());
         assert!(matches!(gate.admit(), Err(Rejection::Busy { .. })));
-        assert_eq!(gate.stats().rejected_busy, 1);
-        assert_eq!(gate.stats().inflight, 1);
+        assert_eq!(gate.admit().err(), Some(gate.shed_busy()));
+        assert_eq!(gate.inflight(), 1);
         drop(p);
-        assert_eq!(gate.stats().inflight, 0);
-        let _p2 = gate.admit().unwrap();
-        assert_eq!(gate.stats().admitted, 2);
+        assert_eq!(gate.inflight(), 0);
+        let p2 = gate.admit().unwrap();
+        assert!(!p2.waited());
+        assert_eq!(gate.inflight(), 1);
     }
 
     #[test]
@@ -252,22 +225,22 @@ mod tests {
                 let gate = std::sync::Arc::clone(&gate);
                 let peak = std::sync::Arc::clone(&peak);
                 std::thread::spawn(move || {
-                    let _p = gate.admit().expect("queue has room");
-                    let now = gate.stats().inflight as usize;
-                    peak.fetch_max(now, Ordering::Relaxed);
+                    let p = gate.admit().expect("queue has room");
+                    peak.fetch_max(gate.inflight(), Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(2));
+                    p.waited()
                 })
             })
             .collect();
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(gate.stats().queued, 3, "all three waited");
+        // one slot taken and three waiters, out of 1 + 4 places
+        assert_eq!(gate.fill(), 0.8, "all three wait");
+        assert!(!permit.waited());
         drop(permit);
-        for h in handles {
-            h.join().unwrap();
-        }
+        let waited: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(waited, [true; 3], "all three waited");
         assert_eq!(peak.load(Ordering::Relaxed), 1, "never more than 1 slot");
-        assert_eq!(gate.stats().admitted, 4);
-        assert_eq!(gate.stats().inflight, 0);
+        assert_eq!(gate.inflight(), 0);
     }
 
     #[test]
@@ -298,6 +271,8 @@ mod tests {
             }
             other => panic!("expected price rejection, got {other:?}"),
         }
-        assert_eq!(gate.stats().rejected_cost, 1);
+        // a priced-out request never takes a slot or a queue position
+        assert_eq!(gate.inflight(), 0);
+        assert_eq!(gate.fill(), 0.0);
     }
 }

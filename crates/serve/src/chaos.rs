@@ -24,13 +24,14 @@
 //! to survive, so `tests/serve_chaos.rs` can hold every *completed*
 //! response byte-identical to a fault-free oracle.
 
+use crate::metrics::Metric;
+use crate::server::Shared;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use trilist_core::{fault_roll, Counter, InMemoryRecorder, Recorder};
+use trilist_core::fault_roll;
 
 // Injection-family salts (ASCII tags, mirroring FaultPlan's convention).
 const SALT_RESET: u64 = 0x5253_4554; // "RSET"
@@ -182,136 +183,44 @@ impl ChaosPlan {
     }
 }
 
-/// Monotonic injection counters, one set per server.
-#[derive(Debug, Default)]
-pub struct ChaosStats {
-    /// Reads clamped short.
-    pub short_reads: AtomicU64,
-    /// Writes clamped short.
-    pub short_writes: AtomicU64,
-    /// Spurious `WouldBlock` failures.
-    pub would_blocks: AtomicU64,
-    /// Injected `EINTR` failures.
-    pub eintrs: AtomicU64,
-    /// Injected connection resets.
-    pub resets: AtomicU64,
-    /// Stalled (paced) syscalls.
-    pub stalls: AtomicU64,
-    /// Injected worker-lane panics.
-    pub panics: AtomicU64,
-    /// Injected memory-gauge spikes.
-    pub gauge_spikes: AtomicU64,
-    /// Requests run under a skewed deadline.
-    pub deadline_skews: AtomicU64,
-}
-
-impl ChaosStats {
-    /// Every injected fault so far.
-    pub fn total(&self) -> u64 {
-        self.short_reads.load(Ordering::Relaxed)
-            + self.short_writes.load(Ordering::Relaxed)
-            + self.would_blocks.load(Ordering::Relaxed)
-            + self.eintrs.load(Ordering::Relaxed)
-            + self.resets.load(Ordering::Relaxed)
-            + self.stalls.load(Ordering::Relaxed)
-            + self.panics.load(Ordering::Relaxed)
-            + self.gauge_spikes.load(Ordering::Relaxed)
-            + self.deadline_skews.load(Ordering::Relaxed)
-    }
-
-    /// Counter fields in a stable order, for the `Stats` response.
-    pub fn fields(&self) -> Vec<(String, u64)> {
-        vec![
-            (
-                "chaos_short_reads".into(),
-                self.short_reads.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos_short_writes".into(),
-                self.short_writes.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos_would_blocks".into(),
-                self.would_blocks.load(Ordering::Relaxed),
-            ),
-            ("chaos_eintrs".into(), self.eintrs.load(Ordering::Relaxed)),
-            ("chaos_resets".into(), self.resets.load(Ordering::Relaxed)),
-            ("chaos_stalls".into(), self.stalls.load(Ordering::Relaxed)),
-            ("chaos_panics".into(), self.panics.load(Ordering::Relaxed)),
-            (
-                "chaos_gauge_spikes".into(),
-                self.gauge_spikes.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos_deadline_skews".into(),
-                self.deadline_skews.load(Ordering::Relaxed),
-            ),
-        ]
-    }
-}
-
-/// A server's chaos context: the plan, its injection counters, and the
-/// recorder feeding [`Counter::ChaosInjections`].
-pub(crate) struct ChaosHub {
-    pub(crate) plan: ChaosPlan,
-    pub(crate) stats: ChaosStats,
-    recorder: Arc<InMemoryRecorder>,
-}
-
-impl ChaosHub {
-    pub(crate) fn new(plan: ChaosPlan, recorder: Arc<InMemoryRecorder>) -> ChaosHub {
-        ChaosHub {
-            plan,
-            stats: ChaosStats::default(),
-            recorder,
-        }
-    }
-
-    /// Records one injection: bumps a detail counter and the recorder's
-    /// aggregate.
-    pub(crate) fn note(&self, detail: &AtomicU64) {
-        detail.fetch_add(1, Ordering::Relaxed);
-        self.recorder.add(Counter::ChaosInjections, 1);
-    }
-}
-
-/// A `TcpStream` wrapper injecting the plan's I/O faults. Without a hub
-/// it is a zero-cost passthrough, so the event loop always speaks
-/// through it. Each `read`/`write` call draws one event index; the
-/// counter advances on injected faults too, so the trace stays a pure
-/// function of how many syscalls the connection attempted.
+/// A `TcpStream` wrapper injecting the server's chaos plan's I/O faults.
+/// With no plan armed it is a zero-cost passthrough, so the event loop
+/// always speaks through it. Each `read`/`write` call draws one event
+/// index; the index advances on injected faults too, so the trace stays a
+/// pure function of how many syscalls the connection attempted.
 pub(crate) struct ChaosStream {
     inner: TcpStream,
-    hub: Option<Arc<ChaosHub>>,
+    /// The server, when its chaos plan is armed.
+    armed: Option<Arc<Shared>>,
     conn: u64,
     event: u64,
 }
 
 impl ChaosStream {
-    pub(crate) fn new(inner: TcpStream, hub: Option<Arc<ChaosHub>>, conn: u64) -> ChaosStream {
+    pub(crate) fn new(inner: TcpStream, shared: &Arc<Shared>, conn: u64) -> ChaosStream {
         ChaosStream {
             inner,
-            hub,
+            armed: shared.cfg.chaos.is_some().then(|| Arc::clone(shared)),
             conn,
             event: 0,
         }
     }
 
-    /// Draws the fault for the next syscall attempt, bumping counters.
+    /// Draws the fault for the next syscall attempt and counts it.
     fn next_fault(&mut self, op: IoOp) -> Option<IoFault> {
-        let hub = self.hub.as_ref()?;
+        let shared = self.armed.as_ref()?;
+        let plan = shared.cfg.chaos.as_ref()?;
         let event = self.event;
         self.event += 1;
-        let fault = hub.plan.io_fault(op, self.conn, event)?;
-        let counter = match (fault, op) {
-            (IoFault::Reset, _) => &hub.stats.resets,
-            (IoFault::WouldBlock, _) => &hub.stats.would_blocks,
-            (IoFault::Interrupted, _) => &hub.stats.eintrs,
-            (IoFault::Stall(_), _) => &hub.stats.stalls,
-            (IoFault::Short(_), IoOp::Read) => &hub.stats.short_reads,
-            (IoFault::Short(_), IoOp::Write) => &hub.stats.short_writes,
-        };
-        hub.note(counter);
+        let fault = plan.io_fault(op, self.conn, event)?;
+        shared.metrics.bump(match (fault, op) {
+            (IoFault::Reset, _) => Metric::ChaosResets,
+            (IoFault::WouldBlock, _) => Metric::ChaosWouldBlocks,
+            (IoFault::Interrupted, _) => Metric::ChaosEintrs,
+            (IoFault::Stall(_), _) => Metric::ChaosStalls,
+            (IoFault::Short(_), IoOp::Read) => Metric::ChaosShortReads,
+            (IoFault::Short(_), IoOp::Write) => Metric::ChaosShortWrites,
+        });
         Some(fault)
     }
 

@@ -49,6 +49,7 @@
 //!   stops reading cannot hold the server open.
 
 use crate::chaos::ChaosStream;
+use crate::metrics::Metric;
 use crate::protocol::{encode_frame, scan_frame, ErrorCode, ErrorFrame, Request, Response};
 use crate::server::{
     accept_error_action, classify, execute, execute_guarded, AcceptAction, Dispatch, Shared,
@@ -442,7 +443,7 @@ fn predict_is_bounded(shared: &Shared, req: &Request) -> bool {
 /// `responses_error` counter the way the wire sees them.
 fn queue_response(conn: &mut Conn, shared: &Shared, seq: u64, resp: &Response) {
     if matches!(resp, Response::Error(_)) {
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.bump(Metric::ResponsesError);
     }
     conn.pending
         .insert(seq, encode_frame(resp.kind(), &resp.payload()));
@@ -467,6 +468,7 @@ fn pump_jobs(conn: &mut Conn, shared: &Shared, executor: &Executor) {
             match executor.submit_priced(job) {
                 Ok(()) => conn.inflight += 1,
                 Err(_job) => {
+                    shared.metrics.bump(Metric::RejectedBusy);
                     let rejection = shared.admission.shed_busy();
                     queue_response(
                         conn,
@@ -575,7 +577,7 @@ fn process_frames(conn: &mut Conn, shared: &Shared, executor: &Executor) {
 fn accept_all(
     listener: &TcpListener,
     registry: &Registry,
-    shared: &Shared,
+    shared: &Arc<Shared>,
     conns: &mut HashMap<u64, Conn>,
     next_conn: &mut u64,
 ) {
@@ -588,7 +590,7 @@ fn accept_all(
                 let _ = stream.set_nodelay(true);
                 let id = *next_conn;
                 *next_conn += 1;
-                let stream = ChaosStream::new(stream, shared.chaos.clone(), id);
+                let stream = ChaosStream::new(stream, shared, id);
                 let mut conn = Conn::new(id, Token(CONN_BASE + id as usize), stream);
                 conn.update_interest(registry);
                 conns.insert(id, conn);
@@ -601,10 +603,7 @@ fn accept_all(
                     // break out — the listener stays registered, so a
                     // level-triggered poll retries once fds free up
                     // instead of the loop dying or spinning hot.
-                    shared
-                        .counters
-                        .accept_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.bump(Metric::AcceptErrors);
                     std::thread::sleep(pause);
                     break;
                 }

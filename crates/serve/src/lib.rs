@@ -36,9 +36,10 @@ pub mod store;
 
 mod client;
 mod event_loop;
+mod metrics;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionStats, Permit, Rejection};
-pub use chaos::{ChaosPlan, ChaosStats, ExecFault, IoFault, IoOp};
+pub use admission::{Admission, AdmissionConfig, Permit, Rejection};
+pub use chaos::{ChaosPlan, ExecFault, IoFault, IoOp};
 pub use client::{ChainResult, Client, ClientError, RetryPolicy};
 pub use codec::{Reader, WireError, Writer};
 pub use protocol::{

@@ -34,8 +34,9 @@
 //! client stitch the chain back into exact sequential order.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
-use crate::chaos::{ChaosHub, ChaosPlan, ExecFault};
+use crate::chaos::{ChaosPlan, ExecFault};
 use crate::event_loop;
+use crate::metrics::{stats_fields, Metric, Metrics};
 use crate::protocol::{
     DeltaParams, DeltaRunResult, EditInfo, ErrorCode, ErrorFrame, ListParams, PlanInfo, Request,
     Response, RunResult,
@@ -44,15 +45,15 @@ use crate::store::{
     CompactorHandle, EditReceipt, GraphStore, PlanSummary, Prepared, StoreConfig, StoreError,
 };
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use trilist_core::{
-    list_new_triangles_src, list_resilient_src, ChunkPiece, CostReport, Counter, DeltaOpts,
-    DeltaOutcome, GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method,
-    ParallelOpts, Recorder, ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome,
-    StopReason, WorkDomain,
+    list_new_triangles_src, list_resilient_src, ChunkPiece, CostReport, DeltaOpts, DeltaOutcome,
+    GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method, ParallelOpts,
+    Recorder, ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason,
+    WorkDomain,
 };
 use trilist_model::{price_delta, price_request, RequestPrice};
 use trilist_order::OrderingKind;
@@ -133,26 +134,6 @@ impl Default for DegradeConfig {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct RequestCounters {
-    total: AtomicU64,
-    register: AtomicU64,
-    list: AtomicU64,
-    count: AtomicU64,
-    add_edges: AtomicU64,
-    remove_edges: AtomicU64,
-    list_new: AtomicU64,
-    predict: AtomicU64,
-    explain: AtomicU64,
-    stats: AtomicU64,
-    shutdown: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    degraded_policy: AtomicU64,
-    degraded_deadline: AtomicU64,
-    degraded_evict: AtomicU64,
-    pub(crate) accept_errors: AtomicU64,
-}
-
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     pub(crate) gauge: MemoryGauge,
@@ -160,8 +141,7 @@ pub(crate) struct Shared {
     pub(crate) admission: Admission,
     pub(crate) recorder: Arc<InMemoryRecorder>,
     pub(crate) shutting: AtomicBool,
-    pub(crate) counters: RequestCounters,
-    pub(crate) chaos: Option<Arc<ChaosHub>>,
+    pub(crate) metrics: Metrics,
 }
 
 impl Shared {
@@ -175,9 +155,6 @@ impl Shared {
         // `Stats` reads only counters and span aggregates; a span list
         // would grow with every request served
         let recorder = Arc::new(InMemoryRecorder::without_span_list());
-        let chaos = cfg
-            .chaos
-            .map(|plan| Arc::new(ChaosHub::new(plan, Arc::clone(&recorder))));
         let store = Arc::new(
             GraphStore::new(cfg.store.clone(), gauge.clone())
                 .with_recorder(Arc::clone(&recorder) as Arc<dyn Recorder>),
@@ -188,8 +165,7 @@ impl Shared {
             admission: Admission::new(cfg.admission),
             recorder,
             shutting: AtomicBool::new(false),
-            counters: RequestCounters::default(),
-            chaos,
+            metrics: Metrics::new(),
             gauge,
             cfg,
         });
@@ -324,15 +300,15 @@ pub(crate) enum Dispatch {
 /// moment its frame is parsed, so a pipelined `[List, Shutdown]` still
 /// answers the `List` but a later `[Shutdown, List]` rejects the `List`.
 pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
-    let c = &shared.counters;
-    c.total.fetch_add(1, Ordering::Relaxed);
+    let count = |metric| shared.metrics.bump(metric);
+    count(Metric::RequestsTotal);
     match req {
         Request::Stats => {
-            c.stats.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsStats);
             Dispatch::Inline(Response::StatsResult(stats_fields(shared)))
         }
         Request::Shutdown => {
-            c.shutdown.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsShutdown);
             shared.shutting.store(true, Ordering::SeqCst);
             Dispatch::Inline(Response::ShutdownAck)
         }
@@ -343,15 +319,15 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
             )))
         }
         Request::RegisterGraph { .. } => {
-            c.register.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsRegister);
             Dispatch::Express(req)
         }
         Request::ModelPredict { .. } => {
-            c.predict.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsPredict);
             Dispatch::Express(req)
         }
         Request::ExplainPlan { .. } => {
-            c.explain.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsExplain);
             Dispatch::Express(req)
         }
         // Edits are appends: validate the batch, push its delta run and
@@ -360,23 +336,23 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
         // whole-graph check). Compaction runs on the store's off lane,
         // so the express lane stays express.
         Request::AddEdges { .. } => {
-            c.add_edges.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsAddEdges);
             Dispatch::Express(req)
         }
         Request::RemoveEdges { .. } => {
-            c.remove_edges.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsRemoveEdges);
             Dispatch::Express(req)
         }
         Request::ListNewTriangles(_) => {
-            c.list_new.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsListNew);
             Dispatch::Priced(req)
         }
         Request::List(_) => {
-            c.list.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsList);
             Dispatch::Priced(req)
         }
         Request::Count(_) => {
-            c.count.fetch_add(1, Ordering::Relaxed);
+            count(Metric::RequestsCount);
             Dispatch::Priced(req)
         }
     }
@@ -466,25 +442,25 @@ impl Drop for GaugeBallast {
 pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Request) -> Response {
     let mut inject_panic = false;
     let mut _ballast: Option<GaugeBallast> = None;
-    if let Some(hub) = &shared.chaos {
-        match hub.plan.exec_fault(conn, seq) {
+    if let Some(plan) = &shared.cfg.chaos {
+        match plan.exec_fault(conn, seq) {
             Some(ExecFault::Panic) => {
-                hub.note(&hub.stats.panics);
+                shared.metrics.bump(Metric::ChaosPanics);
                 inject_panic = true;
             }
             Some(ExecFault::GaugeSpike(bytes)) => {
-                hub.note(&hub.stats.gauge_spikes);
+                shared.metrics.bump(Metric::ChaosGaugeSpikes);
                 _ballast = Some(GaugeBallast::charge(&shared.gauge, bytes));
             }
             None => {}
         }
-        if hub.plan.skews_deadline(conn, seq) {
+        if plan.skews_deadline(conn, seq) {
             if let Request::List(p) | Request::Count(p) = &mut req {
                 // Shrink-only skew: a deadline the client set gets
                 // quartered (forcing the partial+resume path); requests
                 // without a deadline stay deterministic-complete.
                 if p.deadline_ms > 0 {
-                    hub.note(&hub.stats.deadline_skews);
+                    shared.metrics.bump(Metric::ChaosDeadlineSkews);
                     p.deadline_ms = (p.deadline_ms / 4).max(1);
                 }
             }
@@ -640,23 +616,19 @@ fn run_listing(
             } else {
                 downgrade_policy(policy)
             };
-            let step = |taken: &AtomicU64| {
-                taken.fetch_add(1, Ordering::Relaxed);
-                shared.recorder.add(Counter::ServeDegradations, 1);
-            };
             if std::mem::discriminant(&stepped) != std::mem::discriminant(&policy) {
                 policy = stepped;
-                step(&shared.counters.degraded_policy);
+                shared.metrics.bump(Metric::DegradedPolicy);
             }
             if pressure >= ladder.deadline_at
                 && deadline_ms > 0
                 && deadline_ms > ladder.degraded_deadline_ms
             {
                 deadline_ms = ladder.degraded_deadline_ms;
-                step(&shared.counters.degraded_deadline);
+                shared.metrics.bump(Metric::DegradedDeadline);
             }
             if pressure >= ladder.evict_at && shared.store.evict_cold(&p.graph) {
-                step(&shared.counters.degraded_evict);
+                shared.metrics.bump(Metric::DegradedEvict);
             }
         }
     }
@@ -686,10 +658,10 @@ fn run_listing(
         list_resilient_src(src, method, &opts)
     } else {
         let rp = parse_resume(&p.resume)?;
-        if rp.domain != WorkDomain::Listing(method) {
+        if rp.domain() != WorkDomain::Listing(method) {
             return Err(bad(format!(
                 "resume token is for {}, request names {method}",
-                rp.domain
+                rp.domain()
             )));
         }
         rp.run_src(src, &opts)
@@ -752,9 +724,9 @@ fn resolve_plan(
 }
 
 /// The prelude every priced run shares: the admission gate (price
-/// ceiling, then a slot), then the run's budget and worker count from the
-/// request's overrides, server defaults where they are zero. The permit
-/// must live until the run ends.
+/// ceiling, then a slot) and its counters, then the run's budget and
+/// worker count from the request's overrides, server defaults where they
+/// are zero. The permit must live until the run ends.
 fn admit_run<'s>(
     shared: &'s Shared,
     price: &RequestPrice,
@@ -762,14 +734,19 @@ fn admit_run<'s>(
     memory_bytes: u64,
     threads: u16,
 ) -> Result<(Permit<'s>, RunBudget, usize), ErrorFrame> {
-    shared
-        .admission
-        .check_price(price)
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedCost, r.to_string()))?;
-    let permit = shared
-        .admission
-        .admit()
-        .map_err(|r| ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string()))?;
+    let count = |metric| shared.metrics.bump(metric);
+    shared.admission.check_price(price).map_err(|r| {
+        count(Metric::RejectedCost);
+        ErrorFrame::new(ErrorCode::RejectedCost, r.to_string())
+    })?;
+    let permit = shared.admission.admit().map_err(|r| {
+        count(Metric::RejectedBusy);
+        ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string())
+    })?;
+    count(Metric::Admitted);
+    if permit.waited() {
+        count(Metric::Queued);
+    }
     let budget = RunBudget {
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         memory_bytes: (memory_bytes > 0)
@@ -953,97 +930,6 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
             stop,
         ),
     })
-}
-
-/// Every server counter, in a stable order the client and tests can rely
-/// on: request counts, admission, cache, gauge, then recorder telemetry.
-fn stats_fields(shared: &Shared) -> Vec<(String, u64)> {
-    let c = &shared.counters;
-    let a = shared.admission.stats();
-    let s = shared.store.stats();
-    let mut out: Vec<(String, u64)> = vec![
-        ("requests_total".into(), c.total.load(Ordering::Relaxed)),
-        (
-            "requests_register".into(),
-            c.register.load(Ordering::Relaxed),
-        ),
-        ("requests_list".into(), c.list.load(Ordering::Relaxed)),
-        ("requests_count".into(), c.count.load(Ordering::Relaxed)),
-        (
-            "requests_add_edges".into(),
-            c.add_edges.load(Ordering::Relaxed),
-        ),
-        (
-            "requests_remove_edges".into(),
-            c.remove_edges.load(Ordering::Relaxed),
-        ),
-        (
-            "requests_list_new".into(),
-            c.list_new.load(Ordering::Relaxed),
-        ),
-        ("requests_predict".into(), c.predict.load(Ordering::Relaxed)),
-        ("requests_explain".into(), c.explain.load(Ordering::Relaxed)),
-        ("requests_stats".into(), c.stats.load(Ordering::Relaxed)),
-        (
-            "requests_shutdown".into(),
-            c.shutdown.load(Ordering::Relaxed),
-        ),
-        ("responses_error".into(), c.errors.load(Ordering::Relaxed)),
-        (
-            "accept_errors".into(),
-            c.accept_errors.load(Ordering::Relaxed),
-        ),
-        ("admission_admitted".into(), a.admitted),
-        ("admission_queued".into(), a.queued),
-        ("admission_rejected_busy".into(), a.rejected_busy),
-        ("admission_rejected_cost".into(), a.rejected_cost),
-        ("admission_inflight".into(), a.inflight),
-        (
-            "admission_degraded_policy".into(),
-            c.degraded_policy.load(Ordering::Relaxed),
-        ),
-        (
-            "admission_degraded_deadline".into(),
-            c.degraded_deadline.load(Ordering::Relaxed),
-        ),
-        (
-            "admission_degraded_evict".into(),
-            c.degraded_evict.load(Ordering::Relaxed),
-        ),
-        ("cache_hits".into(), s.hits),
-        ("cache_misses".into(), s.misses),
-        ("cache_evictions".into(), s.evictions),
-        ("cache_cold_evictions".into(), s.cold_evictions),
-        ("cache_entries".into(), s.entries),
-        ("cache_bytes".into(), s.bytes),
-        ("plans_cached".into(), s.plans),
-        ("plan_bytes".into(), s.plan_bytes),
-        ("graphs_registered".into(), s.graphs),
-        ("delta_runs".into(), s.delta_runs),
-        ("delta_edges".into(), s.delta_edges),
-        ("delta_bytes".into(), s.delta_bytes),
-        ("retained_segments".into(), s.retained_segments),
-        ("segment_bytes".into(), s.segment_bytes),
-        ("epoch_pins".into(), s.epoch_pins),
-        ("compactions".into(), s.compactions),
-        ("gauge_bytes".into(), shared.gauge.used()),
-        (
-            "memory_ceiling_bytes".into(),
-            shared.cfg.memory_bytes.unwrap_or(0),
-        ),
-    ];
-    if let Some(hub) = &shared.chaos {
-        out.extend(hub.stats.fields());
-    }
-    for counter in Counter::ALL {
-        out.push((
-            format!("recorder_{}", counter.name()),
-            shared.recorder.counter(counter),
-        ));
-    }
-    out.push(("recorder_spans".into(), shared.recorder.span_count()));
-    out.push(("recorder_span_ns".into(), shared.recorder.span_total_ns()));
-    out
 }
 
 #[cfg(test)]

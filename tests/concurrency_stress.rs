@@ -218,7 +218,7 @@ fn mid_run_cancellation_is_chunk_granular_and_resumable() {
                 // no torn chunks: completed pieces and resume ranges
                 // partition the chunk set exactly
                 let done = p.completed_chunks();
-                let todo = p.resume.ranges.len();
+                let todo = p.resume.ranges().len();
                 assert_eq!(done + todo, p.total_chunks(), "attempt {attempt}");
                 let merged = p
                     .resume_with(&dg, &ResilientOpts::with_threads(4))

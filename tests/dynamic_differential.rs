@@ -370,18 +370,15 @@ fn interrupted_delta_run_resumes_byte_identically() {
 
         // Replaying a strict subset of chunks reproduces exactly those
         // pieces — chunk identity is stable, not positional.
-        let odd = ResumePoint {
-            n: token.n,
-            edges: token.edges,
-            ranges: token
-                .ranges
-                .iter()
-                .filter(|(c, _)| c % 2 == 1)
-                .cloned()
-                .collect(),
-            ..token.clone()
-        };
-        if !odd.ranges.is_empty() {
+        let odd_ranges: Vec<_> = token
+            .ranges()
+            .iter()
+            .filter(|(c, _)| c % 2 == 1)
+            .cloned()
+            .collect();
+        if !odd_ranges.is_empty() {
+            let odd = ResumePoint::new(token.domain(), token.n(), token.edges(), odd_ranges)
+                .expect("a subset of a token's ranges is a token");
             let out = odd
                 .run_new_triangles_src(
                     src,
@@ -399,10 +396,13 @@ fn interrupted_delta_run_resumes_byte_identically() {
         }
 
         // Mismatched shape pins are rejected, not silently mislisted.
-        let wrong = ResumePoint {
-            edges: token.edges + 1,
-            ..token.clone()
-        };
+        let wrong = ResumePoint::new(
+            token.domain(),
+            token.n(),
+            token.edges() + 1,
+            token.ranges().to_vec(),
+        )
+        .expect("a wider edge count still holds every range");
         assert!(wrong
             .run_new_triangles_src(
                 src,

@@ -126,11 +126,13 @@ fn chaos_matrix_completed_responses_are_byte_identical_to_fault_free_oracle() {
                  completed responses must be byte-identical to the oracle"
             );
             let stats = client.stats().expect("stats under chaos");
-            injected += stats
+            let detail = stats
                 .iter()
                 .filter(|(k, _)| k.starts_with("chaos_"))
                 .map(|&(_, v)| v)
                 .sum::<u64>();
+            assert_eq!(field(&stats, "recorder_chaos_injections"), detail);
+            injected += detail;
             client.shutdown().expect("shutdown under chaos");
             server.join();
         }
@@ -376,6 +378,12 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
     assert_eq!(field(&stats, "admission_degraded_policy"), 2);
     assert_eq!(field(&stats, "admission_degraded_deadline"), 2);
     assert_eq!(field(&stats, "admission_degraded_evict"), 1);
+    let steps: u64 = stats
+        .iter()
+        .filter(|(k, _)| k.starts_with("admission_degraded_"))
+        .map(|&(_, v)| v)
+        .sum();
+    assert_eq!(field(&stats, "recorder_serve_degradations"), steps);
     assert_eq!(field(&stats, "cache_cold_evictions"), 1);
     assert_eq!(
         field(&stats, "admission_rejected_busy"),
