@@ -45,7 +45,7 @@ use crate::resilient::{
     StopReason, WorkDomain, DEFAULT_MAX_ATTEMPTS,
 };
 use crate::sink::TriangleBuffer;
-use crate::source::GraphSource;
+use crate::source::{with_reader, DecodeScratch, GraphSource, ListReader};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -370,20 +370,6 @@ pub fn edge_ranks(edges: &[(u32, u32)]) -> EdgeRank {
         .collect()
 }
 
-/// Per-worker decode scratch for the compressed layout: the four endpoint
-/// lists of the edge under iteration.
-#[derive(Default)]
-pub struct DeltaScratch {
-    bufs: [Vec<u32>; 4],
-}
-
-impl DeltaScratch {
-    /// Fresh empty scratch.
-    pub fn new() -> Self {
-        DeltaScratch::default()
-    }
-}
-
 /// Lists new triangles for the new edges in `range` (indices into
 /// `edges`), streaming label triples `(x, y, z)`, `x < y < z`, to `sink`.
 ///
@@ -408,13 +394,13 @@ impl DeltaScratch {
 /// edge has minimal rank; `hash_inserts` charges the one-time rank-set
 /// build (`edges.len()`) on the chunk containing index 0, so a chunked or
 /// resumed run sums to exactly one build.
-pub fn new_triangles_range_src<F: FnMut(u32, u32, u32)>(
-    src: GraphSource<'_>,
+pub(crate) fn new_triangles_range<L: ListReader, F: FnMut(u32, u32, u32)>(
+    g: &L,
     kernels: &Kernels,
     edges: &[(u32, u32)],
     ranks: &EdgeRank,
     range: Range<u32>,
-    scratch: &mut DeltaScratch,
+    scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
     let mut cost = CostReport::default();
@@ -424,17 +410,9 @@ pub fn new_triangles_range_src<F: FnMut(u32, u32, u32)>(
     for idx in range {
         let (lo, hi) = edges[idx as usize];
         let rank = idx;
-        let (out_lo, in_lo, out_hi, in_hi): (&[u32], &[u32], &[u32], &[u32]) = match src {
-            GraphSource::Plain(g) => (g.out(lo), g.in_(lo), g.out(hi), g.in_(hi)),
-            GraphSource::Compressed(c) => {
-                let [b0, b1, b2, b3] = &mut scratch.bufs;
-                c.decode_out_into(lo, b0);
-                c.decode_in_into(lo, b1);
-                c.decode_out_into(hi, b2);
-                c.decode_in_into(hi, b3);
-                (b0, b1, b2, b3)
-            }
-        };
+        let [b0, b1, b2, b3] = &mut scratch.bufs;
+        let (out_lo, in_lo) = (g.out(lo, b0), g.in_(lo, b1));
+        let (out_hi, in_hi) = (g.out(hi, b2), g.in_(hi, b3));
         // Ownership test shared by the three shapes: probe the triangle's
         // two other edges in the rank set; the current edge owns the
         // triangle iff neither probe finds a smaller rank. Both probes
@@ -674,7 +652,7 @@ fn run_delta(
                 Some(m) => Cow::Owned(kernels.clone().with_meter(Arc::clone(m))),
                 None => Cow::Borrowed(kernels),
             };
-            (kernels, DeltaScratch::new())
+            (kernels, DecodeScratch::default())
         },
         &|(kernels, scratch), range, degraded| {
             let paper;
@@ -685,10 +663,10 @@ fn run_delta(
                 &**kernels
             };
             let mut tris = TriangleBuffer::new();
-            let cost =
-                new_triangles_range_src(src, kernels, edges, &ranks, range, scratch, |x, y, z| {
-                    tris.push(x, y, z)
-                });
+            let sink = |x, y, z| tris.push(x, y, z);
+            let cost = with_reader!(src, |g| {
+                new_triangles_range(g, kernels, edges, &ranks, range, scratch, sink)
+            });
             (cost, tris)
         },
     );

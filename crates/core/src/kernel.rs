@@ -701,7 +701,7 @@ impl Kernels {
     /// here once for every entry point. `a` is a labelled slice; `b` is
     /// described by its length, its owner and its first and last labels —
     /// read from the slice by [`Kernels::intersect`]/[`Kernels::count`],
-    /// from the block encoding by the label-free entry points (`None`
+    /// from the block encoding by [`Kernels::intersect_remote`] (`None`
     /// when no encoding covers `b`, which closes the block route). The
     /// bounds are asked for only once the block gates pass, so a pair
     /// routed elsewhere never touches `b`'s encoding.
@@ -841,6 +841,8 @@ impl Kernels {
         self.run(route, a, b, d)
     }
 
+    // Kept apart from `intersect_remote`: folding it in measured slower
+    // on compressed E1 (in-process listing loop, 2 vCPUs).
     #[inline]
     fn label_free<D: Deliver>(
         &self,
@@ -904,18 +906,6 @@ impl Kernels {
         sink: F,
     ) -> Option<ScanStats> {
         self.label_free(a, a_own, b_own, b_len, Emit(sink))
-    }
-
-    /// Label-free *counting* for compressed sources: [`Kernels::count`]'s
-    /// twin of [`Kernels::intersect_remote`], with the same contract.
-    pub fn count_remote(
-        &self,
-        a: &[u32],
-        a_own: SideOwner,
-        b_own: (u32, ListDir),
-        b_len: usize,
-    ) -> Option<ScanStats> {
-        self.label_free(a, a_own, b_own, b_len, Count)
     }
 }
 

@@ -52,15 +52,12 @@ pub mod vertex;
 
 pub use bitset::{set_simd_level, simd_level, BitsetBlocks, SimdLevel};
 pub use clustering::{average_clustering, transitivity, triangle_count, triangle_counts};
-pub use compressed::{
-    count_triangles_csr, e1_compressed, e1_count_with_csr, e4_count_with_csr, CompressedCsr,
-    CompressedOut, DecodeScratch,
-};
+pub use compressed::CompressedCsr;
 pub use cost::CostReport;
 pub use delta::{
     delta_chunk_ranges, edge_ranks, list_new_triangles_src, materialize, net_changes,
-    new_triangles_range_src, normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaRun,
-    DeltaScratch, EdgeList, EdgeRank, OverlayView,
+    normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaRun, EdgeList, EdgeRank,
+    OverlayView,
 };
 pub use kernel::{
     AdaptiveConfig, BitmapOracle, BitsetConfig, HubBitmap, KernelMeter, KernelPlan, KernelPolicy,
@@ -72,8 +69,7 @@ pub use obs::{
 };
 pub use oracle::{EdgeOracle, HashOracle, SortedOracle};
 pub use parallel::{
-    par_list, par_list_compressed_with, par_list_with, ParallelError, ParallelOpts, ParallelRun,
-    ThreadStats,
+    par_list, par_list_with, ParallelError, ParallelOpts, ParallelRun, ThreadStats,
 };
 pub use prior_art::{chiba_nishizeki, forward};
 pub use resilient::{

@@ -39,13 +39,12 @@
 //! (one attempt per chunk), errors surfaced as a typed [`ParallelError`]
 //! instead of a panic.
 
-use crate::compressed::{self, CompressedCsr, DecodeScratch};
 use crate::cost::CostReport;
 use crate::kernel::{BitmapOracle, KernelPolicy, Kernels};
 use crate::oracle::HashOracle;
 use crate::resilient::{self, ChunkFault, ResilientOpts, RunOutcome};
 use crate::sink::TriangleBuffer;
-use crate::source::GraphSource;
+use crate::source::{with_reader, DecodeScratch, GraphSource, ListReader};
 use crate::{sei, vertex, Method};
 use std::time::Duration;
 use trilist_order::DirectedGraph;
@@ -227,44 +226,21 @@ impl ParallelRun {
 /// tightest proxy available without a binary search per edge.
 pub fn node_load(method: Method, g: &DirectedGraph, v: u32) -> Result<u64, ParallelError> {
     ensure_fundamental(method)?;
-    Ok(fundamental_load(method, g, v))
+    Ok(fundamental_load(method, g, v, &mut Vec::new()))
 }
 
-/// [`node_load`] after validation: callers guarantee a fundamental method.
-fn fundamental_load(method: Method, g: &DirectedGraph, v: u32) -> u64 {
+/// [`node_load`] after validation (callers guarantee a fundamental
+/// method), on either adjacency layout: both see identical degrees and
+/// lists, so both chunk the visited range identically. `buf` is scratch
+/// for the out-list a compressed source decodes.
+fn fundamental_load<L: ListReader>(method: Method, g: &L, v: u32, buf: &mut Vec<u32>) -> u64 {
     let (x, y) = (g.x(v) as u64, g.y(v) as u64);
     let local = x * x.saturating_sub(1) / 2;
     match method {
         Method::T1 => local,
         Method::T2 => x * y,
-        Method::E1 => local + g.out(v).iter().map(|&u| g.x(u) as u64).sum::<u64>(),
-        Method::E4 => local + g.out(v).iter().map(|&u| g.y(u) as u64).sum::<u64>(),
-        _ => unreachable!("method validated as fundamental"),
-    }
-}
-
-/// [`fundamental_load`] over either adjacency layout — identical loads
-/// (the compressed layout stores O(1) degree tables and streams out-lists),
-/// so both layouts chunk the visited range identically.
-fn fundamental_load_src(method: Method, src: GraphSource<'_>, v: u32) -> u64 {
-    if let Some(g) = src.plain() {
-        return fundamental_load(method, g, v);
-    }
-    let (x, y) = (src.x(v) as u64, src.y(v) as u64);
-    let local = x * x.saturating_sub(1) / 2;
-    match method {
-        Method::T1 => local,
-        Method::T2 => x * y,
-        Method::E1 => {
-            let mut remote = 0u64;
-            src.for_each_out(v, |u| remote += src.x(u) as u64);
-            local + remote
-        }
-        Method::E4 => {
-            let mut remote = 0u64;
-            src.for_each_out(v, |u| remote += src.y(u) as u64);
-            local + remote
-        }
+        Method::E1 => local + g.out(v, buf).iter().map(|&u| g.x(u) as u64).sum::<u64>(),
+        Method::E4 => local + g.out(v, buf).iter().map(|&u| g.y(u) as u64).sum::<u64>(),
         _ => unreachable!("method validated as fundamental"),
     }
 }
@@ -272,8 +248,9 @@ fn fundamental_load_src(method: Method, src: GraphSource<'_>, v: u32) -> u64 {
 /// Per-node loads for the whole visited range (one `O(n + m)` pass).
 pub fn node_loads(method: Method, g: &DirectedGraph) -> Result<Vec<u64>, ParallelError> {
     ensure_fundamental(method)?;
+    let mut buf = Vec::new();
     Ok((0..g.n() as u32)
-        .map(|v| fundamental_load(method, g, v))
+        .map(|v| fundamental_load(method, g, v, &mut buf))
         .collect())
 }
 
@@ -297,12 +274,25 @@ pub fn chunk_ranges_src(
 ) -> Result<Vec<std::ops::Range<u32>>, ParallelError> {
     ensure_fundamental(method)?;
     let n = src.n() as u32;
+    Ok(with_reader!(src, |g| {
+        split_by_load(method, g, n, target_ops)
+    }))
+}
+
+/// The [`chunk_ranges`] loop over one layout.
+fn split_by_load<L: ListReader>(
+    method: Method,
+    g: &L,
+    n: u32,
+    target_ops: u64,
+) -> Vec<std::ops::Range<u32>> {
     let target = target_ops.max(1);
+    let mut buf = Vec::new();
     let mut ranges = Vec::new();
     let mut start = 0u32;
     let mut acc = 0u64;
     for v in 0..n {
-        let load = fundamental_load_src(method, src, v);
+        let load = fundamental_load(method, g, v, &mut buf);
         if acc > 0 && acc + load > target {
             ranges.push(start..v);
             start = v;
@@ -313,37 +303,7 @@ pub fn chunk_ranges_src(
     if start < n || ranges.is_empty() {
         ranges.push(start..n);
     }
-    Ok(ranges)
-}
-
-/// Splits `0..n` into at most `chunks` ranges of roughly equal predicted
-/// load (the static-split helper, kept for diagnostics and tests; the
-/// runtime itself schedules fine-grained [`chunk_ranges`] dynamically).
-pub fn balanced_ranges(
-    method: Method,
-    g: &DirectedGraph,
-    chunks: usize,
-) -> Result<Vec<std::ops::Range<u32>>, ParallelError> {
-    let n = g.n() as u32;
-    let loads = node_loads(method, g)?;
-    let total: u64 = loads.iter().sum();
-    if chunks <= 1 || total == 0 {
-        return Ok(std::iter::once(0..n).collect());
-    }
-    let per_chunk = total.div_ceil(chunks as u64).max(1);
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0u32;
-    let mut acc = 0u64;
-    for v in 0..n {
-        acc += loads[v as usize];
-        if acc >= per_chunk && v + 1 < n {
-            ranges.push(start..v + 1);
-            start = v + 1;
-            acc = 0;
-        }
-    }
-    ranges.push(start..n);
-    Ok(ranges)
+    ranges
 }
 
 /// Lists triangles with `method` using `threads` worker threads and the
@@ -383,36 +343,14 @@ pub fn par_list_with(
     method: Method,
     opts: &ParallelOpts,
 ) -> Result<ParallelRun, ParallelError> {
-    par_list_src(GraphSource::Plain(g), method, opts)
-}
-
-/// [`par_list_with`] on the delta/varint-compressed layout: the same
-/// work-stealing runtime with each worker decoding lists into its own
-/// scratch. Guarantees are identical to [`par_list_with`] — same cost
-/// fields, same triangle order — because the chunking, the kernels, and
-/// the per-call accounting are all layout-invariant.
-pub fn par_list_compressed_with(
-    c: &CompressedCsr,
-    method: Method,
-    opts: &ParallelOpts,
-) -> Result<ParallelRun, ParallelError> {
-    par_list_src(GraphSource::Compressed(c), method, opts)
-}
-
-/// The fail-fast run over either layout: the resilient runtime with no
-/// budget and one attempt per chunk, so the only way to fall short is a
-/// fatally failed chunk, which becomes the typed error.
-fn par_list_src(
-    src: GraphSource<'_>,
-    method: Method,
-    opts: &ParallelOpts,
-) -> Result<ParallelRun, ParallelError> {
     let ropts = ResilientOpts {
         parallel: *opts,
         max_attempts: 1,
         ..ResilientOpts::default()
     };
-    let partial = match resilient::list_resilient_src(src, method, &ropts)? {
+    // no budget and one attempt per chunk: the only way to fall short is
+    // a fatally failed chunk, which becomes the typed error
+    let partial = match resilient::list_resilient(g, method, &ropts)? {
         RunOutcome::Complete(run) => return Ok(run),
         RunOutcome::Partial(partial) => partial,
     };
@@ -431,14 +369,15 @@ fn par_list_src(
     })
 }
 
-/// Executes one visited-node range, staging triangles in a
-/// [`TriangleBuffer`] so the scheduler can charge their footprint to the
-/// memory gauge before the ordered merge.
-pub(crate) fn run_chunk(
-    g: &DirectedGraph,
+/// Executes one visited-node range on either adjacency layout, staging
+/// triangles in a [`TriangleBuffer`] so the scheduler can charge their
+/// footprint to the memory gauge before the ordered merge.
+pub(crate) fn run_chunk<L: ListReader>(
+    g: &L,
     method: Method,
     oracle: Option<&HashOracle>,
     kernels: &Kernels,
+    scratch: &mut DecodeScratch,
     range: std::ops::Range<u32>,
 ) -> (CostReport, TriangleBuffer) {
     let mut tris = TriangleBuffer::new();
@@ -452,71 +391,18 @@ pub(crate) fn run_chunk(
             // across all of this worker's chunks
             match (method, kernels.out_bitmaps()) {
                 (Method::T1, Some(bits)) => {
-                    vertex::t1_range(g, &BitmapOracle::new(base, bits), range, sink)
+                    vertex::t1_range(g, &BitmapOracle::new(base, bits), range, scratch, sink)
                 }
-                (Method::T1, None) => vertex::t1_range(g, base, range, sink),
+                (Method::T1, None) => vertex::t1_range(g, base, range, scratch, sink),
                 (Method::T2, Some(bits)) => {
-                    vertex::t2_range(g, &BitmapOracle::new(base, bits), range, sink)
+                    vertex::t2_range(g, &BitmapOracle::new(base, bits), range, scratch, sink)
                 }
-                (_, None) => vertex::t2_range(g, base, range, sink),
+                (_, None) => vertex::t2_range(g, base, range, scratch, sink),
                 _ => unreachable!(),
             }
         }
-        Method::E1 => sei::e1_range_with(g, range, kernels, sink),
-        Method::E4 => sei::e4_range_with(g, range, kernels, sink),
-        _ => unreachable!("method validated as fundamental"),
-    };
-    (cost, tris)
-}
-
-/// [`run_chunk`] over either adjacency layout: plain sources take the
-/// slice drivers verbatim; compressed sources take the `*_csr` drivers,
-/// which decode into the worker's [`DecodeScratch`] and then charge and
-/// dispatch identically — the `CostReport` is byte-identical either way.
-pub(crate) fn run_chunk_src(
-    src: GraphSource<'_>,
-    method: Method,
-    oracle: Option<&HashOracle>,
-    kernels: &Kernels,
-    scratch: &mut DecodeScratch,
-    range: std::ops::Range<u32>,
-) -> (CostReport, TriangleBuffer) {
-    let GraphSource::Compressed(c) = src else {
-        return run_chunk(
-            src.plain().expect("plain source"),
-            method,
-            oracle,
-            kernels,
-            range,
-        );
-    };
-    let mut tris = TriangleBuffer::new();
-    let sink = |x: u32, y: u32, z: u32| tris.push(x, y, z);
-    let cost = match method {
-        Method::T1 | Method::T2 => {
-            let base = oracle.expect("oracle built for vertex methods");
-            match (method, kernels.out_bitmaps()) {
-                (Method::T1, Some(bits)) => compressed::t1_range_csr(
-                    c,
-                    &BitmapOracle::new(base, bits),
-                    range,
-                    scratch,
-                    sink,
-                ),
-                (Method::T1, None) => compressed::t1_range_csr(c, base, range, scratch, sink),
-                (Method::T2, Some(bits)) => compressed::t2_range_csr(
-                    c,
-                    &BitmapOracle::new(base, bits),
-                    range,
-                    scratch,
-                    sink,
-                ),
-                (_, None) => compressed::t2_range_csr(c, base, range, scratch, sink),
-                _ => unreachable!(),
-            }
-        }
-        Method::E1 => compressed::e1_range_with_csr(c, range, kernels, scratch, sink),
-        Method::E4 => compressed::e4_range_with_csr(c, range, kernels, scratch, sink),
+        Method::E1 => sei::e1_range_with(g, range, kernels, scratch, sink),
+        Method::E4 => sei::e4_range_with(g, range, kernels, scratch, sink),
         _ => unreachable!("method validated as fundamental"),
     };
     (cost, tris)
@@ -604,21 +490,6 @@ mod tests {
                 }
                 assert_eq!(expected, dg.n() as u32, "{method} target={target}");
             }
-        }
-    }
-
-    #[test]
-    fn balanced_ranges_cover_everything_once() {
-        let dg = fixture();
-        for method in Method::FUNDAMENTAL {
-            let ranges = balanced_ranges(method, &dg, 5).unwrap();
-            assert!(!ranges.is_empty() && ranges.len() <= 6);
-            let mut expected = 0u32;
-            for r in &ranges {
-                assert_eq!(r.start, expected);
-                expected = r.end;
-            }
-            assert_eq!(expected, dg.n() as u32);
         }
     }
 
@@ -713,7 +584,6 @@ mod tests {
             assert!(node_load(method, &dg, 0).is_err());
             assert!(node_loads(method, &dg).is_err());
             assert!(chunk_ranges(method, &dg, 1024).is_err());
-            assert!(balanced_ranges(method, &dg, 4).is_err());
         }
         let msg = ParallelError::UnsupportedMethod(Method::T3).to_string();
         assert!(

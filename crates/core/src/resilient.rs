@@ -35,16 +35,15 @@
 //! nodes, [`delta`](crate::delta) chunks net-new edges, and both share the
 //! scheduler, the ordered merge and the [`ResumePoint`] token grammar.
 
-use crate::compressed::DecodeScratch;
 use crate::cost::CostReport;
 use crate::kernel::{KernelMeter, Kernels};
 use crate::obs::{ChunkSpan, Counter, HistKind, Recorder, NOOP};
 use crate::oracle::HashOracle;
 use crate::parallel::{
-    chunk_ranges_src, ensure_fundamental, run_chunk_src, ParallelError, ParallelRun, ThreadStats,
+    chunk_ranges_src, ensure_fundamental, run_chunk, ParallelError, ParallelRun, ThreadStats,
 };
 use crate::sink::TriangleBuffer;
-use crate::source::GraphSource;
+use crate::source::{with_reader, DecodeScratch, GraphSource};
 use crate::Method;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::collections::HashSet;
@@ -964,8 +963,8 @@ fn oracle_estimate_bytes(m: usize) -> u64 {
     m as u64 * 12
 }
 
-/// Per-worker state: the kernel context plus (for compressed sources)
-/// reusable decode buffers. Never shared across workers.
+/// Per-worker state: the kernel context plus the reusable list buffers
+/// a compressed source decodes into. Never shared across workers.
 struct WorkerState {
     kernels: Arc<Kernels>,
     scratch: DecodeScratch,
@@ -1042,7 +1041,7 @@ fn run_jobs(
             };
             WorkerState {
                 kernels,
-                scratch: DecodeScratch::new(),
+                scratch: DecodeScratch::default(),
             }
         },
         &|state, range, degraded| {
@@ -1053,14 +1052,10 @@ fn run_jobs(
             } else {
                 &*state.kernels
             };
-            run_chunk_src(
-                src,
-                method,
-                oracle.as_deref(),
-                kernels,
-                &mut state.scratch,
-                range,
-            )
+            let oracle = oracle.as_deref();
+            with_reader!(src, |g| {
+                run_chunk(g, method, oracle, kernels, &mut state.scratch, range)
+            })
         },
     );
     Ok(match done.stop {

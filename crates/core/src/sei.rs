@@ -28,6 +28,7 @@
 use crate::cost::CostReport;
 use crate::intersect::ScanStats;
 use crate::kernel::{Kernels, ListDir, SideOwner};
+use crate::source::{DecodeScratch, ListReader};
 use crate::vertex::{t1_formula, t2_formula, t3_formula};
 use trilist_order::DirectedGraph;
 
@@ -38,7 +39,9 @@ use trilist_order::DirectedGraph;
 // to the sink, and a counting body with no per-match dispatch. The drive
 // hands each intersection its `SideOwner`s, the structural facts (derived
 // from the orientation invariant out(v) < v < in(v)) that make hub-bitmap
-// probes against full-list rows exact on the sliced lists.
+// probes against full-list rows exact on the sliced lists. The E1 and E4
+// drives, the parallel runtime's, read lists through a `ListReader`, so
+// they also run on the compressed layout.
 
 /// One eligible pair: charge paper cost from the slice lengths, then let
 /// the kernel body do (and meter) the actual intersection work.
@@ -58,16 +61,25 @@ fn charge<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
     cost.triangles += stats.matches;
 }
 
-fn e1_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
+/// The E1 drive hands its body the local slice, `y`, `z` and a buffer
+/// for `N⁺(y)`: the remote side is always all of `N⁺(y)`, charged from the
+/// stored degree, so the body may answer without reading the list.
+fn e1_drive<L: ListReader, K: FnMut(&[u32], u32, u32, &mut Vec<u32>) -> ScanStats>(
+    g: &L,
     range: std::ops::Range<u32>,
+    scratch: &mut DecodeScratch,
     mut body: K,
 ) -> CostReport {
     let mut cost = CostReport::default();
+    let [node, remote, ..] = &mut scratch.bufs;
     for z in range {
-        let out = g.out(z);
+        let out = g.out(z, node);
         for (j, &y) in out.iter().enumerate() {
-            charge(&mut cost, &mut body, &out[..j], g.out(y), y, z);
+            cost.local += j as u64;
+            cost.remote += g.x(y) as u64;
+            let stats = body(&out[..j], y, z, remote);
+            cost.pointer_advances += stats.advances;
+            cost.triangles += stats.matches;
         }
     }
     cost
@@ -103,16 +115,18 @@ fn e3_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
     cost
 }
 
-fn e4_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
+fn e4_drive<L: ListReader, K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
+    g: &L,
     range: std::ops::Range<u32>,
+    scratch: &mut DecodeScratch,
     mut body: K,
 ) -> CostReport {
     let mut cost = CostReport::default();
+    let [node, remote, ..] = &mut scratch.bufs;
     for z in range {
-        let out = g.out(z);
+        let out = g.out(z, node);
         for (j, &x) in out.iter().enumerate() {
-            let inn = g.in_(x);
+            let inn = g.in_(x, remote);
             // rank of z within N⁻(x): everything before it is an eligible y
             let r = inn.partition_point(|&w| w < z);
             charge(&mut cost, &mut body, &out[j + 1..], &inn[..r], x, z);
@@ -156,7 +170,7 @@ fn e6_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
 }
 
 #[inline]
-fn out_of(v: u32) -> SideOwner {
+pub(crate) fn out_of(v: u32) -> SideOwner {
     Some((v, ListDir::Out))
 }
 
@@ -168,7 +182,7 @@ fn in_of(v: u32) -> SideOwner {
 /// E1: visit `z`, then each `y ∈ N⁺(z)`; intersect the sub-`y` prefix of
 /// `N⁺(z)` (local) with `N⁺(y)` (remote).
 pub fn e1<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
-    e1_range_with(g, 0..g.n() as u32, &Kernels::paper(), sink)
+    e1_with(g, &Kernels::paper(), sink)
 }
 
 /// E1 restricted to visited nodes `z ∈ range` — the parallel partitioning
@@ -178,25 +192,33 @@ pub fn e1_range<F: FnMut(u32, u32, u32)>(
     range: std::ops::Range<u32>,
     sink: F,
 ) -> CostReport {
-    e1_range_with(g, range, &Kernels::paper(), sink)
+    e1_range_with(
+        g,
+        range,
+        &Kernels::paper(),
+        &mut DecodeScratch::default(),
+        sink,
+    )
 }
 
 /// E1 with an explicit kernel context.
 pub fn e1_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, sink: F) -> CostReport {
-    e1_range_with(g, 0..g.n() as u32, k, sink)
+    e1_range_with(g, 0..g.n() as u32, k, &mut DecodeScratch::default(), sink)
 }
 
-/// E1 over `range` with an explicit kernel context. The local slice is a
-/// prefix of `N⁺(z)` below `y`; every probe element comes from `N⁺(y)` and
-/// is therefore `< y`, so the full-list `(z, Out)` row is exact for it.
-pub fn e1_range_with<F: FnMut(u32, u32, u32)>(
-    g: &DirectedGraph,
+/// E1 over `range` with an explicit kernel context, on either adjacency
+/// layout. The local slice is a prefix of `N⁺(z)` below `y`; every probe
+/// element comes from `N⁺(y)` and is therefore `< y`, so the full-list
+/// `(z, Out)` row is exact for it.
+pub(crate) fn e1_range_with<L: ListReader, F: FnMut(u32, u32, u32)>(
+    g: &L,
     range: std::ops::Range<u32>,
     k: &Kernels,
+    scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
-    e1_drive(g, range, |local, remote, y, z| {
-        k.intersect(local, out_of(z), remote, out_of(y), |x| sink(x, y, z))
+    e1_drive(g, range, scratch, |local, y, z, buf| {
+        g.e1_remote(k, local, z, y, buf, |x| sink(x, y, z))
     })
 }
 
@@ -204,9 +226,12 @@ pub fn e1_range_with<F: FnMut(u32, u32, u32)>(
 /// sink dispatch. Paper-cost fields equal [`e1_with`]'s under the same
 /// kernel context.
 pub fn e1_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e1_drive(g, 0..g.n() as u32, |local, remote, y, z| {
-        k.count(local, out_of(z), remote, out_of(y))
-    })
+    e1_drive(
+        g,
+        0..g.n() as u32,
+        &mut DecodeScratch::default(),
+        |local, y, z, _| k.count(local, out_of(z), g.out(y), out_of(y)),
+    )
 }
 
 /// E2: the same intersections as E1 with `y` as the first-visited node, so
@@ -255,7 +280,7 @@ pub fn e3_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
 /// E4: visit `z`, then each `x ∈ N⁺(z)`; intersect the above-`x` suffix of
 /// `N⁺(z)` (local) with the below-`z` prefix of `N⁻(x)` (remote).
 pub fn e4<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
-    e4_range_with(g, 0..g.n() as u32, &Kernels::paper(), sink)
+    e4_with(g, &Kernels::paper(), sink)
 }
 
 /// E4 restricted to visited nodes `z ∈ range`.
@@ -264,34 +289,45 @@ pub fn e4_range<F: FnMut(u32, u32, u32)>(
     range: std::ops::Range<u32>,
     sink: F,
 ) -> CostReport {
-    e4_range_with(g, range, &Kernels::paper(), sink)
+    e4_range_with(
+        g,
+        range,
+        &Kernels::paper(),
+        &mut DecodeScratch::default(),
+        sink,
+    )
 }
 
 /// E4 with an explicit kernel context.
 pub fn e4_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, sink: F) -> CostReport {
-    e4_range_with(g, 0..g.n() as u32, k, sink)
+    e4_range_with(g, 0..g.n() as u32, k, &mut DecodeScratch::default(), sink)
 }
 
-/// E4 over `range` with an explicit kernel context. Both sides are sliced
-/// mid-list, and both stay bitmap-exact: probes into the `(z, Out)` row
-/// come from `N⁻(x)` (all `> x`, the kept suffix) and probes into the
-/// `(x, In)` row come from `N⁺(z)` (all `< z`, the kept prefix).
-pub fn e4_range_with<F: FnMut(u32, u32, u32)>(
-    g: &DirectedGraph,
+/// E4 over `range` with an explicit kernel context, on either adjacency
+/// layout. Both sides are sliced mid-list, and both stay bitmap-exact:
+/// probes into the `(z, Out)` row come from `N⁻(x)` (all `> x`, the kept
+/// suffix) and probes into the `(x, In)` row come from `N⁺(z)` (all
+/// `< z`, the kept prefix).
+pub(crate) fn e4_range_with<L: ListReader, F: FnMut(u32, u32, u32)>(
+    g: &L,
     range: std::ops::Range<u32>,
     k: &Kernels,
+    scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
-    e4_drive(g, range, |local, remote, x, z| {
+    e4_drive(g, range, scratch, |local, remote, x, z| {
         k.intersect(local, out_of(z), remote, in_of(x), |y| sink(x, y, z))
     })
 }
 
 /// E4 counting-only fast path.
 pub fn e4_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e4_drive(g, 0..g.n() as u32, |local, remote, x, z| {
-        k.count(local, out_of(z), remote, in_of(x))
-    })
+    e4_drive(
+        g,
+        0..g.n() as u32,
+        &mut DecodeScratch::default(),
+        |local, remote, x, z| k.count(local, out_of(z), remote, in_of(x)),
+    )
 }
 
 /// E5: visit `y`, then each `x ∈ N⁺(y)`; intersect `N⁻(y)` (local) with the

@@ -20,6 +20,7 @@
 
 use crate::cost::CostReport;
 use crate::oracle::EdgeOracle;
+use crate::source::{DecodeScratch, ListReader};
 use trilist_order::DirectedGraph;
 
 /// T1: visit `z`, enumerate `y ∈ N⁺(z)` descending the pair rank, check
@@ -29,20 +30,29 @@ pub fn t1<O: EdgeOracle, F: FnMut(u32, u32, u32)>(
     oracle: &O,
     sink: F,
 ) -> CostReport {
-    t1_range(g, oracle, 0..g.n() as u32, sink)
+    t1_range(
+        g,
+        oracle,
+        0..g.n() as u32,
+        &mut DecodeScratch::default(),
+        sink,
+    )
 }
 
 /// T1 restricted to visited nodes `z ∈ range` — the parallel partitioning
-/// unit (each `z` owns a disjoint set of candidate pairs).
-pub fn t1_range<O: EdgeOracle, F: FnMut(u32, u32, u32)>(
-    g: &DirectedGraph,
+/// unit (each `z` owns a disjoint set of candidate pairs) — on either
+/// adjacency layout.
+pub(crate) fn t1_range<L: ListReader, O: EdgeOracle, F: FnMut(u32, u32, u32)>(
+    g: &L,
     oracle: &O,
     range: std::ops::Range<u32>,
+    scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
     let mut cost = CostReport::default();
+    let [node, ..] = &mut scratch.bufs;
     for z in range {
-        let out = g.out(z);
+        let out = g.out(z, node);
         for (j, &y) in out.iter().enumerate() {
             for &x in &out[..j] {
                 cost.lookups += 1;
@@ -85,20 +95,28 @@ pub fn t2<O: EdgeOracle, F: FnMut(u32, u32, u32)>(
     oracle: &O,
     sink: F,
 ) -> CostReport {
-    t2_range(g, oracle, 0..g.n() as u32, sink)
+    t2_range(
+        g,
+        oracle,
+        0..g.n() as u32,
+        &mut DecodeScratch::default(),
+        sink,
+    )
 }
 
-/// T2 restricted to visited nodes `y ∈ range`.
-pub fn t2_range<O: EdgeOracle, F: FnMut(u32, u32, u32)>(
-    g: &DirectedGraph,
+/// T2 restricted to visited nodes `y ∈ range`, on either adjacency layout.
+pub(crate) fn t2_range<L: ListReader, O: EdgeOracle, F: FnMut(u32, u32, u32)>(
+    g: &L,
     oracle: &O,
     range: std::ops::Range<u32>,
+    scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
     let mut cost = CostReport::default();
+    let [node, aux, ..] = &mut scratch.bufs;
     for y in range {
-        let inn = g.in_(y);
-        let out = g.out(y);
+        let inn = g.in_(y, node);
+        let out = g.out(y, aux);
         for &z in inn {
             for &x in out {
                 cost.lookups += 1;

@@ -12,18 +12,21 @@
 //!    1–4 worker threads, running the resilient runtime over the
 //!    compressed source yields the *byte-identical* `CostReport`
 //!    (every field, `pointer_advances` included) and the identical
-//!    triangle sequence as the plain layout. This pins the label-free
-//!    routing contract: `Kernels::intersect_remote` must mirror the
-//!    labeled dispatch decision-for-decision, or advances diverge.
+//!    triangle sequence as the plain layout, and the same kernel-route
+//!    tallies. This pins the label-free routing contract:
+//!    `Kernels::intersect_remote` must mirror the labeled dispatch
+//!    decision-for-decision, or advances and tallies diverge.
 //!
 //! Both contracts are additionally checked on the portable (no-SIMD)
 //! word kernel, so a CI box with AVX2 still proves the fallback.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::sync::Arc;
 use trilist::core::{
-    list_resilient_src, set_simd_level, AdaptiveConfig, BitsetConfig, CompressedCsr, GraphSource,
-    HashOracle, KernelPolicy, Kernels, Method, ParallelOpts, ParallelRun, ResilientOpts, SimdLevel,
+    list_resilient_src, set_simd_level, AdaptiveConfig, BitsetConfig, CompressedCsr, Counter,
+    GraphSource, HashOracle, InMemoryRecorder, KernelPolicy, Kernels, Method, ParallelOpts,
+    ParallelRun, ResilientOpts, SimdLevel,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -92,28 +95,47 @@ fn policies() -> Vec<KernelPolicy> {
     ]
 }
 
+/// The kernel-route counters: which kernel each intersection took and the
+/// work inside it. Schedule-dependent counters (steals) are left out.
+const ROUTE_COUNTERS: [Counter; 9] = [
+    Counter::IntersectPaper,
+    Counter::IntersectBranchless,
+    Counter::IntersectGallop,
+    Counter::IntersectBitmap,
+    Counter::IntersectBitset,
+    Counter::IntersectStamp,
+    Counter::GallopSteps,
+    Counter::BitmapProbes,
+    Counter::BitsetBlockSteps,
+];
+
+/// One resilient run with a recorder attached: the run plus its
+/// kernel-route tallies, in `ROUTE_COUNTERS` order.
 fn run(
     src: GraphSource<'_>,
     dg: &DirectedGraph,
     method: Method,
     policy: KernelPolicy,
     threads: usize,
-) -> ParallelRun {
+) -> (ParallelRun, Vec<u64>) {
+    let recorder = Arc::new(InMemoryRecorder::new());
     let opts = ResilientOpts {
         parallel: ParallelOpts {
             threads,
             policy,
             ..ParallelOpts::default()
         },
-        kernels: Some(std::sync::Arc::new(Kernels::build_src(policy, src))),
-        oracle: matches!(method, Method::T1 | Method::T2)
-            .then(|| std::sync::Arc::new(HashOracle::build(dg))),
+        kernels: Some(Arc::new(Kernels::build_src(policy, src))),
+        oracle: matches!(method, Method::T1 | Method::T2).then(|| Arc::new(HashOracle::build(dg))),
+        recorder: Some(recorder.clone()),
         ..ResilientOpts::default()
     };
-    list_resilient_src(src, method, &opts)
+    let run = list_resilient_src(src, method, &opts)
         .expect("fundamental method")
         .complete()
-        .expect("unlimited budget")
+        .expect("unlimited budget");
+    let routes = ROUTE_COUNTERS.map(|c| recorder.counter(c)).to_vec();
+    (run, routes)
 }
 
 /// The full layout differential on one oriented graph: every fundamental
@@ -122,9 +144,10 @@ fn assert_layouts_agree(dg: &DirectedGraph) {
     let csr = CompressedCsr::compress(dg);
     for method in Method::FUNDAMENTAL {
         for policy in policies() {
-            let plain = run(GraphSource::Plain(dg), dg, method, policy, 1);
+            let (plain, plain_routes) = run(GraphSource::Plain(dg), dg, method, policy, 1);
             for threads in 1..=4 {
-                let compressed = run(GraphSource::Compressed(&csr), dg, method, policy, threads);
+                let (compressed, routes) =
+                    run(GraphSource::Compressed(&csr), dg, method, policy, threads);
                 assert_eq!(
                     compressed.cost,
                     plain.cost,
@@ -137,6 +160,12 @@ fn assert_layouts_agree(dg: &DirectedGraph) {
                     compressed.triangles,
                     plain.triangles,
                     "{method} {} t={threads}: triangle stream diverged",
+                    policy.name()
+                );
+                assert_eq!(
+                    routes,
+                    plain_routes,
+                    "{method} {} t={threads}: kernel routes diverged ({ROUTE_COUNTERS:?})",
                     policy.name()
                 );
             }

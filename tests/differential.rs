@@ -7,7 +7,8 @@
 
 use rand::{Rng, SeedableRng};
 use trilist::core::{
-    baseline, compressed::CompressedOut, e1_compressed, par_list, prior_art, Method,
+    baseline, list_resilient_src, par_list, prior_art, CompressedCsr, GraphSource, Method,
+    ResilientOpts,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Zipf};
 use trilist::graph::gen::{ConfigurationModel, Gnp, GraphGenerator, ResidualSampler};
@@ -75,10 +76,20 @@ fn all_paths_agree(g: &Graph, seed: u64) {
             );
         }
         // compressed E1
-        let mut got = Vec::new();
-        e1_compressed(&CompressedOut::compress(&dg), |x, y, z| {
-            got.push(to_orig(x, y, z))
-        });
+        let csr = CompressedCsr::compress(&dg);
+        let run = list_resilient_src(
+            GraphSource::Compressed(&csr),
+            Method::E1,
+            &ResilientOpts::default(),
+        )
+        .unwrap()
+        .complete()
+        .expect("unlimited budget");
+        let got: Vec<_> = run
+            .triangles
+            .iter()
+            .map(|&(x, y, z)| to_orig(x, y, z))
+            .collect();
         assert_eq!(canon(got), want, "compressed E1 under {}", family.name());
         // external-memory E1
         let mut got = Vec::new();
