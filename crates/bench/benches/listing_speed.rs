@@ -93,7 +93,7 @@ fn bench_kernel_policy(c: &mut Criterion) {
     // the adaptive kernel layer vs the paper-faithful scan on the
     // hub-heavy regime (Pareto α = 1.5): same paper-cost operations, so
     // any wall-clock gap is pure kernel selection. The acceptance bar for
-    // the layer is ≥ 1.3× on E1 at n = 10⁵ (see BENCH_listing.json).
+    // the layer is ≥ 1.3× on E1 at n = 10⁵ (EXPERIMENTS.md, kernel matrix).
     let n = 100_000;
     let graph = fixture_graph(n, 1.5, 23);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);

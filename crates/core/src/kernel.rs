@@ -145,9 +145,9 @@ pub type SideOwner = Option<(u32, ListDir)>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Gallop when `|long| >= gallop_crossover * |short|`. The shipped
-    /// default is the measured crossover on the dev machine (see the
-    /// `kernel_matrix` binary, our Table-3 analogue); re-measure on new
-    /// hardware.
+    /// default is the crossover the retired `kernel_matrix` sweep measured
+    /// (EXPERIMENTS.md); on new hardware re-measure with `--bin table3` and
+    /// perfbench's `batch_matrix` (`kernel.ns_per_op.*`).
     pub gallop_crossover: u32,
     /// Nodes whose directional degree is at least this get a bitmap row.
     pub hub_degree_threshold: u32,
@@ -157,7 +157,7 @@ pub struct AdaptiveConfig {
 }
 
 impl Default for AdaptiveConfig {
-    /// Tuned on Pareto α = 1.5 at n = 10⁵ via the `kernel_matrix` sweep:
+    /// Tuned on Pareto α = 1.5 at n = 10⁵ by the retired `kernel_matrix` sweep:
     /// crossover 4 (3–6 measured equivalent, 8 already slower), threshold
     /// 16 with an 8192-row budget (≈100 MB/direction at n = 10⁵ — halve
     /// `max_hubs` twice for a quarter of the memory at ~0.75× of the
@@ -199,8 +199,8 @@ impl Default for BitsetConfig {
     /// `min_short` 16 and `min_density` 4: below either, block-view
     /// setup (two binary searches plus boundary masking) and the
     /// ~2–3 ns/block merge walk cost more than the branchless merge they
-    /// replace. Measured on the dev machine via the `bitset` columns of
-    /// the `kernel_matrix` sweep (see EXPERIMENTS.md); re-measure there.
+    /// replace. Measured by the retired `kernel_matrix` sweep (EXPERIMENTS.md);
+    /// re-measure with perfbench's `batch_matrix` (`kernel.ns_per_op.*.bitset.*`).
     fn default() -> Self {
         BitsetConfig {
             min_short: 16,

@@ -53,7 +53,7 @@ use trilist_order::DirectedGraph;
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOpts {
     /// Worker threads (clamped to at least 1, and to at most the run's
-    /// chunk count).
+    /// chunk count). The default, the CPU count, is detected once per process.
     pub threads: usize,
     /// Predicted operations per chunk. Smaller chunks balance better but
     /// add queue traffic; ~1k operations keeps both costs negligible.
@@ -68,9 +68,9 @@ pub struct ParallelOpts {
 
 impl Default for ParallelOpts {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let threads =
+            *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
         ParallelOpts {
             threads,
             target_chunk_ops: 1024,

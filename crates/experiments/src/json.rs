@@ -135,13 +135,6 @@ impl JsonWriter {
         self
     }
 
-    /// A `null`.
-    pub fn null(&mut self) -> &mut Self {
-        self.pre_element();
-        self.out.push_str("null");
-        self
-    }
-
     /// A float at fixed precision (`prec` decimals). Non-finite values
     /// have no JSON spelling and become `null`.
     pub fn f64_prec(&mut self, v: f64, prec: usize) -> &mut Self {

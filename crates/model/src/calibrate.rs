@@ -7,9 +7,9 @@
 //! machine with a different cache hierarchy or hash throughput the
 //! crossover moves. This module reproduces the Table 3 methodology on the
 //! *current* machine: run T1 (pure hash probes) and E1 (pure scan
-//! comparisons) on the same oriented graph, divide operation counts by
-//! wall-clock, and feed the resulting ratio into
-//! [`sei_wins`](crate::wn::sei_wins) in place of the paper's 95.
+//! comparisons) on the same oriented graph and divide operation counts by
+//! wall-clock; the resulting ratio is what
+//! [`sei_wins`](crate::wn::sei_wins) takes in place of the paper's 95.
 
 use std::time::Instant;
 use trilist_core::{par_list_with, CompressedCsr, HashOracle, KernelPolicy, Method, ParallelOpts};
@@ -62,13 +62,6 @@ pub fn calibrate(g: &DirectedGraph, rounds: usize) -> Calibration {
         scan_ops_per_sec,
         speed_ratio: scan_ops_per_sec / hash_ops_per_sec.max(f64::MIN_POSITIVE),
     }
-}
-
-/// The §2.4 decision with *this machine's* numbers: SEI is recommended on
-/// `g` iff its operation-count ratio `w_n` stays below the measured speed
-/// ratio.
-pub fn sei_recommended(g: &DirectedGraph, cal: &Calibration) -> bool {
-    crate::wn::sei_wins(crate::wn::wn_of_graph(g), cal.speed_ratio)
 }
 
 /// Measured kernel-level throughputs on this machine, extending the
@@ -160,25 +153,6 @@ mod tests {
         assert!(cal.hash_ops_per_sec > 0.0 && cal.hash_ops_per_sec.is_finite());
         assert!(cal.scan_ops_per_sec > 0.0 && cal.scan_ops_per_sec.is_finite());
         assert!(cal.speed_ratio > 0.0 && cal.speed_ratio.is_finite());
-    }
-
-    #[test]
-    fn recommendation_is_consistent_with_wn() {
-        let dg = fixture();
-        let wn = crate::wn::wn_of_graph(&dg);
-        // a made-up calibration on either side of wn must flip the call
-        let fast_scan = Calibration {
-            hash_ops_per_sec: 1.0,
-            scan_ops_per_sec: wn * 10.0,
-            speed_ratio: wn * 10.0,
-        };
-        let slow_scan = Calibration {
-            hash_ops_per_sec: 1.0,
-            scan_ops_per_sec: wn / 10.0,
-            speed_ratio: wn / 10.0,
-        };
-        assert!(sei_recommended(&dg, &fast_scan));
-        assert!(!sei_recommended(&dg, &slow_scan));
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod spread;
 pub mod weight;
 pub mod wn;
 
-pub use calibrate::{
-    calibrate, kernel_throughputs, sei_recommended, Calibration, KernelThroughputs,
-};
+pub use calibrate::{calibrate, kernel_throughputs, Calibration, KernelThroughputs};
 pub use comparison::{e1_beats_e4, t1_beats_t2, u_space_cost, OptimalPair};
 pub use continuous::continuous_cost;
 pub use discrete::{discrete_cost, discrete_cost_custom, ModelSpec};

@@ -527,6 +527,8 @@ pub struct EpochPin<'a> {
     store: &'a GraphStore,
     name: String,
     epoch: u64,
+    /// A pin on a graph `register` has since replaced releases nothing.
+    generation: u64,
 }
 
 impl EpochPin<'_> {
@@ -539,8 +541,9 @@ impl EpochPin<'_> {
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
         let mut inner = lock(&self.store.inner);
+        let live = inner.graphs.get(&self.name).map(|e| e.generation) == Some(self.generation);
         let key = (self.name.clone(), self.epoch);
-        if let Some(count) = inner.pins.get_mut(&key) {
+        if let Some(count) = inner.pins.get_mut(&key).filter(|_| live) {
             *count -= 1;
             if *count == 0 {
                 inner.pins.remove(&key);
@@ -786,22 +789,18 @@ impl GraphStore {
             _ => None,
         };
         let mut inner = lock(&self.inner);
-        let Some(entry) = inner.graphs.get_mut(name) else {
-            return Ok(CompactReport {
-                epoch,
-                compacted: false,
-                retained_segments: 0,
-            });
+        let entry = match inner.graphs.get_mut(name) {
+            Some(entry) if entry.generation == generation => entry,
+            // the graph was dropped or replaced mid-compaction; the snapshot
+            // belongs to the old generation and must not be spliced in
+            other => {
+                return Ok(CompactReport {
+                    epoch,
+                    compacted: false,
+                    retained_segments: other.map_or(0, |e| e.segments.len() as u64),
+                })
+            }
         };
-        if entry.generation != generation {
-            // the graph was replaced mid-compaction; the snapshot belongs
-            // to the old generation and must not be spliced into the new
-            return Ok(CompactReport {
-                epoch,
-                compacted: false,
-                retained_segments: entry.segments.len() as u64,
-            });
-        }
         let bytes = graph_bytes(&snapshot);
         self.gauge.add(bytes);
         entry.segment_bytes += bytes;
@@ -821,14 +820,10 @@ impl GraphStore {
             self.cache_plan(&mut inner, name, summary);
         }
         self.gc_segments(&mut inner, name);
-        let retained = inner
-            .graphs
-            .get(name)
-            .map_or(0, |e| e.segments.len() as u64);
         Ok(CompactReport {
             epoch,
             compacted: true,
-            retained_segments: retained,
+            retained_segments: inner.graphs[name].segments.len() as u64,
         })
     }
 
@@ -841,11 +836,13 @@ impl GraphStore {
             .get(name)
             .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
         let epoch = resolve_epoch(name, entry, epoch)?;
+        let generation = entry.generation;
         *inner.pins.entry((name.to_string(), epoch)).or_insert(0) += 1;
         Ok(EpochPin {
             store: self,
             name: name.to_string(),
             epoch,
+            generation,
         })
     }
 
@@ -1550,6 +1547,19 @@ mod tests {
         assert_eq!(s.gauge().used(), 0, "delta + segment charges released");
         let st = s.stats();
         assert_eq!((st.delta_runs, st.retained_segments), (0, 0));
+    }
+
+    #[test]
+    fn a_replaced_graphs_pin_does_not_release_the_replacements_pin() {
+        let s = store(8);
+        s.register("g", 10, &triangle_fan(10)).unwrap();
+        let old = s.pin("g", Some(0)).unwrap();
+        s.register("g", 10, &triangle_fan(10)).unwrap();
+        let new = s.pin("g", Some(0)).unwrap();
+        drop(old);
+        assert_eq!(s.stats().epoch_pins, 1);
+        drop(new);
+        assert_eq!(s.stats().epoch_pins, 0);
     }
 
     #[test]
