@@ -112,7 +112,7 @@ fn bench_kernel_policy(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(policy.name()),
                 &policy,
-                |b, _| b.iter(|| black_box(method.count_with_kernels(&dg, &kernels).triangles)),
+                |b, _| b.iter(|| black_box(method.run_with_kernels(&dg, &kernels, |_, _, _| {}))),
             );
         }
         group.finish();

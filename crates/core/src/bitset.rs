@@ -7,11 +7,11 @@
 //! into 64-bit membership words. This module stores every adjacency list
 //! as a sorted sequence of *blocks* `(base, mask)` where `base = label >> 6`
 //! and `mask` holds the members of `[base*64, base*64 + 63]`. Intersecting
-//! two lists becomes a merge over their block bases with one `AND` +
-//! popcount per aligned pair: up to 64 candidate comparisons collapse into
-//! a single word operation, and aligned runs of blocks are processed by an
-//! autovectorizable word loop with explicit `core::arch` x86_64
-//! POPCNT/AVX2 paths behind runtime feature detection.
+//! two lists becomes a merge over their block bases with one `AND` per
+//! aligned pair: up to 64 candidate comparisons collapse into a single
+//! word operation, and the common labels are read back out of the `AND`
+//! with `trailing_zeros`. The kernel is portable Rust; counting runs it
+//! with a discarding sink.
 //!
 //! # Exactness on eligible slices
 //!
@@ -33,150 +33,6 @@
 
 use crate::intersect::ScanStats;
 use crate::source::GraphSource;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which explicit instruction paths the word kernels may use. Levels are
-/// ordered: each includes everything below it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdLevel {
-    /// Pure-Rust word loop (`u64::count_ones`), available everywhere.
-    Portable = 0,
-    /// x86_64 `POPCNT` hardware popcount.
-    Popcnt = 1,
-    /// x86_64 AVX2 256-bit `AND` + `POPCNT` accumulation.
-    Avx2 = 2,
-}
-
-impl SimdLevel {
-    /// Short display name for tables and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimdLevel::Portable => "portable",
-            SimdLevel::Popcnt => "popcnt",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// 255 = not yet detected; otherwise a `SimdLevel` discriminant.
-static SIMD_LEVEL: AtomicU8 = AtomicU8::new(255);
-
-fn detect() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("popcnt")
-        {
-            return SimdLevel::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            return SimdLevel::Popcnt;
-        }
-    }
-    SimdLevel::Portable
-}
-
-fn from_u8(v: u8) -> SimdLevel {
-    match v {
-        2 => SimdLevel::Avx2,
-        1 => SimdLevel::Popcnt,
-        _ => SimdLevel::Portable,
-    }
-}
-
-/// The instruction path the word kernels currently use: the highest level
-/// the CPU supports, unless lowered by [`set_simd_level`]. First call runs
-/// feature detection; afterwards it is one relaxed atomic load.
-pub fn simd_level() -> SimdLevel {
-    match SIMD_LEVEL.load(Ordering::Relaxed) {
-        255 => {
-            let detected = detect();
-            // keep an explicit earlier override if one raced us
-            let _ = SIMD_LEVEL.compare_exchange(
-                255,
-                detected as u8,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            from_u8(SIMD_LEVEL.load(Ordering::Relaxed))
-        }
-        v => from_u8(v),
-    }
-}
-
-/// Caps the word kernels at `level` (clamped to what the CPU actually
-/// supports — requesting `Avx2` on a machine without it yields the
-/// detected maximum). Returns the level now in effect. The differential
-/// suites use this to prove the portable fallback produces identical
-/// results; production code never needs it.
-pub fn set_simd_level(level: SimdLevel) -> SimdLevel {
-    let effective = level.min(detect());
-    SIMD_LEVEL.store(effective as u8, Ordering::Relaxed);
-    effective
-}
-
-/// `AND` + popcount over two equal-length word slices, dispatched on the
-/// active [`SimdLevel`].
-pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { and_popcount_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Popcnt => unsafe { and_popcount_popcnt(a, b) },
-        _ => and_popcount_portable(a, b),
-    }
-}
-
-fn and_popcount_portable(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x & y).count_ones() as u64)
-        .sum()
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports POPCNT (guaranteed by dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn and_popcount_popcnt(a: &[u64], b: &[u64]) -> u64 {
-    use core::arch::x86_64::_popcnt64;
-    let mut total = 0u64;
-    for (&x, &y) in a.iter().zip(b) {
-        total += _popcnt64((x & y) as i64) as u64;
-    }
-    total
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and POPCNT (guaranteed by
-/// dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn and_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
-    use core::arch::x86_64::{
-        _mm256_and_si256, _mm256_loadu_si256, _mm256_storeu_si256, _popcnt64,
-    };
-    let mut total = 0u64;
-    let lanes = a.len() / 4 * 4;
-    let mut buf = [0u64; 4];
-    let mut i = 0;
-    while i < lanes {
-        let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-        let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-        _mm256_storeu_si256(buf.as_mut_ptr().cast(), _mm256_and_si256(va, vb));
-        total += _popcnt64(buf[0] as i64) as u64;
-        total += _popcnt64(buf[1] as i64) as u64;
-        total += _popcnt64(buf[2] as i64) as u64;
-        total += _popcnt64(buf[3] as i64) as u64;
-        i += 4;
-    }
-    while i < a.len() {
-        total += _popcnt64((a[i] & b[i]) as i64) as u64;
-        i += 1;
-    }
-    total
-}
 
 /// Every adjacency list of one direction, encoded as sorted `(base, mask)`
 /// blocks. Blocks cost 12 B each; a list that is dense in label space
@@ -378,13 +234,6 @@ impl BlockView<'_> {
         }
         w
     }
-
-    /// Whether index `i` carries a boundary mask (so the SIMD run loop,
-    /// which reads raw words, must exclude it).
-    #[inline]
-    fn masked(&self, i: usize) -> bool {
-        (i == 0 && self.first_mask != !0) || (i == self.len() - 1 && self.last_mask != !0)
-    }
 }
 
 /// Block-count ratio above which the merge walk switches to galloping over
@@ -414,8 +263,8 @@ fn prefetch_base(bases: &[u32], idx: usize) {
     }
 }
 
-/// Skew path shared by counting and listing: gallop through `l.bases` for
-/// each of `s`'s blocks, handing every base-aligned pair to `hit`.
+/// Skew path of [`intersect_blocks`]: gallop through `l.bases` for each of
+/// `s`'s blocks, handing every base-aligned pair to `hit`.
 /// `advances` counts gallop/binary probes exactly like
 /// [`crate::intersect::intersect_gallop`], plus 2 per aligned pair.
 #[inline]
@@ -459,113 +308,10 @@ fn gallop_blocks<F: FnMut(usize, usize, &mut ScanStats)>(
     stats
 }
 
-/// Counting-only blocked intersection: merge over bases, `AND` + popcount
-/// per aligned pair, aligned contiguous runs processed by a word loop the
-/// compiler vectorizes inside the feature-specialized clones (see
-/// [`count_blocks`]). Heavily skewed pairs gallop over the longer side's
-/// bases instead. `advances` counts block-pointer steps / probes and is
-/// identical to [`intersect_blocks`] on the same views.
-#[inline(always)]
-fn count_blocks_impl(a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-    if a.len() * GALLOP_BLOCK_SKEW < b.len() || b.len() * GALLOP_BLOCK_SKEW < a.len() {
-        let (s, l, swapped) = if a.len() <= b.len() {
-            (a, b, false)
-        } else {
-            (b, a, true)
-        };
-        return gallop_blocks(s, l, swapped, |i, j, stats| {
-            stats.matches += (a.word(i) & b.word(j)).count_ones() as u64;
-        });
-    }
-    let mut stats = ScanStats::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (ab, bb) = (a.bases[i], b.bases[j]);
-        if ab != bb {
-            // branchless catch-up: exactly one side is behind
-            i += (ab < bb) as usize;
-            j += (bb < ab) as usize;
-            stats.advances += 1;
-            continue;
-        }
-        // how far do both sides stay base-aligned and contiguous?
-        let mut k = 1usize;
-        while i + k < a.len()
-            && j + k < b.len()
-            && a.bases[i + k] == ab + k as u32
-            && b.bases[j + k] == bb + k as u32
-        {
-            k += 1;
-        }
-        // peel masked boundary words off the run; the interior is a raw
-        // word-wise AND+popcount loop that the AVX2 clone vectorizes
-        let mut lo = 0usize;
-        let mut hi = k;
-        while lo < hi && (a.masked(i + lo) || b.masked(j + lo)) {
-            stats.matches += (a.word(i + lo) & b.word(j + lo)).count_ones() as u64;
-            lo += 1;
-        }
-        while hi > lo && (a.masked(i + hi - 1) || b.masked(j + hi - 1)) {
-            stats.matches += (a.word(i + hi - 1) & b.word(j + hi - 1)).count_ones() as u64;
-            hi -= 1;
-        }
-        let mut interior = 0u64;
-        for w in lo..hi {
-            interior += (a.words[i + w] & b.words[j + w]).count_ones() as u64;
-        }
-        stats.matches += interior;
-        stats.advances += 2 * k as u64;
-        i += k;
-        j += k;
-    }
-    stats
-}
-
-/// [`count_blocks_impl`] compiled with hardware POPCNT. The `inline(always)`
-/// impl is re-specialized inside this body, so every scalar `count_ones`
-/// becomes one `popcnt` instruction.
-///
-/// # Safety
-/// Caller must ensure the CPU supports POPCNT (guaranteed by dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn count_blocks_popcnt(a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-    count_blocks_impl(a, b)
-}
-
-/// [`count_blocks_impl`] compiled with AVX2 + POPCNT: the aligned-run
-/// interior loop vectorizes to 256-bit `AND`s and the scalar popcounts
-/// become hardware instructions.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and POPCNT (guaranteed by
-/// dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn count_blocks_avx2(a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-    count_blocks_impl(a, b)
-}
-
-/// Counting-only blocked intersection, dispatched once per call on the
-/// active [`SimdLevel`] to a feature-specialized clone of the merge (the
-/// baseline x86-64 target has no POPCNT, so the portable path pays ~12
-/// ops per scalar popcount that the clones do in one instruction).
-/// `matches` and `advances` are identical across levels.
-pub fn count_blocks(a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: simd_level() only reports levels the CPU supports.
-        SimdLevel::Avx2 => unsafe { count_blocks_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Popcnt => unsafe { count_blocks_popcnt(a, b) },
-        _ => count_blocks_impl(a, b),
-    }
-}
-
 /// Blocked intersection delivering each common label to `sink` in
-/// ascending order. Same merge/gallop dispatch (and `advances`) as
-/// [`count_blocks`].
+/// ascending order: a merge over block bases, or a gallop over the longer
+/// side's bases when the pair is heavily skewed. `advances` counts
+/// block-pointer steps and probes.
 pub fn intersect_blocks<F: FnMut(u32)>(
     a: BlockView<'_>,
     b: BlockView<'_>,
@@ -718,41 +464,7 @@ mod tests {
             let mut got = Vec::new();
             let si = intersect_blocks(va, vb, |x| got.push(x));
             assert_eq!(got, want, "a={a_node} b={b_node}");
-            let sc = count_blocks(va, vb);
-            assert_eq!(sc.matches, si.matches);
-            assert_eq!(sc.advances, si.advances);
+            assert_eq!(si.matches, want.len() as u64);
         }
-    }
-
-    #[test]
-    fn simd_levels_agree_on_and_popcount() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let initial = simd_level();
-        for len in [0usize, 1, 3, 4, 5, 16, 33, 100] {
-            let a: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
-            let b: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
-            let want: u64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| (x & y).count_ones() as u64)
-                .sum();
-            for level in [SimdLevel::Portable, SimdLevel::Popcnt, SimdLevel::Avx2] {
-                let eff = set_simd_level(level);
-                assert!(eff <= level);
-                assert_eq!(and_popcount(&a, &b), want, "level {level:?} len {len}");
-            }
-        }
-        set_simd_level(initial);
-    }
-
-    #[test]
-    fn set_simd_level_clamps_to_detected() {
-        let initial = simd_level();
-        let eff = set_simd_level(SimdLevel::Avx2);
-        assert_eq!(eff, detect().min(SimdLevel::Avx2));
-        assert_eq!(set_simd_level(SimdLevel::Portable), SimdLevel::Portable);
-        assert_eq!(simd_level(), SimdLevel::Portable);
-        set_simd_level(initial);
-        assert_eq!(simd_level(), initial);
     }
 }

@@ -91,24 +91,6 @@ pub fn intersect_branchless<F: FnMut(u32)>(a: &[u32], b: &[u32], mut sink: F) ->
     stats
 }
 
-/// Counting-only branchless merge: no sink dispatch at all — the match is
-/// folded into the counter arithmetically. Paper-cost accounting (and
-/// `advances`) is identical to [`intersect_sorted`] with a no-op sink.
-pub fn count_branchless(a: &[u32], b: &[u32]) -> ScanStats {
-    let mut stats = ScanStats::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        stats.matches += (x == y) as u64;
-        let ai = (x <= y) as usize;
-        let bj = (y <= x) as usize;
-        i += ai;
-        j += bj;
-        stats.advances += (ai + bj) as u64;
-    }
-    stats
-}
-
 /// Issues a best-effort cache-line prefetch for `slice[idx]` (no-op off
 /// x86_64 or out of bounds). Purely a latency hint: no architectural state
 /// changes, so results and accounting are untouched.
@@ -297,9 +279,6 @@ mod tests {
                 prop_assert_eq!(&bl, &want);
                 // branchless is the same walk: advances match exactly
                 prop_assert_eq!(sb.advances, sf.advances);
-                let sc = count_branchless(&a, &b);
-                prop_assert_eq!(sc.matches as usize, want.len());
-                prop_assert_eq!(sc.advances, sf.advances);
                 prop_assert!(sf.advances <= (a.len() + b.len()) as u64);
                 prop_assert_eq!(sf.matches as usize, want.len());
             }

@@ -43,10 +43,8 @@
 //! wrong-by-construction… they are not: see `xm`) disables the bitmap for
 //! that side.
 
-use crate::bitset::{count_blocks, intersect_blocks, BitsetBlocks, BlockView};
-use crate::intersect::{
-    count_branchless, intersect_branchless, intersect_gallop, intersect_sorted, ScanStats,
-};
+use crate::bitset::{intersect_blocks, BitsetBlocks, BlockView};
+use crate::intersect::{intersect_branchless, intersect_gallop, intersect_sorted, ScanStats};
 use crate::obs::{Counter, Recorder};
 use crate::oracle::EdgeOracle;
 use crate::source::GraphSource;
@@ -490,19 +488,6 @@ fn probe_bitmap<F: FnMut(u32)>(probe: &[u32], row: &[u64], mut sink: F) -> ScanS
     }
 }
 
-/// Counting-only bitmap probe: branchless accumulate, no sink dispatch.
-#[inline]
-fn count_bitmap(probe: &[u32], row: &[u64]) -> ScanStats {
-    let mut matches = 0u64;
-    for &x in probe {
-        matches += row_has(row, x) as u64;
-    }
-    ScanStats {
-        advances: probe.len() as u64,
-        matches,
-    }
-}
-
 /// The kernel-selection context for one oriented graph: the policy plus
 /// (for `Adaptive`) the out- and in-direction hub bitmaps.
 ///
@@ -700,7 +685,7 @@ impl Kernels {
     /// The routing decision for one pair with both sides non-empty, made
     /// here once for every entry point. `a` is a labelled slice; `b` is
     /// described by its length, its owner and its first and last labels —
-    /// read from the slice by [`Kernels::intersect`]/[`Kernels::count`],
+    /// read from the slice by [`Kernels::intersect`],
     /// from the block encoding by [`Kernels::intersect_remote`] (`None`
     /// when no encoding covers `b`, which closes the block route). The
     /// bounds are asked for only once the block gates pass, so a pair
@@ -800,23 +785,23 @@ impl Kernels {
         }
     }
 
-    /// Executes `route` on `a`/`b`, delivering matches through `d`, and
+    /// Executes `route` on `a`/`b`, delivering matches to `sink`, and
     /// tallies it on the meter.
     #[inline]
-    fn run<D: Deliver>(&self, route: Route<'_>, a: &[u32], b: &[u32], d: D) -> ScanStats {
+    fn run<F: FnMut(u32)>(&self, route: Route<'_>, a: &[u32], b: &[u32], sink: F) -> ScanStats {
         let ordered = |a_short| if a_short { (a, b) } else { (b, a) };
         let stats = match route {
-            Route::Paper => d.scan(a, b),
+            Route::Paper => intersect_sorted(a, b, sink),
             Route::Empty => ScanStats::default(),
-            Route::Blocks(va, vb) => d.blocks(va, vb),
-            Route::Row { row, probe_a } => d.probe(if probe_a { a } else { b }, row),
+            Route::Blocks(va, vb) => intersect_blocks(va, vb, sink),
+            Route::Row { row, probe_a } => probe_bitmap(if probe_a { a } else { b }, row, sink),
             Route::Gallop { a_short } => {
                 let (short, long) = ordered(a_short);
-                d.gallop(short, long)
+                intersect_gallop(short, long, sink)
             }
             Route::Branchless { a_short } => {
                 let (short, long) = ordered(a_short);
-                d.merge(short, long)
+                intersect_branchless(short, long, sink)
             }
         };
         if let Some(m) = &self.meter {
@@ -825,32 +810,16 @@ impl Kernels {
         stats
     }
 
-    #[inline]
-    fn labelled<D: Deliver>(
-        &self,
-        a: &[u32],
-        a_own: SideOwner,
-        b: &[u32],
-        b_own: SideOwner,
-        d: D,
-    ) -> ScanStats {
-        if a.is_empty() || b.is_empty() {
-            return ScanStats::default();
-        }
-        let route = self.route(a, a_own, b.len(), b_own, || Some((b[0], b[b.len() - 1])));
-        self.run(route, a, b, d)
-    }
-
     // Kept apart from `intersect_remote`: folding it in measured slower
     // on compressed E1 (in-process listing loop, 2 vCPUs).
     #[inline]
-    fn label_free<D: Deliver>(
+    fn label_free<F: FnMut(u32)>(
         &self,
         a: &[u32],
         a_own: SideOwner,
         (v, dir): (u32, ListDir),
         b_len: usize,
-        d: D,
+        sink: F,
     ) -> Option<ScanStats> {
         if a.is_empty() || b_len == 0 {
             return Some(ScanStats::default());
@@ -858,7 +827,7 @@ impl Kernels {
         let b_bounds = || self.blocks_for(dir)?.label_bounds(v);
         let route = self.route(a, a_own, b_len, Some((v, dir)), b_bounds);
         // a route that never reads `b` runs on an empty stand-in
-        (!route.reads_b()).then(|| self.run(route, a, &[], d))
+        (!route.reads_b()).then(|| self.run(route, a, &[], sink))
     }
 
     /// Intersects two ascending-sorted slices under the policy, invoking
@@ -873,16 +842,11 @@ impl Kernels {
         b_own: SideOwner,
         sink: F,
     ) -> ScanStats {
-        self.labelled(a, a_own, b, b_own, Emit(sink))
-    }
-
-    /// Counting-only intersection: identical `matches` (and, for the merge
-    /// kernels, identical `advances`) to [`Kernels::intersect`], with no
-    /// per-match sink dispatch — the fast path when the listing sink is a
-    /// pure counter.
-    #[inline]
-    pub fn count(&self, a: &[u32], a_own: SideOwner, b: &[u32], b_own: SideOwner) -> ScanStats {
-        self.labelled(a, a_own, b, b_own, Count)
+        if a.is_empty() || b.is_empty() {
+            return ScanStats::default();
+        }
+        let route = self.route(a, a_own, b.len(), b_own, || Some((b[0], b[b.len() - 1])));
+        self.run(route, a, b, sink)
     }
 
     /// Label-free intersection for compressed sources: answers the pair
@@ -905,7 +869,7 @@ impl Kernels {
         b_len: usize,
         sink: F,
     ) -> Option<ScanStats> {
-        self.label_free(a, a_own, b_own, b_len, Emit(sink))
+        self.label_free(a, a_own, b_own, b_len, sink)
     }
 }
 
@@ -936,69 +900,6 @@ impl Route<'_> {
             Route::Row { probe_a, .. } => !probe_a,
             Route::Paper | Route::Gallop { .. } | Route::Branchless { .. } => true,
         }
-    }
-}
-
-/// How a routed intersection delivers its matches: [`Emit`] to a sink or
-/// [`Count`] only. [`Kernels::run`] is generic over it, so each entry
-/// point compiles to direct kernel calls.
-trait Deliver {
-    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats;
-    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats;
-    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats;
-    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats;
-    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats;
-}
-
-/// Delivers every match to the wrapped sink, in ascending order.
-struct Emit<F>(F);
-
-impl<F: FnMut(u32)> Deliver for Emit<F> {
-    #[inline]
-    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats {
-        intersect_sorted(a, b, self.0)
-    }
-    #[inline]
-    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-        intersect_blocks(a, b, self.0)
-    }
-    #[inline]
-    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats {
-        probe_bitmap(probe, row, self.0)
-    }
-    #[inline]
-    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats {
-        intersect_gallop(short, long, self.0)
-    }
-    #[inline]
-    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats {
-        intersect_branchless(short, long, self.0)
-    }
-}
-
-/// Counts matches without delivering them.
-struct Count;
-
-impl Deliver for Count {
-    #[inline]
-    fn scan(self, a: &[u32], b: &[u32]) -> ScanStats {
-        intersect_sorted(a, b, |_| {})
-    }
-    #[inline]
-    fn blocks(self, a: BlockView<'_>, b: BlockView<'_>) -> ScanStats {
-        count_blocks(a, b)
-    }
-    #[inline]
-    fn probe(self, probe: &[u32], row: &[u64]) -> ScanStats {
-        count_bitmap(probe, row)
-    }
-    #[inline]
-    fn gallop(self, short: &[u32], long: &[u32]) -> ScanStats {
-        intersect_gallop(short, long, |_| {})
-    }
-    #[inline]
-    fn merge(self, short: &[u32], long: &[u32]) -> ScanStats {
-        count_branchless(short, long)
     }
 }
 
@@ -1161,14 +1062,6 @@ mod tests {
                     );
                     assert_eq!(got, want, "cfg {cfg:?} z={z} y={y}");
                     assert_eq!(sa.matches, sp.matches);
-                    let sc = k.count(
-                        local,
-                        Some((z, ListDir::Out)),
-                        remote,
-                        Some((y, ListDir::Out)),
-                    );
-                    assert_eq!(sc.matches, sp.matches, "count cfg {cfg:?}");
-                    assert_eq!(sc.advances, sa.advances, "count advances cfg {cfg:?}");
                 }
             }
         }
@@ -1221,14 +1114,17 @@ mod tests {
         for z in 0..dg.n() as u32 {
             let out = dg.out(z);
             for (j, &y) in out.iter().enumerate() {
-                let want = paper.count(&out[..j], None, dg.out(y), None).matches;
+                let want = paper
+                    .intersect(&out[..j], None, dg.out(y), None, |_| {})
+                    .matches;
                 for k in [&half, &none] {
                     let got = k
-                        .count(
+                        .intersect(
                             &out[..j],
                             Some((z, ListDir::Out)),
                             dg.out(y),
                             Some((y, ListDir::Out)),
+                            |_| {},
                         )
                         .matches;
                     assert_eq!(got, want, "z={z} y={y}");
@@ -1260,13 +1156,14 @@ mod tests {
                     continue;
                 }
                 calls += 1;
-                let want = paper.count(local, None, remote, None).matches;
+                let want = paper.intersect(local, None, remote, None, |_| {}).matches;
                 let got = metered
-                    .count(
+                    .intersect(
                         local,
                         Some((z, ListDir::Out)),
                         remote,
                         Some((y, ListDir::Out)),
+                        |_| {},
                     )
                     .matches;
                 assert_eq!(got, want, "z={z} y={y}");
@@ -1367,14 +1264,6 @@ mod tests {
                     );
                     assert_eq!(got, want, "E1 cfg {cfg:?} z={z} y={y}");
                     assert_eq!(sb.matches, sp.matches);
-                    let sc = k.count(
-                        local,
-                        Some((z, ListDir::Out)),
-                        remote,
-                        Some((y, ListDir::Out)),
-                    );
-                    assert_eq!(sc.matches, sp.matches, "count cfg {cfg:?}");
-                    assert_eq!(sc.advances, sb.advances, "count advances cfg {cfg:?}");
                 }
                 // E4-shaped slice pairs (out suffix × in prefix)
                 for (j, &x) in out.iter().enumerate() {
@@ -1432,14 +1321,17 @@ mod tests {
         for z in 0..dg.n() as u32 {
             let out = dg.out(z);
             for (j, &y) in out.iter().enumerate() {
-                let want = paper.count(&out[..j], None, dg.out(y), None).matches;
+                let want = paper
+                    .intersect(&out[..j], None, dg.out(y), None, |_| {})
+                    .matches;
                 for k in [&tight, &none] {
                     let got = k
-                        .count(
+                        .intersect(
                             &out[..j],
                             Some((z, ListDir::Out)),
                             dg.out(y),
                             Some((y, ListDir::Out)),
+                            |_| {},
                         )
                         .matches;
                     assert_eq!(got, want, "z={z} y={y}");
@@ -1472,11 +1364,12 @@ mod tests {
                     continue;
                 }
                 calls += 1;
-                k.count(
+                k.intersect(
                     local,
                     Some((z, ListDir::Out)),
                     remote,
                     Some((y, ListDir::Out)),
+                    |_| {},
                 );
             }
         }

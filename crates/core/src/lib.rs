@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod baseline;
 pub mod bitset;
@@ -50,7 +51,7 @@ pub mod source;
 pub mod unrelabeled;
 pub mod vertex;
 
-pub use bitset::{set_simd_level, simd_level, BitsetBlocks, SimdLevel};
+pub use bitset::BitsetBlocks;
 pub use clustering::{average_clustering, transitivity, triangle_count, triangle_counts};
 pub use compressed::CompressedCsr;
 pub use cost::CostReport;
@@ -277,19 +278,6 @@ impl Method {
         }
     }
 
-    fn count_sei_with(&self, g: &DirectedGraph, k: &Kernels) -> CostReport {
-        use Method::*;
-        match self {
-            E1 => sei::e1_count_with(g, k),
-            E2 => sei::e2_count_with(g, k),
-            E3 => sei::e3_count_with(g, k),
-            E4 => sei::e4_count_with(g, k),
-            E5 => sei::e5_count_with(g, k),
-            E6 => sei::e6_count_with(g, k),
-            _ => unreachable!("count_sei_with called on non-SEI method"),
-        }
-    }
-
     /// Runs the method under an explicit kernel context: SEI intersections
     /// go through [`Kernels::intersect`]; vertex and lookup iterators probe
     /// through a [`BitmapOracle`] over the context's out-direction hub rows
@@ -326,18 +314,6 @@ impl Method {
     ) -> CostReport {
         let k = Kernels::build(policy, g);
         self.run_with_kernels(g, &k, sink)
-    }
-
-    /// Counting-only run under an explicit kernel context: SEI methods use
-    /// the no-materialization fast path (no per-match sink dispatch at
-    /// all); vertex and lookup iterators run with a no-op sink. The report
-    /// is field-for-field identical to [`Method::run_with_kernels`] under
-    /// the same context.
-    pub fn count_with_kernels(&self, g: &DirectedGraph, k: &Kernels) -> CostReport {
-        match self.family() {
-            Family::Sei => self.count_sei_with(g, k),
-            Family::Vertex | Family::Lei => self.run_with_kernels(g, k, |_, _, _| {}),
-        }
     }
 
     /// The closed-form operation count predicted from the oriented degree
@@ -430,7 +406,9 @@ pub fn list_triangles<R: Rng + ?Sized>(
     }
 }
 
-/// Counts triangles without materializing them (same framework).
+/// Counts triangles without materializing them (same framework): a
+/// listing run whose sink discards each triangle, so the report is
+/// field for field the listing run's.
 pub fn count_triangles<R: Rng + ?Sized>(
     g: &Graph,
     method: Method,
@@ -471,8 +449,8 @@ pub fn list_triangles_with<R: Rng + ?Sized>(
     }
 }
 
-/// [`count_triangles`] under an explicit kernel policy, taking the
-/// counting-only fast path for SEI methods.
+/// [`count_triangles`] under an explicit kernel policy: listing under
+/// that policy through a discarding sink.
 pub fn count_triangles_with<R: Rng + ?Sized>(
     g: &Graph,
     method: Method,
@@ -482,8 +460,7 @@ pub fn count_triangles_with<R: Rng + ?Sized>(
 ) -> (u64, CostReport) {
     let relabeling = family.relabeling(g, rng);
     let dg = DirectedGraph::orient(g, &relabeling);
-    let k = Kernels::build(policy, &dg);
-    let cost = method.count_with_kernels(&dg, &k);
+    let cost = method.run_with_policy(&dg, policy, |_, _, _| {});
     (cost.triangles, cost)
 }
 

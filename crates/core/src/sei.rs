@@ -32,141 +32,24 @@ use crate::source::{DecodeScratch, ListReader};
 use crate::vertex::{t1_formula, t2_formula, t3_formula};
 use trilist_order::DirectedGraph;
 
-// Each method is one *drive* — the edge traversal plus the paper-cost
-// accounting (local/remote are charged from the eligible slice lengths
-// before the kernel runs, so they are byte-identical under every
-// `KernelPolicy`) — instantiated twice: a listing body that routes matches
-// to the sink, and a counting body with no per-match dispatch. The drive
-// hands each intersection its `SideOwner`s, the structural facts (derived
-// from the orientation invariant out(v) < v < in(v)) that make hub-bitmap
-// probes against full-list rows exact on the sliced lists. The E1 and E4
-// drives, the parallel runtime's, read lists through a `ListReader`, so
-// they also run on the compressed layout.
+// Each method is one traversal that charges paper cost (local/remote)
+// from the eligible slice lengths, so those fields are byte-identical
+// under every `KernelPolicy`, and hands the kernel each intersection with
+// its `SideOwner`s: the structural facts (derived from the orientation
+// invariant out(v) < v < in(v)) that make hub-bitmap probes against
+// full-list rows exact on the sliced lists. Counting runs the same
+// traversal with a discarding sink. E1 and E4, the parallel runtime's
+// methods, read lists through a `ListReader`, so they also run on the
+// compressed layout.
 
-/// One eligible pair: charge paper cost from the slice lengths, then let
-/// the kernel body do (and meter) the actual intersection work.
+/// One eligible pair: paper cost from the slice lengths, implementation
+/// cost and triangles from what the kernel did.
 #[inline]
-fn charge<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    cost: &mut CostReport,
-    body: &mut K,
-    local: &[u32],
-    remote: &[u32],
-    a: u32,
-    b: u32,
-) {
+fn charge(cost: &mut CostReport, local: &[u32], remote: &[u32], stats: ScanStats) {
     cost.local += local.len() as u64;
     cost.remote += remote.len() as u64;
-    let stats = body(local, remote, a, b);
     cost.pointer_advances += stats.advances;
     cost.triangles += stats.matches;
-}
-
-/// The E1 drive hands its body the local slice, `y`, `z` and a buffer
-/// for `N⁺(y)`: the remote side is always all of `N⁺(y)`, charged from the
-/// stored degree, so the body may answer without reading the list.
-fn e1_drive<L: ListReader, K: FnMut(&[u32], u32, u32, &mut Vec<u32>) -> ScanStats>(
-    g: &L,
-    range: std::ops::Range<u32>,
-    scratch: &mut DecodeScratch,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    let [node, remote, ..] = &mut scratch.bufs;
-    for z in range {
-        let out = g.out(z, node);
-        for (j, &y) in out.iter().enumerate() {
-            cost.local += j as u64;
-            cost.remote += g.x(y) as u64;
-            let stats = body(&out[..j], y, z, remote);
-            cost.pointer_advances += stats.advances;
-            cost.triangles += stats.matches;
-        }
-    }
-    cost
-}
-
-fn e2_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
-    range: std::ops::Range<u32>,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    for z in range {
-        let out = g.out(z);
-        for (j, &y) in out.iter().enumerate() {
-            charge(&mut cost, &mut body, g.out(y), &out[..j], y, z);
-        }
-    }
-    cost
-}
-
-fn e3_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
-    range: std::ops::Range<u32>,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    for x in range {
-        let inn = g.in_(x);
-        for (i, &y) in inn.iter().enumerate() {
-            charge(&mut cost, &mut body, &inn[i + 1..], g.in_(y), y, x);
-        }
-    }
-    cost
-}
-
-fn e4_drive<L: ListReader, K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &L,
-    range: std::ops::Range<u32>,
-    scratch: &mut DecodeScratch,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    let [node, remote, ..] = &mut scratch.bufs;
-    for z in range {
-        let out = g.out(z, node);
-        for (j, &x) in out.iter().enumerate() {
-            let inn = g.in_(x, remote);
-            // rank of z within N⁻(x): everything before it is an eligible y
-            let r = inn.partition_point(|&w| w < z);
-            charge(&mut cost, &mut body, &out[j + 1..], &inn[..r], x, z);
-        }
-    }
-    cost
-}
-
-fn e5_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
-    range: std::ops::Range<u32>,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    for y in range {
-        let local = g.in_(y);
-        for &x in g.out(y) {
-            let inn = g.in_(x);
-            let r = inn.partition_point(|&w| w <= y);
-            charge(&mut cost, &mut body, local, &inn[r..], x, y);
-        }
-    }
-    cost
-}
-
-fn e6_drive<K: FnMut(&[u32], &[u32], u32, u32) -> ScanStats>(
-    g: &DirectedGraph,
-    range: std::ops::Range<u32>,
-    mut body: K,
-) -> CostReport {
-    let mut cost = CostReport::default();
-    for x in range {
-        let inn = g.in_(x);
-        for (k, &z) in inn.iter().enumerate() {
-            let out = g.out(z);
-            let r = out.partition_point(|&w| w <= x);
-            charge(&mut cost, &mut body, &inn[..k], &out[r..], z, x);
-        }
-    }
-    cost
 }
 
 #[inline]
@@ -209,7 +92,9 @@ pub fn e1_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, sink: F)
 /// E1 over `range` with an explicit kernel context, on either adjacency
 /// layout. The local slice is a prefix of `N⁺(z)` below `y`; every probe
 /// element comes from `N⁺(y)` and is therefore `< y`, so the full-list
-/// `(z, Out)` row is exact for it.
+/// `(z, Out)` row is exact for it. The remote side is always all of
+/// `N⁺(y)`, charged from the stored degree, so the reader may answer
+/// without decoding the list.
 pub(crate) fn e1_range_with<L: ListReader, F: FnMut(u32, u32, u32)>(
     g: &L,
     range: std::ops::Range<u32>,
@@ -217,21 +102,19 @@ pub(crate) fn e1_range_with<L: ListReader, F: FnMut(u32, u32, u32)>(
     scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
-    e1_drive(g, range, scratch, |local, y, z, buf| {
-        g.e1_remote(k, local, z, y, buf, |x| sink(x, y, z))
-    })
-}
-
-/// E1 counting-only fast path: no triangle materialization, no per-match
-/// sink dispatch. Paper-cost fields equal [`e1_with`]'s under the same
-/// kernel context.
-pub fn e1_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e1_drive(
-        g,
-        0..g.n() as u32,
-        &mut DecodeScratch::default(),
-        |local, y, z, _| k.count(local, out_of(z), g.out(y), out_of(y)),
-    )
+    let mut cost = CostReport::default();
+    let [node, remote, ..] = &mut scratch.bufs;
+    for z in range {
+        let out = g.out(z, node);
+        for (j, &y) in out.iter().enumerate() {
+            cost.local += j as u64;
+            cost.remote += g.x(y) as u64;
+            let stats = g.e1_remote(k, &out[..j], z, y, remote, |x| sink(x, y, z));
+            cost.pointer_advances += stats.advances;
+            cost.triangles += stats.matches;
+        }
+    }
+    cost
 }
 
 /// E2: the same intersections as E1 with `y` as the first-visited node, so
@@ -244,16 +127,16 @@ pub fn e2<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
 /// E2 with an explicit kernel context (owners mirror E1 with the roles
 /// swapped).
 pub fn e2_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, mut sink: F) -> CostReport {
-    e2_drive(g, 0..g.n() as u32, |local, remote, y, z| {
-        k.intersect(local, out_of(y), remote, out_of(z), |x| sink(x, y, z))
-    })
-}
-
-/// E2 counting-only fast path.
-pub fn e2_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e2_drive(g, 0..g.n() as u32, |local, remote, y, z| {
-        k.count(local, out_of(y), remote, out_of(z))
-    })
+    let mut cost = CostReport::default();
+    for z in 0..g.n() as u32 {
+        let out = g.out(z);
+        for (j, &y) in out.iter().enumerate() {
+            let (local, remote) = (g.out(y), &out[..j]);
+            let stats = k.intersect(local, out_of(y), remote, out_of(z), |x| sink(x, y, z));
+            charge(&mut cost, local, remote, stats);
+        }
+    }
+    cost
 }
 
 /// E3: visit `x`, then each `y ∈ N⁻(x)`; intersect the above-`y` suffix of
@@ -265,16 +148,16 @@ pub fn e3<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
 /// E3 with an explicit kernel context. Probes into the `(x, In)` row come
 /// from `N⁻(y)` and are `> y`, exactly the suffix the slice keeps.
 pub fn e3_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, mut sink: F) -> CostReport {
-    e3_drive(g, 0..g.n() as u32, |local, remote, y, x| {
-        k.intersect(local, in_of(x), remote, in_of(y), |z| sink(x, y, z))
-    })
-}
-
-/// E3 counting-only fast path.
-pub fn e3_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e3_drive(g, 0..g.n() as u32, |local, remote, y, x| {
-        k.count(local, in_of(x), remote, in_of(y))
-    })
+    let mut cost = CostReport::default();
+    for x in 0..g.n() as u32 {
+        let inn = g.in_(x);
+        for (i, &y) in inn.iter().enumerate() {
+            let (local, remote) = (&inn[i + 1..], g.in_(y));
+            let stats = k.intersect(local, in_of(x), remote, in_of(y), |z| sink(x, y, z));
+            charge(&mut cost, local, remote, stats);
+        }
+    }
+    cost
 }
 
 /// E4: visit `z`, then each `x ∈ N⁺(z)`; intersect the above-`x` suffix of
@@ -315,19 +198,20 @@ pub(crate) fn e4_range_with<L: ListReader, F: FnMut(u32, u32, u32)>(
     scratch: &mut DecodeScratch,
     mut sink: F,
 ) -> CostReport {
-    e4_drive(g, range, scratch, |local, remote, x, z| {
-        k.intersect(local, out_of(z), remote, in_of(x), |y| sink(x, y, z))
-    })
-}
-
-/// E4 counting-only fast path.
-pub fn e4_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e4_drive(
-        g,
-        0..g.n() as u32,
-        &mut DecodeScratch::default(),
-        |local, remote, x, z| k.count(local, out_of(z), remote, in_of(x)),
-    )
+    let mut cost = CostReport::default();
+    let [node, remote, ..] = &mut scratch.bufs;
+    for z in range {
+        let out = g.out(z, node);
+        for (j, &x) in out.iter().enumerate() {
+            let inn = g.in_(x, remote);
+            // rank of z within N⁻(x): everything before it is an eligible y
+            let r = inn.partition_point(|&w| w < z);
+            let (local, remote) = (&out[j + 1..], &inn[..r]);
+            let stats = k.intersect(local, out_of(z), remote, in_of(x), |y| sink(x, y, z));
+            charge(&mut cost, local, remote, stats);
+        }
+    }
+    cost
 }
 
 /// E5: visit `y`, then each `x ∈ N⁺(y)`; intersect `N⁻(y)` (local) with the
@@ -339,16 +223,17 @@ pub fn e5<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
 /// E5 with an explicit kernel context. Probes into the `(x, In)` row come
 /// from `N⁻(y)` and are `> y`, the kept suffix.
 pub fn e5_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, mut sink: F) -> CostReport {
-    e5_drive(g, 0..g.n() as u32, |local, remote, x, y| {
-        k.intersect(local, in_of(y), remote, in_of(x), |z| sink(x, y, z))
-    })
-}
-
-/// E5 counting-only fast path.
-pub fn e5_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e5_drive(g, 0..g.n() as u32, |local, remote, x, y| {
-        k.count(local, in_of(y), remote, in_of(x))
-    })
+    let mut cost = CostReport::default();
+    for y in 0..g.n() as u32 {
+        let local = g.in_(y);
+        for &x in g.out(y) {
+            let inn = g.in_(x);
+            let remote = &inn[inn.partition_point(|&w| w <= y)..];
+            let stats = k.intersect(local, in_of(y), remote, in_of(x), |z| sink(x, y, z));
+            charge(&mut cost, local, remote, stats);
+        }
+    }
+    cost
 }
 
 /// E6: visit `x`, then each `z ∈ N⁻(x)`; intersect the below-`z` prefix of
@@ -360,16 +245,17 @@ pub fn e6<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, sink: F) -> CostReport {
 /// E6 with an explicit kernel context (owners mirror E4 with the roles
 /// swapped).
 pub fn e6_with<F: FnMut(u32, u32, u32)>(g: &DirectedGraph, k: &Kernels, mut sink: F) -> CostReport {
-    e6_drive(g, 0..g.n() as u32, |local, remote, z, x| {
-        k.intersect(local, in_of(x), remote, out_of(z), |y| sink(x, y, z))
-    })
-}
-
-/// E6 counting-only fast path.
-pub fn e6_count_with(g: &DirectedGraph, k: &Kernels) -> CostReport {
-    e6_drive(g, 0..g.n() as u32, |local, remote, z, x| {
-        k.count(local, in_of(x), remote, out_of(z))
-    })
+    let mut cost = CostReport::default();
+    for x in 0..g.n() as u32 {
+        let inn = g.in_(x);
+        for (i, &z) in inn.iter().enumerate() {
+            let out = g.out(z);
+            let (local, remote) = (&inn[..i], &out[out.partition_point(|&w| w <= x)..]);
+            let stats = k.intersect(local, in_of(x), remote, out_of(z), |y| sink(x, y, z));
+            charge(&mut cost, local, remote, stats);
+        }
+    }
+    cost
 }
 
 /// Table 1 closed forms: `(local, remote)` totals for each SEI method from

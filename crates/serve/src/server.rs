@@ -101,38 +101,32 @@ impl Default for ServeConfig {
 /// deadline clamps only shrink deadlines a client already set, and cold
 /// evictions only drop cache entries other graphs own. Each step taken
 /// is counted in `Stats` (`admission_degraded_*`), so tests can pin that
-/// the ladder engages before the first `rejected-busy`.
+/// the ladder engages before the first `rejected-busy`. The rungs sit at
+/// fixed pressures (`POLICY_AT`, `DEADLINE_AT`, `EVICT_AT`).
 #[derive(Clone, Copy, Debug)]
 pub struct DegradeConfig {
     /// Master switch; `false` jumps straight to rejection (pre-ladder
     /// behavior).
     pub enabled: bool,
-    /// Pressure (max of queue fill and gauge fill, 0..=1) at which the
-    /// kernel policy steps down one rung (bitset → adaptive → paper).
-    pub policy_at: f64,
-    /// Pressure at which request deadlines clamp to
-    /// [`DegradeConfig::degraded_deadline_ms`], forcing the
-    /// partial+resume path so slots recycle faster.
-    pub deadline_at: f64,
-    /// Pressure at which the policy drops all the way to paper-faithful
-    /// and one cold cache entry is evicted per request.
-    pub evict_at: f64,
-    /// Deadline (ms) imposed on deadline-carrying requests past
-    /// [`DegradeConfig::deadline_at`].
-    pub degraded_deadline_ms: u64,
 }
 
 impl Default for DegradeConfig {
     fn default() -> Self {
-        DegradeConfig {
-            enabled: true,
-            policy_at: 0.60,
-            deadline_at: 0.75,
-            evict_at: 0.90,
-            degraded_deadline_ms: 50,
-        }
+        DegradeConfig { enabled: true }
     }
 }
+
+/// Pressure (max of queue fill and gauge fill, 0..=1) at which the kernel
+/// policy steps down one rung (bitset → adaptive → paper).
+const POLICY_AT: f64 = 0.60;
+/// Pressure at which request deadlines clamp to `DEGRADED_DEADLINE_MS`,
+/// forcing the partial+resume path so slots recycle faster.
+const DEADLINE_AT: f64 = 0.75;
+/// Pressure at which the policy drops all the way to paper-faithful and
+/// one cold cache entry is evicted per request.
+const EVICT_AT: f64 = 0.90;
+/// Deadline (ms) imposed on deadline-carrying requests past `DEADLINE_AT`.
+const DEGRADED_DEADLINE_MS: u64 = 50;
 
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
@@ -596,6 +590,7 @@ fn run_listing(
             "method {method} is not served (the parallel runtime covers T1, T2, E1, E4)"
         )));
     }
+    let resume = parse_resume(&p.resume, WorkDomain::Listing(method))?;
     let (prepared, cache_hit) = shared
         .store
         .prepare(&p.graph, ordering)
@@ -607,11 +602,10 @@ fn run_listing(
     // triangles are policy-invariant), so completed responses stay
     // byte-identical to an unpressured run.
     let mut deadline_ms = p.deadline_ms;
-    let ladder = shared.cfg.degrade;
-    if ladder.enabled {
+    if shared.cfg.degrade.enabled {
         let pressure = overload_pressure(shared);
-        if pressure >= ladder.policy_at {
-            let stepped = if pressure >= ladder.evict_at {
+        if pressure >= POLICY_AT {
+            let stepped = if pressure >= EVICT_AT {
                 KernelPolicy::PaperFaithful
             } else {
                 downgrade_policy(policy)
@@ -620,14 +614,11 @@ fn run_listing(
                 policy = stepped;
                 shared.metrics.bump(Metric::DegradedPolicy);
             }
-            if pressure >= ladder.deadline_at
-                && deadline_ms > 0
-                && deadline_ms > ladder.degraded_deadline_ms
-            {
-                deadline_ms = ladder.degraded_deadline_ms;
+            if pressure >= DEADLINE_AT && deadline_ms > DEGRADED_DEADLINE_MS {
+                deadline_ms = DEGRADED_DEADLINE_MS;
                 shared.metrics.bump(Metric::DegradedDeadline);
             }
-            if pressure >= ladder.evict_at && shared.store.evict_cold(&p.graph) {
+            if pressure >= EVICT_AT && shared.store.evict_cold(&p.graph) {
                 shared.metrics.bump(Metric::DegradedEvict);
             }
         }
@@ -654,17 +645,9 @@ fn run_listing(
         ..ResilientOpts::default()
     };
     let src = source(&prepared);
-    let outcome = if p.resume.is_empty() {
-        list_resilient_src(src, method, &opts)
-    } else {
-        let rp = parse_resume(&p.resume)?;
-        if rp.domain() != WorkDomain::Listing(method) {
-            return Err(bad(format!(
-                "resume token is for {}, request names {method}",
-                rp.domain()
-            )));
-        }
-        rp.run_src(src, &opts)
+    let outcome = match resume {
+        None => list_resilient_src(src, method, &opts),
+        Some(rp) => rp.run_src(src, &opts),
     };
     drop(permit);
     Ok(match outcome.map_err(|e| bad(e.to_string()))? {
@@ -755,17 +738,33 @@ fn admit_run<'s>(
         cancel: None,
         gauge: Some(shared.gauge.clone()),
     };
+    // a request's own count is capped at the CPU count: results are
+    // thread-count invariant, so the cap changes no answer, only how many
+    // OS threads one frame can start
     let threads = match threads {
         0 => shared.cfg.workers,
-        t => t as usize,
+        t => usize::from(t).min(ParallelOpts::default().threads),
     };
     Ok((permit, budget, threads))
 }
 
-fn parse_resume(token: &str) -> Result<ResumePoint, ErrorFrame> {
-    token
+/// A request's resume token (`None` when empty), parsed and checked
+/// against the run's domain before anything is prepared or admitted, so
+/// a bad token costs neither a prepare nor an admission slot.
+fn parse_resume(token: &str, domain: WorkDomain) -> Result<Option<ResumePoint>, ErrorFrame> {
+    if token.is_empty() {
+        return Ok(None);
+    }
+    let rp: ResumePoint = token
         .parse()
-        .map_err(|e: ResumeParseError| bad(e.to_string()))
+        .map_err(|e: ResumeParseError| bad(e.to_string()))?;
+    if rp.domain() != domain {
+        return Err(bad(format!(
+            "resume token is for {}, request names {domain}",
+            rp.domain()
+        )));
+    }
+    Ok(Some(rp))
 }
 
 /// The layout the plan chose; cost accounting and triangle output are
@@ -850,6 +849,7 @@ fn wire_result<'t>(
 /// compaction is byte-identical to one that never saw it
 /// (`tests/serve_dynamic.rs`).
 fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFrame> {
+    let resume = parse_resume(&p.resume, WorkDomain::Delta)?;
     let latest = shared
         .store
         .latest_epoch(&p.graph)
@@ -903,12 +903,11 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
     let src = source(&prepared);
     let kernels = reusable_kernels(&prepared, policy)
         .unwrap_or_else(|| Arc::new(Kernels::build_src(policy, src)));
-    let outcome = if p.resume.is_empty() {
-        list_new_triangles_src(src, &kernels, &label_edges, &opts)
-    } else {
-        parse_resume(&p.resume)?
+    let outcome = match resume {
+        None => list_new_triangles_src(src, &kernels, &label_edges, &opts),
+        Some(rp) => rp
             .run_new_triangles_src(src, &kernels, &label_edges, &opts)
-            .map_err(|e| bad(e.to_string()))?
+            .map_err(|e| bad(e.to_string()))?,
     };
     drop(permit);
     let stop = match &outcome {
@@ -959,5 +958,14 @@ mod tests {
             .unwrap();
         assert!(before < listed && listed < spans(&mut client));
         assert!(server.shared.recorder.spans().is_empty());
+    }
+
+    #[test]
+    fn a_requested_thread_count_is_capped_at_the_cpu_count() {
+        let (shared, _compactor) = Shared::new(ServeConfig::default());
+        let price = price_request(Method::E1, &[1, 1]);
+        let (_permit, _, threads) = admit_run(&shared, &price, 0, 0, u16::MAX).unwrap();
+        let cpus = ParallelOpts::default().threads;
+        assert!(threads <= cpus, "{threads} threads on {cpus} CPUs");
     }
 }

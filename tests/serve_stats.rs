@@ -6,6 +6,7 @@
 
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use trilist::core::{Method, ResumePoint, WorkDomain};
 use trilist::serve::{
     AdmissionConfig, ChaosPlan, Client, ClientError, DeltaParams, ErrorCode, ListParams,
     RetryPolicy, ServeConfig, Server,
@@ -208,6 +209,42 @@ fn scripted_connection_pins_every_counter() {
     ];
     let got: Vec<(&str, u64)> = want.iter().map(|&(k, _)| (k, stats[k])).collect();
     assert_eq!(got, want);
+    client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn bad_resume_tokens_are_rejected_before_prepare_or_admission() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .register_graph("g", 60, &gnp_edges(60, 0.2, 0x7E5))
+        .unwrap();
+    let e4_token = ResumePoint::new(WorkDomain::Listing(Method::E4), 60, 0, vec![(0, 0..60)])
+        .unwrap()
+        .to_string();
+    let list = |method: &str, resume: &str| ListParams {
+        resume: resume.to_string(),
+        ..ListParams::new("g", method, "desc", "adaptive")
+    };
+    let delta = DeltaParams {
+        resume: "not a token".to_string(),
+        ..DeltaParams::new("g", 0, DeltaParams::LATEST)
+    };
+    let answers = [
+        client.list(list("E1", "not a token")).map(drop),
+        client.list(list("E1", &e4_token)).map(drop),
+        client.list_new(delta).map(drop),
+    ];
+    for answer in answers {
+        match answer {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::BadRequest),
+            other => panic!("expected a bad-request answer, got {other:?}"),
+        }
+    }
+    let stats: BTreeMap<String, u64> = client.stats().unwrap().into_iter().collect();
+    assert_eq!(stats["admission_admitted"], 0);
+    assert_eq!(stats["cache_misses"], 0);
     client.shutdown().unwrap();
     server.join();
 }
