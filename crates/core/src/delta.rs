@@ -46,7 +46,6 @@ use crate::resilient::{
 };
 use crate::sink::TriangleBuffer;
 use crate::source::{with_reader, DecodeScratch, GraphSource, ListReader};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -645,22 +644,16 @@ fn run_delta(
         jobs,
         opts.threads,
         Vec::new(),
-        &|| {
-            // metering is worker-local observation: attach the run's meter
-            // to a clone, never to the caller's context
-            let kernels = match &run.meter {
-                Some(m) => Cow::Owned(kernels.clone().with_meter(Arc::clone(m))),
-                None => Cow::Borrowed(kernels),
-            };
-            (kernels, DecodeScratch::default())
-        },
+        // each worker runs a clone of the caller's context that shares its
+        // structures and carries only the worker's own meter
+        &|meter| (kernels.for_worker(meter), DecodeScratch::default()),
         &|(kernels, scratch), range, degraded| {
             let paper;
             let kernels = if degraded {
                 paper = Kernels::paper();
                 &paper
             } else {
-                &**kernels
+                &*kernels
             };
             let mut tris = TriangleBuffer::new();
             let sink = |x, y, z| tris.push(x, y, z);

@@ -54,14 +54,19 @@ use std::sync::Arc;
 use trilist_order::{DirectedGraph, OrderFamily, OrderingKind};
 
 /// Per-kernel-variant dispatch tallies, accumulated by a metered
-/// [`Kernels`] and flushed into a [`Recorder`] at chunk/run boundaries.
+/// [`Kernels`] and flushed into a [`Recorder`] once its writer is done.
 ///
-/// Fields are atomics only so a metered context stays `Sync`; the runtime
-/// attaches one meter per *worker* (each worker owns its `Kernels`), so in
-/// practice every `fetch_add` is an uncontended cache line. An unmetered
-/// context (`meter: None`, the default everywhere) costs a single
-/// predictable branch per intersection.
+/// A meter has exactly one writer. The runtime gives every worker its own
+/// meter on its own clone of the run's context (a clone shares the kernel
+/// structures and copies no rows), so a tally is a relaxed load and store
+/// of the worker's own cache line: no `lock`-prefixed read-modify-write on
+/// the per-intersection path, and no line shared with another worker.
+/// The fields are atomics only so a metered context stays `Sync`; two
+/// threads intersecting through one metered context would lose tallies
+/// (never results). An unmetered context (`meter: None`, the default
+/// everywhere) costs a single predictable branch per intersection.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct KernelMeter {
     paper: AtomicU64,
     branchless: AtomicU64,
@@ -79,31 +84,19 @@ impl KernelMeter {
         KernelMeter::default()
     }
 
+    /// Single-writer add: a plain load and store, not a locked RMW.
     #[inline]
-    fn bump(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Tallies one routed call and the probes it made.
-    #[inline]
-    fn tally(&self, route: &Route<'_>, advances: u64) {
-        let (calls, steps) = match route {
-            Route::Paper => (&self.paper, None),
-            Route::Empty => (&self.bitset, None),
-            Route::Blocks(..) => (&self.bitset, Some(&self.bitset_words)),
-            Route::Row { .. } => (&self.bitmap, Some(&self.bitmap_probes)),
-            Route::Gallop { .. } => (&self.gallop, Some(&self.gallop_steps)),
-            Route::Branchless { .. } => (&self.branchless, None),
-        };
-        self.bump(calls, 1);
-        if let Some(steps) = steps {
-            self.bump(steps, advances);
-        }
+    fn bump(field: &AtomicU64, n: u64) {
+        field.store(
+            field.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 
     /// Drains every tally into `rec` (the tallies reset to zero), so one
-    /// meter can be flushed repeatedly across chunks without double
-    /// counting.
+    /// meter can be flushed repeatedly without double counting. Call it
+    /// between the writer's intersections — the runtime flushes each
+    /// worker's meter after the workers join.
     pub fn flush_into(&self, rec: &dyn Recorder) {
         let pairs = [
             (&self.paper, Counter::IntersectPaper),
@@ -116,13 +109,18 @@ impl KernelMeter {
             (&self.bitset_words, Counter::BitsetBlockSteps),
         ];
         for (field, counter) in pairs {
-            let v = field.swap(0, Ordering::Relaxed);
+            let v = field.load(Ordering::Relaxed);
+            field.store(0, Ordering::Relaxed);
             if v > 0 {
                 rec.add(counter, v);
             }
         }
     }
 }
+
+/// Picks the tallies one routed call feeds: its variant's call count and,
+/// for variants that count probes, its probe count.
+type Tallies = fn(&KernelMeter) -> (&AtomicU64, Option<&AtomicU64>);
 
 /// Which neighbor list of a node backs a bitmap row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -489,20 +487,22 @@ fn probe_bitmap<F: FnMut(u32)>(probe: &[u32], row: &[u64], mut sink: F) -> ScanS
 }
 
 /// The kernel-selection context for one oriented graph: the policy plus
-/// (for `Adaptive`) the out- and in-direction hub bitmaps.
+/// (for `Adaptive`) the out- and in-direction hub bitmaps, and (for
+/// `Bitset`) the block encodings.
 ///
 /// Cheap to construct for `PaperFaithful`; for `Adaptive` the build costs
-/// one pass over the hub lists. Immutable after construction — the
-/// parallel runtime gives each worker its own instance (built once per
-/// worker, reused across all its chunks) rather than sharing rows across
-/// threads.
+/// one pass over the hub lists. Immutable after construction, and the
+/// heavy structures sit behind `Arc`s, so a clone costs a few refcount
+/// bumps and copies no rows: a run builds (or borrows from a cache) one
+/// context, and every worker executes a clone of it carrying the worker's
+/// own [`KernelMeter`].
 #[derive(Clone, Debug)]
 pub struct Kernels {
     policy: KernelPolicy,
-    out_bits: Option<HubBitmap>,
-    in_bits: Option<HubBitmap>,
-    out_blocks: Option<BitsetBlocks>,
-    in_blocks: Option<BitsetBlocks>,
+    out_bits: Option<Arc<HubBitmap>>,
+    in_bits: Option<Arc<HubBitmap>>,
+    out_blocks: Option<Arc<BitsetBlocks>>,
+    in_blocks: Option<Arc<BitsetBlocks>>,
     meter: Option<Arc<KernelMeter>>,
 }
 
@@ -524,12 +524,12 @@ impl Kernels {
     /// plain/compressed runs under every policy.
     pub fn build_src(policy: KernelPolicy, src: GraphSource<'_>) -> Self {
         let hubs = |cfg: AdaptiveConfig, dir| {
-            Some(HubBitmap::build_src(
+            Some(Arc::new(HubBitmap::build_src(
                 src,
                 dir,
                 cfg.hub_degree_threshold,
                 cfg.max_hubs,
-            ))
+            )))
         };
         match policy {
             KernelPolicy::PaperFaithful => Kernels::paper(),
@@ -543,8 +543,8 @@ impl Kernels {
                 // BitmapOracle probes; selection follows the fallback knobs
                 out_bits: hubs(cfg.fallback, ListDir::Out),
                 in_bits: hubs(cfg.fallback, ListDir::In),
-                out_blocks: Some(BitsetBlocks::build_src(src, ListDir::Out)),
-                in_blocks: Some(BitsetBlocks::build_src(src, ListDir::In)),
+                out_blocks: Some(Arc::new(BitsetBlocks::build_src(src, ListDir::Out))),
+                in_blocks: Some(Arc::new(BitsetBlocks::build_src(src, ListDir::In))),
                 ..Kernels::scan_only(policy)
             },
         }
@@ -636,6 +636,16 @@ impl Kernels {
         self
     }
 
+    /// A clone for one worker of a run: the same structures (shared, not
+    /// copied) with `meter` — the worker's own, or none — in place of any
+    /// meter this context carries, so no meter ever has two writers.
+    pub(crate) fn for_worker(&self, meter: Option<Arc<KernelMeter>>) -> Self {
+        Kernels {
+            meter,
+            ..self.clone()
+        }
+    }
+
     /// The attached dispatch meter, if any.
     pub fn meter(&self) -> Option<&Arc<KernelMeter>> {
         self.meter.as_ref()
@@ -648,11 +658,12 @@ impl Kernels {
 
     /// The out-direction hub bitmap, when built.
     pub fn out_bitmaps(&self) -> Option<&HubBitmap> {
-        self.out_bits.as_ref()
+        self.out_bits.as_deref()
     }
 
     /// Kernel memory held by this context — hub bitmaps plus bitset block
-    /// encodings — in bytes (what a memory budget charges per worker).
+    /// encodings — in bytes. A memory budget charges it once per build;
+    /// clones share the structures and add nothing.
     pub fn bytes(&self) -> u64 {
         self.out_bits.as_ref().map_or(0, |b| b.bytes() as u64)
             + self.in_bits.as_ref().map_or(0, |b| b.bytes() as u64)
@@ -662,23 +673,23 @@ impl Kernels {
 
     /// The out-direction block encoding, when built.
     pub fn out_blocks(&self) -> Option<&BitsetBlocks> {
-        self.out_blocks.as_ref()
+        self.out_blocks.as_deref()
     }
 
     #[inline]
     fn bitmap_row(&self, own: SideOwner) -> Option<&[u64]> {
         let (v, dir) = own?;
         match dir {
-            ListDir::Out => self.out_bits.as_ref()?.row(v),
-            ListDir::In => self.in_bits.as_ref()?.row(v),
+            ListDir::Out => self.out_bits.as_deref()?.row(v),
+            ListDir::In => self.in_bits.as_deref()?.row(v),
         }
     }
 
     #[inline]
     fn blocks_for(&self, dir: ListDir) -> Option<&BitsetBlocks> {
         match dir {
-            ListDir::Out => self.out_blocks.as_ref(),
-            ListDir::In => self.in_blocks.as_ref(),
+            ListDir::Out => self.out_blocks.as_deref(),
+            ListDir::In => self.in_blocks.as_deref(),
         }
     }
 
@@ -786,28 +797,49 @@ impl Kernels {
     }
 
     /// Executes `route` on `a`/`b`, delivering matches to `sink`, and
-    /// tallies it on the meter.
+    /// tallies it on the meter. Each arm names its own tallies: a second
+    /// dispatch on the route after the kernel measured slower.
     #[inline]
     fn run<F: FnMut(u32)>(&self, route: Route<'_>, a: &[u32], b: &[u32], sink: F) -> ScanStats {
         let ordered = |a_short| if a_short { (a, b) } else { (b, a) };
-        let stats = match route {
-            Route::Paper => intersect_sorted(a, b, sink),
-            Route::Empty => ScanStats::default(),
-            Route::Blocks(va, vb) => intersect_blocks(va, vb, sink),
-            Route::Row { row, probe_a } => probe_bitmap(if probe_a { a } else { b }, row, sink),
+        // counts the call on the first tally and, if there is a second,
+        // the probes the kernel made on it
+        let tally = |pick: Tallies, stats: ScanStats| {
+            if let Some(m) = &self.meter {
+                let (calls, steps) = pick(m);
+                KernelMeter::bump(calls, 1);
+                if let Some(steps) = steps {
+                    KernelMeter::bump(steps, stats.advances);
+                }
+            }
+            stats
+        };
+        match route {
+            Route::Paper => tally(|m| (&m.paper, None), intersect_sorted(a, b, sink)),
+            Route::Empty => tally(|m| (&m.bitset, None), ScanStats::default()),
+            Route::Blocks(va, vb) => tally(
+                |m| (&m.bitset, Some(&m.bitset_words)),
+                intersect_blocks(va, vb, sink),
+            ),
+            Route::Row { row, probe_a } => tally(
+                |m| (&m.bitmap, Some(&m.bitmap_probes)),
+                probe_bitmap(if probe_a { a } else { b }, row, sink),
+            ),
             Route::Gallop { a_short } => {
                 let (short, long) = ordered(a_short);
-                intersect_gallop(short, long, sink)
+                tally(
+                    |m| (&m.gallop, Some(&m.gallop_steps)),
+                    intersect_gallop(short, long, sink),
+                )
             }
             Route::Branchless { a_short } => {
                 let (short, long) = ordered(a_short);
-                intersect_branchless(short, long, sink)
+                tally(
+                    |m| (&m.branchless, None),
+                    intersect_branchless(short, long, sink),
+                )
             }
-        };
-        if let Some(m) = &self.meter {
-            m.tally(&route, stats.advances);
         }
-        stats
     }
 
     // Kept apart from `intersect_remote`: folding it in measured slower
@@ -1185,6 +1217,29 @@ mod tests {
         // an unmetered clone of a metered context shares the same meter arc
         assert!(metered.meter().is_some());
         assert!(Kernels::paper().meter().is_none());
+    }
+
+    #[test]
+    fn metering_never_copies_kernel_memory() {
+        let dg = random_directed(90, 0.3, 23);
+        for policy in [KernelPolicy::adaptive(), KernelPolicy::bitset()] {
+            let k = Kernels::build(policy, &dg);
+            let metered = k.clone().with_meter(Arc::new(KernelMeter::new()));
+            let worker = k.for_worker(Some(Arc::new(KernelMeter::new())));
+            for c in [&metered, &worker] {
+                assert!(std::ptr::eq(
+                    c.out_bitmaps().expect("hub rows"),
+                    k.out_bitmaps().expect("hub rows")
+                ));
+                assert_eq!(c.out_blocks().is_some(), policy.name() == "bitset");
+                if let (Some(a), Some(b)) = (c.out_blocks(), k.out_blocks()) {
+                    assert!(std::ptr::eq(a, b), "{}", policy.name());
+                }
+                assert!(c.meter().is_some());
+            }
+            // a worker clone never inherits another writer's meter
+            assert!(metered.for_worker(None).meter().is_none());
+        }
     }
 
     #[test]

@@ -199,9 +199,9 @@ pub struct ChunkSpan {
 
 impl ChunkSpan {
     /// Sentinel chunk index marking a *setup* span: time spent building
-    /// per-run shared state (the T-method hash oracle) or per-worker
-    /// kernel contexts (adjacency bitmaps, scratch) rather than executing
-    /// a chunk. Setup spans have an empty range and zero ops; they count
+    /// per-run shared state (the T-method hash oracle, the run's kernel
+    /// context with its adjacency bitmaps) or per-worker state (scratch)
+    /// rather than executing a chunk. Setup spans have an empty range and zero ops; they count
     /// toward [`InMemoryRecorder::span_total_ns`] (the time is real and
     /// covered) but are excluded from per-worker busy time, load-balance
     /// efficiency, and [`InMemoryRecorder::hottest`].

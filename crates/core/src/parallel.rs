@@ -58,10 +58,10 @@ pub struct ParallelOpts {
     /// Predicted operations per chunk. Smaller chunks balance better but
     /// add queue traffic; ~1k operations keeps both costs negligible.
     pub target_chunk_ops: u64,
-    /// Intersection-kernel policy. Each worker builds its own
-    /// [`Kernels`] context from this once at startup and reuses it across
-    /// every chunk it executes — hub bitmaps are never shared across
-    /// threads. The merged `cost` stays byte-identical to the sequential
+    /// Intersection-kernel policy. The run builds one [`Kernels`] context
+    /// from this before its workers start, and every worker executes a
+    /// clone that shares its hub bitmaps and block encodings (no rows are
+    /// copied). The merged `cost` stays byte-identical to the sequential
     /// run in every paper-cost field regardless of policy.
     pub policy: KernelPolicy,
 }
@@ -612,7 +612,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_parallel_matches_paper_sequential() {
-        // per-worker kernel state (bitmaps included) must not change the
+        // the shared kernel context (bitmaps included) must not change the
         // triangle order or any paper-cost field vs the sequential
         // paper-faithful run
         let dg = pareto_fixture(3_000, 21);

@@ -153,7 +153,7 @@ pub struct RunBudget {
     /// Wall-clock allowance measured from [`RunBudget::start`].
     pub deadline: Option<Duration>,
     /// Approximate memory ceiling in bytes. The gauge counts the dominant
-    /// allocations — hash-oracle build, per-worker kernel bitmaps, staged
+    /// allocations — hash-oracle build, the run's kernel context, staged
     /// triangles — not every byte, so treat it as a guardrail, not `rusage`.
     pub memory_bytes: Option<u64>,
     /// Cooperative cancellation token, checked at chunk boundaries.
@@ -879,13 +879,13 @@ pub struct ResilientOpts {
     ///
     /// [`EdgeOracle::has`]: crate::oracle::EdgeOracle::has
     pub oracle: Option<Arc<HashOracle>>,
-    /// A prebuilt kernel context shared by all workers. When set, workers
-    /// reuse it instead of each building their own hub bitmaps (and the
-    /// per-worker bitmap memory charge is skipped — the holder accounts
-    /// for it). Its policy overrides `parallel.policy` for non-degraded
-    /// attempts. [`Kernels`] is read-only during execution, so sharing
-    /// preserves byte-identical results; when a recorder is attached each
-    /// worker clones the context to attach the run's meter.
+    /// A prebuilt kernel context shared by all workers. When set, the run
+    /// skips its own build of `parallel.policy`'s context and that
+    /// build's memory charge — the holder accounts for it. Its policy
+    /// overrides `parallel.policy` for non-degraded attempts. [`Kernels`]
+    /// is read-only during execution, so sharing preserves byte-identical
+    /// results; each worker runs a clone that shares every structure and
+    /// carries only the worker's own meter.
     pub kernels: Option<Arc<Kernels>>,
 }
 
@@ -963,10 +963,11 @@ fn oracle_estimate_bytes(m: usize) -> u64 {
     m as u64 * 12
 }
 
-/// Per-worker state: the kernel context plus the reusable list buffers
-/// a compressed source decodes into. Never shared across workers.
+/// Per-worker state: the worker's clone of the run's kernel context
+/// (shared structures, its own meter) plus the reusable list buffers a
+/// compressed source decodes into. Never shared across workers.
 struct WorkerState {
-    kernels: Arc<Kernels>,
+    kernels: Kernels,
     scratch: DecodeScratch,
 }
 
@@ -1012,37 +1013,26 @@ fn run_jobs(
         },
         _ => None,
     };
+    let kernels: Arc<Kernels> = match &opts.kernels {
+        Some(shared) => Arc::clone(shared),
+        None => {
+            // one build per run, on this thread, sized to whatever memory
+            // remains and charged once; the workers share it
+            let started = Instant::now();
+            let built = Kernels::build_within_src(policy, src, run.budget.remaining_memory());
+            run.budget.add_memory(built.bytes());
+            run.setup_span(0, started);
+            Arc::new(built)
+        }
+    };
     let done = schedule(
         &run,
         jobs,
         threads,
         prior,
-        &|| {
-            let kernels = match &opts.kernels {
-                Some(shared) => match &run.meter {
-                    // metering is worker-local observation: clone the shared
-                    // context so the run's meter attaches without mutating
-                    // the cached copy
-                    Some(m) => Arc::new((**shared).clone().with_meter(Arc::clone(m))),
-                    None => Arc::clone(shared),
-                },
-                None => {
-                    // each worker gets an equal share of whatever memory
-                    // remains, so concurrent kernel builds cannot jointly
-                    // blow the ceiling
-                    let allowance = run.budget.remaining_memory().map(|r| r / threads as u64);
-                    let kernels = Kernels::build_within_src(policy, src, allowance);
-                    run.budget.add_memory(kernels.bytes());
-                    Arc::new(match &run.meter {
-                        Some(m) => kernels.with_meter(Arc::clone(m)),
-                        None => kernels,
-                    })
-                }
-            };
-            WorkerState {
-                kernels,
-                scratch: DecodeScratch::default(),
-            }
+        &|meter| WorkerState {
+            kernels: kernels.for_worker(meter),
+            scratch: DecodeScratch::default(),
         },
         &|state, range, degraded| {
             let paper;
@@ -1050,7 +1040,7 @@ fn run_jobs(
                 paper = Kernels::paper();
                 &paper
             } else {
-                &*state.kernels
+                &state.kernels
             };
             let oracle = oracle.as_deref();
             with_reader!(src, |g| {
@@ -1093,16 +1083,12 @@ fn run_jobs(
 pub(crate) const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 
 /// The caller side of the scheduler, shared by every [`WorkDomain`]: the
-/// armed budget, span context and kernel meter of one run. A domain arms
-/// one, builds its per-run state (charging `budget`, emitting
+/// armed budget and span context of one run. A domain arms one, builds
+/// its per-run state (charging `budget`, emitting
 /// [`ChunkRun::setup_span`]s), then passes its jobs to [`schedule`] with a
 /// worker `init` and a chunk `exec`.
 pub(crate) struct ChunkRun<'a> {
     pub(crate) budget: ActiveBudget,
-    /// One meter for all workers' kernel contexts, present only when a
-    /// real recorder listens — the unrecorded hot path never sees a
-    /// metered context at all.
-    pub(crate) meter: Option<Arc<KernelMeter>>,
     recorder: &'a dyn Recorder,
     /// Name of the configured kernel policy (degraded attempts report
     /// `"paper"` regardless).
@@ -1142,7 +1128,6 @@ impl<'a> ChunkRun<'a> {
         let recorder = recorder.unwrap_or(&NOOP);
         ChunkRun {
             budget: budget.start(),
-            meter: recorder.enabled().then(|| Arc::new(KernelMeter::new())),
             recorder,
             policy,
             origin: Instant::now(),
@@ -1157,8 +1142,8 @@ impl<'a> ChunkRun<'a> {
     }
 
     /// Emits a [`ChunkSpan::SETUP`] span covering `started..now` on
-    /// `worker`: per-run builds (oracle, rank set) and per-worker kernel
-    /// construction, so the span total accounts for run time spent
+    /// `worker`: per-run builds (oracle, kernel context, rank set) and
+    /// per-worker setup, so the span total accounts for run time spent
     /// outside chunk executions.
     pub(crate) fn setup_span(&self, worker: usize, started: Instant) {
         if self.recorder.enabled() {
@@ -1178,8 +1163,15 @@ impl<'a> ChunkRun<'a> {
     }
 }
 
-/// Worker-local state builder (kernel contexts, scratch — never shared).
-type InitFn<'a, S> = &'a (dyn Fn() -> S + Sync);
+/// Worker-local state builder (kernel context clone, scratch — never
+/// shared). It receives the worker's own kernel meter, present only when a
+/// real recorder listens, so the unrecorded hot path never sees a metered
+/// context at all.
+type InitFn<'a, S> = &'a (dyn Fn(Option<Arc<KernelMeter>>) -> S + Sync);
+
+/// What one worker hands back when its loop ends: its telemetry, its
+/// completed pieces, and its kernel meter for the post-join flush.
+type WorkerDone = (ThreadStats, Vec<ChunkPiece>, Option<Arc<KernelMeter>>);
 
 /// What a worker computes for one range of its domain; the `bool` asks
 /// for the degraded (paper-faithful) path on a final retry.
@@ -1200,8 +1192,9 @@ type ExecFn<'a, S> = &'a (dyn Fn(&mut S, Range<u32>, bool) -> (CostReport, Trian
 /// at their next boundary; in-flight chunks finish, so completed output is
 /// never torn.
 ///
-/// Afterwards the meter is flushed, the run's memory returns to the shared
-/// gauge, and the pieces merge with `prior` in chunk order.
+/// Each worker's kernel meter has that worker as its only writer.
+/// Afterwards every meter is flushed, the run's memory returns to the
+/// shared gauge, and the pieces merge with `prior` in chunk order.
 pub(crate) fn schedule<S>(
     run: &ChunkRun<'_>,
     jobs: &[(u32, Range<u32>)],
@@ -1229,12 +1222,13 @@ pub(crate) fn schedule<S>(
     let worker_loop = {
         let (injector, stealers, stop, verdict, faults) =
             (&injector, &stealers, &stop, &verdict, &faults);
-        move |id: usize, local: Worker<(u32, u32)>| -> (ThreadStats, Vec<ChunkPiece>) {
+        move |id: usize, local: Worker<(u32, u32)>| -> WorkerDone {
             let recording = run.recorder.enabled();
             let worker_started = Instant::now();
             let mut stats = ThreadStats::default();
             let mut results: Vec<ChunkPiece> = Vec::new();
-            let mut state = init();
+            let meter = recording.then(|| Arc::new(KernelMeter::new()));
+            let mut state = init(meter.clone());
             run.setup_span(id, worker_started);
             loop {
                 if stop.load(Ordering::Relaxed) {
@@ -1345,13 +1339,13 @@ pub(crate) fn schedule<S>(
                     .as_nanos() as u64;
                 run.recorder.observe(HistKind::WorkerIdleNs, idle);
             }
-            (stats, results)
+            (stats, results, meter)
         }
     };
 
     // One thread means no parallelism to buy: run the loop right here and
     // skip the spawn/join round trip (it costs more than a small request).
-    let mut per_worker: Vec<(ThreadStats, Vec<ChunkPiece>)> = if threads == 1 {
+    let mut per_worker: Vec<WorkerDone> = if threads == 1 {
         let local = workers.into_iter().next().expect("one worker deque");
         vec![worker_loop(0, local)]
     } else {
@@ -1369,14 +1363,16 @@ pub(crate) fn schedule<S>(
         })
     };
 
-    if let Some(m) = &run.meter {
-        m.flush_into(run.recorder);
+    for (_, _, meter) in &per_worker {
+        if let Some(m) = meter {
+            m.flush_into(run.recorder);
+        }
     }
     // transient run memory (oracle, bitmaps, staged triangles) returns to
     // the shared gauge; cache charges made directly on it persist
     budget.settle();
     let mut pieces = prior;
-    for (_, results) in &mut per_worker {
+    for (_, results, _) in &mut per_worker {
         pieces.append(results);
     }
     pieces.sort_unstable_by_key(|p| p.chunk);
@@ -1398,7 +1394,7 @@ pub(crate) fn schedule<S>(
     Concluded {
         pieces,
         stop,
-        threads: per_worker.into_iter().map(|(s, _)| s).collect(),
+        threads: per_worker.into_iter().map(|(s, _, _)| s).collect(),
         faults: faults.into_inner().unwrap_or_else(PoisonError::into_inner),
     }
 }
@@ -1704,6 +1700,50 @@ mod tests {
             .partial()
             .expect("16-byte ceiling cannot fit the oracle");
         assert_eq!(partial.reason, StopReason::MemoryExhausted);
+    }
+
+    #[test]
+    fn a_run_builds_and_charges_its_kernel_context_once() {
+        use crate::kernel::KernelPolicy;
+        let dg = fixture(3_000, 29);
+        let policy = KernelPolicy::bitset();
+        let full = Kernels::build(policy, &dg).bytes();
+        let run = |threads: usize, ceiling: Option<u64>| {
+            let mut o = opts(threads);
+            o.parallel.policy = policy;
+            if let Some(c) = ceiling {
+                o.budget = RunBudget::unlimited().with_memory_bytes(c);
+            }
+            list_resilient(&dg, Method::E1, &o)
+                .unwrap()
+                .complete()
+                .expect("the ceiling leaves room for every staged triangle")
+        };
+        let free = run(1, None);
+        // room for every chunk's staged triangles (capacity, not length)
+        let staged = 2 * 12 * free.triangles.len() as u64 + 64 * free.chunks as u64;
+        assert!(
+            staged < full,
+            "the fixture's context must dwarf its triangles"
+        );
+
+        // one full build fits under the ceiling, two would not: a 2-thread
+        // run that completes with the full context's advances charged it once
+        let once = run(2, Some(full + staged));
+        assert_eq!(once.cost, free.cost, "full context, charged once");
+
+        // a ceiling that degrades the context degrades it the same way at
+        // every thread count: the one build gets the whole allowance
+        let ceiling = full / 2 + staged;
+        let degraded = Kernels::build_within(policy, &dg, Some(ceiling)).bytes();
+        assert!(degraded < full && degraded + staged <= ceiling);
+        let one = run(1, Some(ceiling));
+        let two = run(2, Some(ceiling));
+        assert_eq!(two.cost, one.cost, "pointer_advances included");
+        assert_ne!(
+            one.cost.pointer_advances, free.cost.pointer_advances,
+            "the ceiling really degraded the context"
+        );
     }
 
     #[test]

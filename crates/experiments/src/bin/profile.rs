@@ -12,12 +12,17 @@
 //!
 //! `--overhead-check [TOL]` switches to a smoke test instead: the same
 //! runs are timed best-of-5 with no recorder and with the no-op recorder,
-//! and the binary fails if the no-op recorder costs more than TOL
-//! (default 5%) extra wall clock.
+//! and again at the server's run shape (2 threads, a shared prebuilt
+//! adaptive context) with no recorder and with the server's
+//! `InMemoryRecorder`. The binary fails if either recorder costs more
+//! than TOL (default 5%) extra wall clock.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trilist_core::{list_resilient, KernelPolicy, Method, NoopRecorder, Recorder, RunOutcome};
+use trilist_core::{
+    list_resilient, InMemoryRecorder, KernelPolicy, Kernels, Method, NoopRecorder, ParallelOpts,
+    Recorder, ResilientOpts, RunOutcome,
+};
 use trilist_experiments::obs::{render_hottest, render_timeline};
 use trilist_experiments::sim::{one_graph, seeded_rng};
 use trilist_experiments::{ObsSession, Opts, Table};
@@ -26,6 +31,9 @@ use trilist_order::DirectedGraph;
 
 const ALPHA: f64 = 1.5;
 const COVERAGE_TOLERANCE: f64 = 0.10;
+/// The server's run shape: worker threads and chunk size per request.
+const SERVE_THREADS: usize = 2;
+const SERVE_CHUNK_OPS: u64 = 32_768;
 
 fn main() {
     // `--overhead-check [TOL]` is profile-specific: strip it before the
@@ -136,16 +144,17 @@ fn main() {
     println!("span coverage within 10% of wall clock for every single-threaded run");
 }
 
-/// Times one `list_resilient` run with the given recorder.
+/// Times one `list_resilient` run of `ropts` with the given recorder.
 fn one_wall(
     dg: &DirectedGraph,
     method: Method,
-    opts: &Opts,
+    ropts: &ResilientOpts,
     recorder: Option<Arc<dyn Recorder>>,
 ) -> Duration {
-    let mut ropts = opts.resilient_opts();
-    ropts.parallel.target_chunk_ops = 200_000;
-    ropts.recorder = recorder;
+    let ropts = ResilientOpts {
+        recorder,
+        ..ropts.clone()
+    };
     let started = Instant::now();
     let outcome = list_resilient(dg, method, &ropts).expect("fundamental method");
     let wall = started.elapsed();
@@ -156,50 +165,107 @@ fn one_wall(
     wall
 }
 
-/// Compares bare runs against no-op-recorder runs; fails above `tol`.
-fn overhead_check(opts: &Opts, graph: &trilist_graph::Graph, rng: &mut impl rand::Rng, tol: f64) {
+/// Best-of-`REPS` walls of `ropts` run bare and with `recorder`,
+/// interleaved so thermal and allocator drift hits both sides equally.
+fn bare_vs_recorded(
+    dg: &DirectedGraph,
+    method: Method,
+    ropts: &ResilientOpts,
+    recorder: &Arc<dyn Recorder>,
+) -> (Duration, Duration) {
     const REPS: usize = 5;
+    // warm caches first
+    one_wall(dg, method, ropts, None);
+    let mut bare = Duration::MAX;
+    let mut recorded = Duration::MAX;
+    for _ in 0..REPS {
+        bare = bare.min(one_wall(dg, method, ropts, None));
+        recorded = recorded.min(one_wall(dg, method, ropts, Some(Arc::clone(recorder))));
+    }
+    (bare, recorded)
+}
+
+fn ms(d: Duration) -> String {
+    format!("{:.3}ms", d.as_secs_f64() * 1e3)
+}
+
+fn overhead(bare: Duration, recorded: Duration) -> f64 {
+    recorded.as_secs_f64() / bare.as_secs_f64() - 1.0
+}
+
+/// Compares bare runs against recorded ones in two configurations and
+/// fails if either recorder costs more than `tol` in total:
+///
+/// * the no-op recorder under the command line's options;
+/// * the recorder the server attaches to every run
+///   ([`InMemoryRecorder::without_span_list`]) under the server's run
+///   shape: 2 threads, serve-sized chunks, and one adaptive kernel
+///   context prebuilt and shared by the workers, as a graph cache holds it.
+fn overhead_check(opts: &Opts, graph: &trilist_graph::Graph, rng: &mut impl rand::Rng, tol: f64) {
     let mut table = Table::new(
-        format!("no-op recorder overhead (best of {REPS})"),
-        &["method", "bare", "noop recorder", "overhead"],
+        "recorder overhead (best of 5 each)",
+        &[
+            "method",
+            "bare",
+            "noop recorder",
+            "overhead",
+            "serve bare",
+            "serve recorder",
+            "overhead",
+        ],
     );
-    let mut bare_total = Duration::ZERO;
-    let mut noop_total = Duration::ZERO;
+    let noop: Arc<dyn Recorder> = Arc::new(NoopRecorder);
+    let mut noop_opts = opts.resilient_opts();
+    noop_opts.parallel.target_chunk_ops = 200_000;
+    let mut totals = [Duration::ZERO; 4];
     for method in Method::FUNDAMENTAL {
         let family = method.optimal_family();
         let dg = DirectedGraph::orient(graph, &family.relabeling(graph, rng));
-        // warm caches, then interleave bare/noop reps so thermal and
-        // allocator drift hits both sides equally
-        one_wall(&dg, method, opts, None);
-        let mut bare = Duration::MAX;
-        let mut noop = Duration::MAX;
-        for _ in 0..REPS {
-            bare = bare.min(one_wall(&dg, method, opts, None));
-            noop = noop.min(one_wall(&dg, method, opts, Some(Arc::new(NoopRecorder))));
+        let (bare, nooped) = bare_vs_recorded(&dg, method, &noop_opts, &noop);
+        let serve_opts = ResilientOpts {
+            parallel: ParallelOpts {
+                threads: SERVE_THREADS,
+                target_chunk_ops: SERVE_CHUNK_OPS,
+                policy: KernelPolicy::adaptive(),
+            },
+            kernels: Some(Arc::new(Kernels::build(KernelPolicy::adaptive(), &dg))),
+            ..ResilientOpts::default()
+        };
+        let serve_rec: Arc<dyn Recorder> = Arc::new(InMemoryRecorder::without_span_list());
+        let (serve_bare, served) = bare_vs_recorded(&dg, method, &serve_opts, &serve_rec);
+        for (total, d) in totals.iter_mut().zip([bare, nooped, serve_bare, served]) {
+            *total += d;
         }
-        bare_total += bare;
-        noop_total += noop;
         table.row(vec![
             format!("{}+{}", method.name(), family.name()),
-            format!("{:.3}ms", bare.as_secs_f64() * 1e3),
-            format!("{:.3}ms", noop.as_secs_f64() * 1e3),
-            format!(
-                "{:+.2}%",
-                (noop.as_secs_f64() / bare.as_secs_f64() - 1.0) * 100.0
-            ),
+            ms(bare),
+            ms(nooped),
+            format!("{:+.2}%", overhead(bare, nooped) * 100.0),
+            ms(serve_bare),
+            ms(served),
+            format!("{:+.2}%", overhead(serve_bare, served) * 100.0),
         ]);
     }
     table.print();
-    let overhead = noop_total.as_secs_f64() / bare_total.as_secs_f64() - 1.0;
-    println!(
-        "total: bare {:.3}ms vs noop {:.3}ms — overhead {:+.2}% (tolerance {:.0}%)",
-        bare_total.as_secs_f64() * 1e3,
-        noop_total.as_secs_f64() * 1e3,
-        overhead * 100.0,
-        tol * 100.0
-    );
-    if overhead > tol {
-        eprintln!("no-op recorder overhead {overhead:.4} exceeds tolerance {tol}");
+    let mut failed = false;
+    for (name, bare, recorded) in [
+        ("noop recorder", totals[0], totals[1]),
+        ("serve recorder", totals[2], totals[3]),
+    ] {
+        let over = overhead(bare, recorded);
+        println!(
+            "total: bare {} vs {name} {} — overhead {:+.2}% (tolerance {:.0}%)",
+            ms(bare),
+            ms(recorded),
+            over * 100.0,
+            tol * 100.0
+        );
+        if over > tol {
+            eprintln!("{name} overhead {over:.4} exceeds tolerance {tol}");
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
 }

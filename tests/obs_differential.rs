@@ -1,6 +1,6 @@
 //! Observability differential suite: attaching a recorder must never
 //! change what the runtime computes. Across every fundamental method,
-//! both kernel policies, and 1/2/4 worker threads, a run with an
+//! the kernel policies, and 1/2/4 worker threads, a run with an
 //! [`InMemoryRecorder`] attached is compared byte-for-byte (triangles and
 //! merged `CostReport`) against the same run with no recorder. On top of
 //! the equality, the recorded spans themselves are checked for structural
@@ -139,6 +139,71 @@ fn recorder_never_changes_results() {
                         "{ctx}: oracle hit+miss = lookups"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The recorder counters a run's kernel meters feed.
+const KERNEL_COUNTERS: [Counter; 8] = [
+    Counter::IntersectPaper,
+    Counter::IntersectBranchless,
+    Counter::IntersectGallop,
+    Counter::IntersectBitmap,
+    Counter::IntersectBitset,
+    Counter::GallopSteps,
+    Counter::BitmapProbes,
+    Counter::BitsetBlockSteps,
+];
+
+fn kernel_tallies(rec: &InMemoryRecorder) -> [u64; 8] {
+    KERNEL_COUNTERS.map(|c| rec.counter(c))
+}
+
+/// The path the server takes: a context prebuilt once and shared by every
+/// worker, under the recorder it always attaches. Every worker meters its
+/// own clone of the context, so the tallies must be exact — equal to the
+/// 1-thread run's at every thread count, whether the context is shared or
+/// built by the run — and recording must stay invisible to results.
+#[test]
+fn recorder_tallies_are_exact_across_threads_and_context_sources() {
+    let dg = fixture(3_000, 47);
+    for method in Method::FUNDAMENTAL {
+        for (pname, policy) in [
+            ("adaptive", KernelPolicy::adaptive()),
+            ("bitset", KernelPolicy::bitset()),
+        ] {
+            let shared = Arc::new(Kernels::build(policy, &dg));
+            let mut reference: Option<[u64; 8]> = None;
+            for (source, kernels) in [("per-run", None), ("shared", Some(shared))] {
+                for threads in [1usize, 2, 4] {
+                    let ctx = format!("{}/{pname}/{source}/{threads}t", method.name());
+                    let mut o = opts(threads, policy);
+                    o.kernels = kernels.clone();
+                    let bare = list_resilient(&dg, method, &o)
+                        .unwrap()
+                        .complete()
+                        .expect("unbudgeted run completes");
+                    let rec = Arc::new(InMemoryRecorder::without_span_list());
+                    o.recorder = Some(rec.clone());
+                    let observed = list_resilient(&dg, method, &o)
+                        .unwrap()
+                        .complete()
+                        .expect("unbudgeted run completes");
+                    assert_eq!(observed.triangles, bare.triangles, "{ctx}: triangles");
+                    assert_eq!(observed.cost, bare.cost, "{ctx}: cost report");
+                    let tallies = kernel_tallies(&rec);
+                    let want = *reference.get_or_insert(tallies);
+                    assert_eq!(tallies, want, "{ctx}: kernel tallies vs 1 thread");
+                }
+            }
+            let calls: u64 = reference.expect("runs recorded")[..5].iter().sum();
+            if matches!(method, Method::E1 | Method::E4) {
+                assert!(
+                    calls > 0,
+                    "{}/{pname}: intersections metered",
+                    method.name()
+                );
             }
         }
     }
@@ -288,8 +353,10 @@ fn recorder_never_changes_delta_results_and_tags_delta_spans() {
     for (pname, policy) in [
         ("paper", KernelPolicy::PaperFaithful),
         ("adaptive", KernelPolicy::adaptive()),
+        ("bitset", KernelPolicy::bitset()),
     ] {
         let kernels = Kernels::build_src(policy, src);
+        let mut reference: Option<[u64; 8]> = None;
         for threads in [1usize, 2, 4] {
             let ctx = format!("delta/{pname}/{threads}t");
             let delta_opts = DeltaOpts {
@@ -306,6 +373,11 @@ fn recorder_never_changes_delta_results_and_tags_delta_spans() {
             let observed = list_new_triangles_src(src, &kernels, &edges, &recorded);
             // the accounting contract: recording is invisible to results
             assert_eq!(observed, bare, "{ctx}: outcome");
+            // each worker meters its own clone: no tally is lost
+            let tallies = kernel_tallies(&rec);
+            let want = *reference.get_or_insert(tallies);
+            assert_eq!(tallies, want, "{ctx}: kernel tallies vs 1 thread");
+            assert!(tallies[..5].iter().sum::<u64>() > 0, "{ctx}: metered");
 
             // a listing run on the same recorder: its spans stay apart
             let mut o = opts(threads, policy);
