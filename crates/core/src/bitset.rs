@@ -51,12 +51,15 @@ pub struct BitsetBlocks {
 }
 
 impl BitsetBlocks {
-    /// Encodes the `dir`-lists of `src` (one streaming pass).
+    /// Encodes the `dir`-lists of `src`: a counting pass sizes the block
+    /// arrays exactly, so the heap they hold is what [`BitsetBlocks::bytes`]
+    /// charges, then one streaming pass fills them.
     pub fn build_src(src: GraphSource<'_>, dir: crate::kernel::ListDir) -> Self {
         let n = src.n();
+        let blocks = BitsetBlocks::count_blocks(src, dir);
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut bases: Vec<u32> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
+        let mut bases: Vec<u32> = Vec::with_capacity(blocks);
+        let mut words: Vec<u64> = Vec::with_capacity(blocks);
         offsets.push(0u32);
         for v in 0..n as u32 {
             // `start` keeps a node's first element from merging into the
@@ -89,8 +92,13 @@ impl BitsetBlocks {
     /// allocating the block arrays (one streaming counting pass) — the
     /// memory-budget planner's estimate, exact by construction.
     pub fn estimate_bytes(src: GraphSource<'_>, dir: crate::kernel::ListDir) -> u64 {
+        BitsetBlocks::count_blocks(src, dir) as u64 * 12 + (src.n() as u64 + 1) * 4
+    }
+
+    /// Blocks a build over the `dir`-lists of `src` stores.
+    fn count_blocks(src: GraphSource<'_>, dir: crate::kernel::ListDir) -> usize {
         let n = src.n();
-        let mut blocks = 0u64;
+        let mut blocks = 0;
         for v in 0..n as u32 {
             let mut last = u32::MAX;
             let mut count = |w: u32| {
@@ -105,7 +113,7 @@ impl BitsetBlocks {
                 crate::kernel::ListDir::In => src.for_each_in(v, &mut count),
             }
         }
-        blocks * 12 + (n as u64 + 1) * 4
+        blocks
     }
 
     /// The `(bases, words)` blocks of node `v`.
@@ -412,6 +420,21 @@ mod tests {
                 let got = decode(blocks.view(v, 0, u32::MAX >> 1));
                 assert_eq!(got.as_slice(), want, "{dir:?} node {v}");
             }
+        }
+    }
+
+    #[test]
+    fn bytes_is_the_heap_held() {
+        // the memory gauge is charged `bytes()`, so it must count what the
+        // block arrays hold, not just what they use
+        let dg = random_directed(150, 0.3, 4);
+        for dir in [ListDir::Out, ListDir::In] {
+            let b = BitsetBlocks::build_src(GraphSource::Plain(&dg), dir);
+            assert!(b.block_count() > 0);
+            let held = b.offsets.capacity() * std::mem::size_of::<u32>()
+                + b.bases.capacity() * std::mem::size_of::<u32>()
+                + b.words.capacity() * std::mem::size_of::<u64>();
+            assert_eq!(b.bytes(), held as u64, "{dir:?}");
         }
     }
 

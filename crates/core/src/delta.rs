@@ -38,7 +38,7 @@
 //! its prefix is byte-identical to an uninterrupted one.
 
 use crate::cost::CostReport;
-use crate::kernel::{Kernels, ListDir};
+use crate::kernel::{KernelPolicy, Kernels, ListDir};
 use crate::obs::Recorder;
 use crate::resilient::{
     schedule, ChunkPiece, ChunkRun, FaultPlan, ResumeParseError, ResumePoint, RunBudget,
@@ -579,13 +579,28 @@ impl DeltaOutcome {
 }
 
 /// Lists all new triangles for `edges` (net-new label pairs, sorted)
-/// under `opts`, chunked and budgeted. The complete triangle multiset and
-/// the merged [`CostReport`] are independent of `threads`,
-/// `target_chunk_ops`, and layout — the dynamic differential suite pins
-/// all three.
+/// under `opts`, chunked and budgeted, with `kernels`' own policy on
+/// `kernels` as the base ([`list_new_triangles_on`]). The complete
+/// triangle multiset and the merged [`CostReport`] are independent of
+/// `threads`, `target_chunk_ops`, and layout — the dynamic differential
+/// suite pins all three.
 pub fn list_new_triangles_src(
     src: GraphSource<'_>,
     kernels: &Kernels,
+    edges: &[(u32, u32)],
+    opts: &DeltaOpts,
+) -> DeltaOutcome {
+    list_new_triangles_on(src, kernels.policy(), kernels, edges, opts)
+}
+
+/// [`list_new_triangles_src`] under `policy`, borrowing from `base` by the
+/// listing runtime's rule: the run shares what `policy` would build with
+/// identical parameters, builds the rest inside `opts.budget`, and
+/// charges only that ([`Kernels::borrow_within_src`]).
+pub fn list_new_triangles_on(
+    src: GraphSource<'_>,
+    policy: KernelPolicy,
+    base: &Kernels,
     edges: &[(u32, u32)],
     opts: &DeltaOpts,
 ) -> DeltaOutcome {
@@ -594,13 +609,14 @@ pub fn list_new_triangles_src(
         .enumerate()
         .map(|(i, r)| (i as u32, r))
         .collect();
-    run_delta(src, kernels, edges, &jobs, opts)
+    run_delta(src, policy, base, edges, &jobs, opts)
 }
 
 impl ResumePoint {
     /// Replays the unvisited ranges of a delta run against the same graph
-    /// and new-edge list. The token must be a [`WorkDomain::Delta`] one
-    /// whose shape pins (`n`, `edges`) match, or it is rejected.
+    /// and new-edge list, with `kernels`' own policy on `kernels` as the
+    /// base. The token must be a [`WorkDomain::Delta`] one whose shape
+    /// pins (`n`, `edges`) match, or it is rejected.
     pub fn run_new_triangles_src(
         &self,
         src: GraphSource<'_>,
@@ -608,9 +624,22 @@ impl ResumePoint {
         edges: &[(u32, u32)],
         opts: &DeltaOpts,
     ) -> Result<DeltaOutcome, ResumeParseError> {
+        self.run_new_triangles_on(src, kernels.policy(), kernels, edges, opts)
+    }
+
+    /// [`ResumePoint::run_new_triangles_src`] under `policy`, borrowing
+    /// from `base` as [`list_new_triangles_on`] does.
+    pub fn run_new_triangles_on(
+        &self,
+        src: GraphSource<'_>,
+        policy: KernelPolicy,
+        base: &Kernels,
+        edges: &[(u32, u32)],
+        opts: &DeltaOpts,
+    ) -> Result<DeltaOutcome, ResumeParseError> {
         self.fits(&delta_shape(src, edges))
             .map_err(ResumeParseError)?;
-        Ok(run_delta(src, kernels, edges, self.ranges(), opts))
+        Ok(run_delta(src, policy, base, edges, self.ranges(), opts))
     }
 }
 
@@ -621,14 +650,15 @@ fn delta_shape(src: GraphSource<'_>, edges: &[(u32, u32)]) -> ResumePoint {
 /// Runs delta `jobs` on the shared chunk runtime.
 fn run_delta(
     src: GraphSource<'_>,
-    kernels: &Kernels,
+    policy: KernelPolicy,
+    base: &Kernels,
     edges: &[(u32, u32)],
     jobs: &[(u32, Range<u32>)],
     opts: &DeltaOpts,
 ) -> DeltaOutcome {
     let run = ChunkRun::start(
         delta_shape(src, edges),
-        kernels.policy().name(),
+        policy.name(),
         &opts.budget,
         opts.recorder.as_deref(),
         opts.fault_plan.as_ref(),
@@ -639,6 +669,7 @@ fn run_delta(
     run.budget.add_memory(edges.len() as u64 * 16);
     let ranks = edge_ranks(edges);
     run.setup_span(0, started);
+    let kernels = run.kernels(policy, Some(base), src);
     let done = schedule(
         &run,
         jobs,

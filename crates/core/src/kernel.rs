@@ -253,6 +253,28 @@ impl KernelPolicy {
             _ => None,
         }
     }
+
+    /// The knobs this policy selects hub rows with: the `Adaptive` config
+    /// or the `Bitset` fallback; `None` for the paper kernel.
+    fn hub_config(&self) -> Option<AdaptiveConfig> {
+        match *self {
+            KernelPolicy::PaperFaithful => None,
+            KernelPolicy::Adaptive(cfg) => Some(cfg),
+            KernelPolicy::Bitset(cfg) => Some(cfg.fallback),
+        }
+    }
+
+    /// This policy with its hub-row knobs replaced by `hubs`.
+    fn with_hub_config(self, hubs: AdaptiveConfig) -> Self {
+        match self {
+            KernelPolicy::PaperFaithful => self,
+            KernelPolicy::Adaptive(_) => KernelPolicy::Adaptive(hubs),
+            KernelPolicy::Bitset(cfg) => KernelPolicy::Bitset(BitsetConfig {
+                fallback: hubs,
+                ..cfg
+            }),
+        }
+    }
 }
 
 /// The execution choice for one graph: which kernel policy to run and
@@ -523,31 +545,7 @@ impl Kernels {
     /// which is what keeps `pointer_advances` byte-identical across
     /// plain/compressed runs under every policy.
     pub fn build_src(policy: KernelPolicy, src: GraphSource<'_>) -> Self {
-        let hubs = |cfg: AdaptiveConfig, dir| {
-            Some(Arc::new(HubBitmap::build_src(
-                src,
-                dir,
-                cfg.hub_degree_threshold,
-                cfg.max_hubs,
-            )))
-        };
-        match policy {
-            KernelPolicy::PaperFaithful => Kernels::paper(),
-            KernelPolicy::Adaptive(cfg) => Kernels {
-                out_bits: hubs(cfg, ListDir::Out),
-                in_bits: hubs(cfg, ListDir::In),
-                ..Kernels::scan_only(policy)
-            },
-            KernelPolicy::Bitset(cfg) => Kernels {
-                // the hub rows keep serving the vertex iterators'
-                // BitmapOracle probes; selection follows the fallback knobs
-                out_bits: hubs(cfg.fallback, ListDir::Out),
-                in_bits: hubs(cfg.fallback, ListDir::In),
-                out_blocks: Some(Arc::new(BitsetBlocks::build_src(src, ListDir::Out))),
-                in_blocks: Some(Arc::new(BitsetBlocks::build_src(src, ListDir::In))),
-                ..Kernels::scan_only(policy)
-            },
-        }
+        Kernels::borrow_within_src(policy, None, src, None).0
     }
 
     /// Builds the largest context for `policy` that fits inside
@@ -573,43 +571,108 @@ impl Kernels {
         src: GraphSource<'_>,
         allowance: Option<u64>,
     ) -> Self {
-        let Some(budget) = allowance else {
-            return Kernels::build_src(policy, src);
+        Kernels::borrow_within_src(policy, None, src, allowance).0
+    }
+
+    /// The context a run of `policy` executes on top of `base`, and the
+    /// bytes it built — all the run must charge.
+    ///
+    /// The run shares every structure of `base` that `policy` would build
+    /// with identical parameters: the hub rows when both select them with
+    /// the same `hub_degree_threshold` and `max_hubs` (an `Adaptive`
+    /// config or a `Bitset` fallback), the block encodings when both are
+    /// `Bitset`. It builds only the rest, on [`Kernels::build_within`]'s
+    /// ladder, where a shared structure costs `allowance` nothing. A
+    /// shared structure is the very allocation `base` holds, and it is
+    /// what the same deterministic pass would build again, so results,
+    /// `pointer_advances` and the dispatch tallies equal those of a run
+    /// that builds its own context. A paper-faithful run borrows and
+    /// builds nothing. `base` must describe the same graph as `src`.
+    pub fn borrow_within_src(
+        policy: KernelPolicy,
+        base: Option<&Kernels>,
+        src: GraphSource<'_>,
+        allowance: Option<u64>,
+    ) -> (Self, u64) {
+        let Some(mut cfg) = policy.hub_config() else {
+            return (Kernels::paper(), 0);
         };
-        let hub_need = |cfg: AdaptiveConfig| {
-            [ListDir::Out, ListDir::In]
-                .map(|dir| {
-                    HubBitmap::estimate_bytes_src(src, dir, cfg.hub_degree_threshold, cfg.max_hubs)
-                })
-                .iter()
-                .sum::<u64>()
+        let bitset = matches!(policy, KernelPolicy::Bitset(_));
+        let shared_rows = |cfg: AdaptiveConfig| {
+            let base = base?;
+            let had = base.policy.hub_config()?;
+            let same = (had.hub_degree_threshold, had.max_hubs)
+                == (cfg.hub_degree_threshold, cfg.max_hubs);
+            same.then(|| base.out_bits.clone().zip(base.in_bits.clone()))?
         };
-        let mut cfg = match policy {
-            KernelPolicy::PaperFaithful => return Kernels::paper(),
-            KernelPolicy::Adaptive(cfg) => cfg,
-            KernelPolicy::Bitset(mut cfg) => {
-                let blocks_need = BitsetBlocks::estimate_bytes(src, ListDir::Out)
-                    + BitsetBlocks::estimate_bytes(src, ListDir::In);
-                loop {
-                    if blocks_need + hub_need(cfg.fallback) <= budget {
-                        return Kernels::build_src(KernelPolicy::Bitset(cfg), src);
-                    }
-                    if cfg.fallback.max_hubs == 0 {
-                        return Kernels::scan_only(policy);
-                    }
-                    cfg.fallback.max_hubs /= 2;
+        let shared_blocks = base
+            .filter(|_| bitset)
+            .and_then(|b| b.out_blocks.clone().zip(b.in_blocks.clone()));
+        let dirs = [ListDir::Out, ListDir::In];
+        if let Some(budget) = allowance {
+            let blocks_need = match shared_blocks {
+                None if bitset => dirs
+                    .map(|d| BitsetBlocks::estimate_bytes(src, d))
+                    .iter()
+                    .sum(),
+                _ => 0,
+            };
+            let rows_need = |cfg: AdaptiveConfig| match shared_rows(cfg) {
+                Some(_) => 0,
+                None => dirs
+                    .map(|d| {
+                        HubBitmap::estimate_bytes_src(
+                            src,
+                            d,
+                            cfg.hub_degree_threshold,
+                            cfg.max_hubs,
+                        )
+                    })
+                    .iter()
+                    .sum::<u64>(),
+            };
+            // halve the hub rows until they fit beside the blocks; an
+            // adaptive context without rows, or a bitset one whose blocks
+            // alone overflow, keeps only scan dispatch
+            loop {
+                if !bitset && cfg.max_hubs == 0 {
+                    return (Kernels::scan_only(policy), 0);
                 }
+                if blocks_need + rows_need(cfg) <= budget {
+                    break;
+                }
+                if cfg.max_hubs == 0 {
+                    return (Kernels::scan_only(policy), 0);
+                }
+                cfg.max_hubs /= 2;
             }
-        };
-        loop {
-            if cfg.max_hubs == 0 {
-                return Kernels::scan_only(policy);
-            }
-            if hub_need(cfg) <= budget {
-                return Kernels::build_src(KernelPolicy::Adaptive(cfg), src);
-            }
-            cfg.max_hubs /= 2;
         }
+        let mut built = 0;
+        let (out_bits, in_bits) = shared_rows(cfg).unwrap_or_else(|| {
+            let [out, inn] =
+                dirs.map(|d| HubBitmap::build_src(src, d, cfg.hub_degree_threshold, cfg.max_hubs));
+            built += (out.bytes() + inn.bytes()) as u64;
+            (Arc::new(out), Arc::new(inn))
+        });
+        let (out_blocks, in_blocks) = match shared_blocks {
+            Some((out, inn)) => (Some(out), Some(inn)),
+            None if bitset => {
+                let [out, inn] = dirs.map(|d| BitsetBlocks::build_src(src, d));
+                built += out.bytes() + inn.bytes();
+                (Some(Arc::new(out)), Some(Arc::new(inn)))
+            }
+            None => (None, None),
+        };
+        let kernels = Kernels {
+            // the hub rows also serve the vertex iterators' BitmapOracle
+            // probes under a bitset policy
+            out_bits: Some(out_bits),
+            in_bits: Some(in_bits),
+            out_blocks,
+            in_blocks,
+            ..Kernels::scan_only(policy.with_hub_config(cfg))
+        };
+        (kernels, built)
     }
 
     /// A context with adaptive merge/gallop selection but no bitmaps or

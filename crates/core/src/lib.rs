@@ -56,9 +56,9 @@ pub use clustering::{average_clustering, transitivity, triangle_count, triangle_
 pub use compressed::CompressedCsr;
 pub use cost::CostReport;
 pub use delta::{
-    delta_chunk_ranges, edge_ranks, list_new_triangles_src, materialize, net_changes,
-    normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaRun, EdgeList, EdgeRank,
-    OverlayView,
+    delta_chunk_ranges, edge_ranks, list_new_triangles_on, list_new_triangles_src, materialize,
+    net_changes, normalize_batch, DeltaError, DeltaOpts, DeltaOutcome, DeltaRun, EdgeList,
+    EdgeRank, OverlayView,
 };
 pub use kernel::{
     AdaptiveConfig, BitmapOracle, BitsetConfig, HubBitmap, KernelMeter, KernelPlan, KernelPolicy,

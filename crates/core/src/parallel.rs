@@ -58,11 +58,14 @@ pub struct ParallelOpts {
     /// Predicted operations per chunk. Smaller chunks balance better but
     /// add queue traffic; ~1k operations keeps both costs negligible.
     pub target_chunk_ops: u64,
-    /// Intersection-kernel policy. The run builds one [`Kernels`] context
-    /// from this before its workers start, and every worker executes a
-    /// clone that shares its hub bitmaps and block encodings (no rows are
-    /// copied). The merged `cost` stays byte-identical to the sequential
-    /// run in every paper-cost field regardless of policy.
+    /// Intersection-kernel policy — always the one the run executes. The
+    /// run assembles one [`Kernels`] context for it before its workers
+    /// start, borrowing whatever a base context
+    /// ([`ResilientOpts::kernels`]) shares with it and building the rest,
+    /// and every worker executes a clone that shares its hub bitmaps and
+    /// block encodings (no rows are copied). The merged `cost` stays
+    /// byte-identical to the sequential run in every paper-cost field
+    /// regardless of policy.
     pub policy: KernelPolicy,
 }
 

@@ -36,7 +36,7 @@
 //! scheduler, the ordered merge and the [`ResumePoint`] token grammar.
 
 use crate::cost::CostReport;
-use crate::kernel::{KernelMeter, Kernels};
+use crate::kernel::{KernelMeter, KernelPolicy, Kernels};
 use crate::obs::{ChunkSpan, Counter, HistKind, Recorder, NOOP};
 use crate::oracle::HashOracle;
 use crate::parallel::{
@@ -879,13 +879,15 @@ pub struct ResilientOpts {
     ///
     /// [`EdgeOracle::has`]: crate::oracle::EdgeOracle::has
     pub oracle: Option<Arc<HashOracle>>,
-    /// A prebuilt kernel context shared by all workers. When set, the run
-    /// skips its own build of `parallel.policy`'s context and that
-    /// build's memory charge — the holder accounts for it. Its policy
-    /// overrides `parallel.policy` for non-degraded attempts. [`Kernels`]
-    /// is read-only during execution, so sharing preserves byte-identical
-    /// results; each worker runs a clone that shares every structure and
-    /// carries only the worker's own meter.
+    /// A prebuilt base context (e.g. a graph cache's) the run borrows
+    /// from. The run still executes `parallel.policy`: it shares every
+    /// structure of the base that its policy would build with identical
+    /// parameters, builds only the rest inside its budget, and charges
+    /// only what it built — the holder accounts for the base
+    /// ([`Kernels::borrow_within_src`]). [`Kernels`] is read-only during
+    /// execution, so borrowing preserves byte-identical results; each
+    /// worker runs a clone that shares every structure and carries only
+    /// the worker's own meter.
     pub kernels: Option<Arc<Kernels>>,
 }
 
@@ -983,12 +985,7 @@ fn run_jobs(
 ) -> Result<RunOutcome, ParallelError> {
     ensure_fundamental(method)?;
     let threads = opts.parallel.threads.max(1);
-    // a shared kernel context carries its own policy; spans and degraded
-    // rebuilds must describe what actually runs
-    let policy = match &opts.kernels {
-        Some(shared) => shared.policy(),
-        None => opts.parallel.policy,
-    };
+    let policy = opts.parallel.policy;
     let run = ChunkRun::start(
         ResumePoint::shape(WorkDomain::Listing(method), src.n(), 0),
         policy.name(),
@@ -1013,18 +1010,7 @@ fn run_jobs(
         },
         _ => None,
     };
-    let kernels: Arc<Kernels> = match &opts.kernels {
-        Some(shared) => Arc::clone(shared),
-        None => {
-            // one build per run, on this thread, sized to whatever memory
-            // remains and charged once; the workers share it
-            let started = Instant::now();
-            let built = Kernels::build_within_src(policy, src, run.budget.remaining_memory());
-            run.budget.add_memory(built.bytes());
-            run.setup_span(0, started);
-            Arc::new(built)
-        }
-    };
+    let kernels = run.kernels(policy, opts.kernels.as_deref(), src);
     let done = schedule(
         &run,
         jobs,
@@ -1139,6 +1125,24 @@ impl<'a> ChunkRun<'a> {
 
     fn ns_since_origin(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.origin).as_nanos() as u64
+    }
+
+    /// The run's kernel context for `policy`, borrowed from `base` where
+    /// [`Kernels::borrow_within_src`] allows: one build on this thread of
+    /// what is not borrowed, sized to whatever memory remains, charged
+    /// once and covered by one setup span. The workers share it.
+    pub(crate) fn kernels(
+        &self,
+        policy: KernelPolicy,
+        base: Option<&Kernels>,
+        src: GraphSource<'_>,
+    ) -> Kernels {
+        let started = Instant::now();
+        let (kernels, built) =
+            Kernels::borrow_within_src(policy, base, src, self.budget.remaining_memory());
+        self.budget.add_memory(built);
+        self.setup_span(0, started);
+        kernels
     }
 
     /// Emits a [`ChunkSpan::SETUP`] span covering `started..now` on

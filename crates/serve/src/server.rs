@@ -14,11 +14,12 @@
 //! runtime of [`trilist_core::resilient`] against the cached [`Prepared`]
 //! artifacts, through one admission prelude (`admit_run`) and one wire
 //! form (`wire_result`). Runs reuse the entry's shared oracle
-//! (T-methods) and adaptive kernels; paper-policy requests build their
-//! own contexts, so the policy a client names is the policy that runs.
-//! Sharing is read-only, so the triangles and every `CostReport` field
-//! are byte-identical to a direct in-process run against the same
-//! artifacts (`tests/serve_differential.rs`, `tests/serve_dynamic.rs`).
+//! (T-methods) and borrow from its cached kernel context whatever their
+//! policy shares with it, building the rest inside their budget; the
+//! policy a client names is the policy that runs. Sharing is read-only,
+//! so the triangles and every `CostReport` field are byte-identical to a
+//! direct in-process run against the same artifacts
+//! (`tests/serve_differential.rs`, `tests/serve_dynamic.rs`).
 //!
 //! # Budgets, partial results and resume
 //!
@@ -50,10 +51,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use trilist_core::{
-    list_new_triangles_src, list_resilient_src, ChunkPiece, CostReport, DeltaOpts, DeltaOutcome,
-    GraphSource, InMemoryRecorder, KernelPolicy, Kernels, MemoryGauge, Method, ParallelOpts,
-    Recorder, ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason,
-    WorkDomain,
+    list_new_triangles_on, list_resilient_src, ChunkPiece, CostReport, DeltaOpts, DeltaOutcome,
+    GraphSource, InMemoryRecorder, KernelPolicy, MemoryGauge, Method, ParallelOpts, Recorder,
+    ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason, WorkDomain,
 };
 use trilist_model::{price_delta, price_request, RequestPrice};
 use trilist_order::OrderingKind;
@@ -641,7 +641,7 @@ fn run_listing(
         budget,
         recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
         oracle: matches!(method, Method::T1 | Method::T2).then(|| Arc::clone(&prepared.oracle)),
-        kernels: reusable_kernels(&prepared, policy),
+        kernels: Some(Arc::clone(&prepared.kernels)),
         ..ResilientOpts::default()
     };
     let src = source(&prepared);
@@ -776,15 +776,6 @@ fn source(prepared: &Prepared) -> GraphSource<'_> {
     }
 }
 
-/// The cached kernel context, when the request asks for exactly the
-/// policy it was built under (the store's plan). Paper-policy requests
-/// never take it, so the policy a client names is the policy that runs;
-/// `None` means the run builds its own.
-fn reusable_kernels(prepared: &Prepared, policy: KernelPolicy) -> Option<Arc<Kernels>> {
-    (policy == prepared.kernels.policy() && !matches!(policy, KernelPolicy::PaperFaithful))
-        .then(|| Arc::clone(&prepared.kernels))
-}
-
 /// The wire's per-chunk table: `(chunk, triangles)` in chunk order.
 fn chunk_table(pieces: &[ChunkPiece]) -> Vec<(u32, u32)> {
     pieces
@@ -900,13 +891,11 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
         recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
         ..DeltaOpts::default()
     };
-    let src = source(&prepared);
-    let kernels = reusable_kernels(&prepared, policy)
-        .unwrap_or_else(|| Arc::new(Kernels::build_src(policy, src)));
+    let (src, base) = (source(&prepared), &prepared.kernels);
     let outcome = match resume {
-        None => list_new_triangles_src(src, &kernels, &label_edges, &opts),
+        None => list_new_triangles_on(src, policy, base, &label_edges, &opts),
         Some(rp) => rp
-            .run_new_triangles_src(src, &kernels, &label_edges, &opts)
+            .run_new_triangles_on(src, policy, base, &label_edges, &opts)
             .map_err(|e| bad(e.to_string()))?,
     };
     drop(permit);

@@ -199,8 +199,9 @@ pub struct Prepared {
     /// [`ResilientOpts::oracle`]: trilist_core::ResilientOpts
     pub oracle: Arc<HashOracle>,
     /// Shared kernel context built under [`Prepared::plan`]'s policy —
-    /// hub bitmaps and/or bitset blocks — for runs requesting that same
-    /// policy ([`ResilientOpts::kernels`]).
+    /// hub bitmaps and/or bitset blocks — the base every run on this
+    /// entry borrows from whatever its own policy shares with it
+    /// ([`ResilientOpts::kernels`]).
     ///
     /// [`ResilientOpts::kernels`]: trilist_core::ResilientOpts
     pub kernels: Arc<Kernels>,

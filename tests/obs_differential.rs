@@ -11,9 +11,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 use trilist::core::{
-    list_new_triangles_src, list_resilient, silence_injected_panics, ChunkSpan, Counter, DeltaOpts,
-    FaultPlan, GraphSource, InMemoryRecorder, KernelPolicy, Kernels, Method, ResilientOpts,
-    RunOutcome, WorkDomain,
+    list_new_triangles_src, list_resilient, silence_injected_panics, AdaptiveConfig, BitsetConfig,
+    ChunkSpan, Counter, DeltaOpts, FaultPlan, GraphSource, InMemoryRecorder, KernelPolicy, Kernels,
+    Method, ResilientOpts, RunBudget, RunOutcome, WorkDomain,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -310,7 +310,7 @@ fn budget_interruption_spans_stay_within_completed_chunks() {
     let dg = fixture(4_000, 23);
     let rec = Arc::new(InMemoryRecorder::new());
     let mut o = opts(2, KernelPolicy::PaperFaithful);
-    o.budget = trilist::core::RunBudget::unlimited().with_deadline(Duration::from_micros(300));
+    o.budget = RunBudget::unlimited().with_deadline(Duration::from_micros(300));
     o.recorder = Some(rec.clone());
     match list_resilient(&dg, Method::E4, &o).unwrap() {
         RunOutcome::Complete(_) => {} // machine outran the deadline: nothing to check
@@ -403,4 +403,134 @@ fn recorder_never_changes_delta_results_and_tags_delta_spans() {
             assert!(matches!(listed, RunOutcome::Complete(_)), "{ctx}");
         }
     }
+}
+
+/// Bitset dispatch that takes the block kernel on every owned pair, so
+/// its answers differ from adaptive dispatch on any fixture; it builds
+/// the same structures as the default bitset policy.
+fn eager_bitset() -> KernelPolicy {
+    KernelPolicy::Bitset(BitsetConfig {
+        min_short: 0,
+        min_density: 0,
+        ..BitsetConfig::default()
+    })
+}
+
+/// A run executes its own policy on a base context, borrowing what that
+/// policy would build with identical parameters: the result, every
+/// `CostReport` field (`pointer_advances` included) and the dispatch
+/// tallies equal a run that builds its own context, and the borrowed hub
+/// rows are the base's very allocation.
+#[test]
+fn borrowing_from_a_base_context_is_exact_and_shares_its_rows() {
+    let dg = fixture(3_000, 53);
+    let src = GraphSource::Plain(&dg);
+    let (paper, adaptive, bitset) = (
+        KernelPolicy::PaperFaithful,
+        KernelPolicy::adaptive(),
+        eager_bitset(),
+    );
+    let few_hubs = KernelPolicy::Adaptive(AdaptiveConfig {
+        max_hubs: 8,
+        ..AdaptiveConfig::default()
+    });
+    // (run policy, base policy, whether the run shares the base's rows)
+    let pairs = [
+        (bitset, adaptive, true),
+        (adaptive, bitset, true),
+        (paper, adaptive, false),
+        (paper, bitset, false),
+        // rows selected with another `max_hubs` are not the rows the run
+        // would build, so it builds its own
+        (bitset, few_hubs, false),
+    ];
+    for (policy, base_policy, shares_rows) in pairs {
+        let ctx = format!("{} on {:?}", policy.name(), base_policy);
+        let base = Arc::new(Kernels::build(base_policy, &dg));
+        let own = Kernels::build(policy, &dg);
+        let (lent, built) = Kernels::borrow_within_src(policy, Some(&base), src, None);
+        assert_eq!(lent.policy(), policy, "{ctx}: the run's own policy");
+        assert_eq!(lent.bytes(), own.bytes(), "{ctx}: the same structures");
+        match (lent.out_bitmaps(), base.out_bitmaps()) {
+            (Some(l), Some(b)) => assert_eq!(std::ptr::eq(l, b), shares_rows, "{ctx}"),
+            (l, _) => assert!(l.is_none() && !shares_rows, "{ctx}"),
+        }
+        let expect_built = match (shares_rows, policy) {
+            (false, _) => own.bytes(),
+            // the rows are borrowed: a bitset run builds only its blocks
+            (true, KernelPolicy::Bitset(_)) => own.bytes() - base.bytes(),
+            (true, _) => 0,
+        };
+        assert_eq!(built, expect_built, "{ctx}: charged only what it built");
+        if base_policy == few_hubs {
+            let rows = Kernels::build(adaptive, &dg).bytes();
+            assert!(base.bytes() < rows, "{ctx}: the base holds fewer rows");
+        }
+        for method in Method::FUNDAMENTAL {
+            for threads in [1usize, 2, 4] {
+                let ctx = format!("{ctx}/{}/{threads}t", method.name());
+                let run = |kernels: Option<Arc<Kernels>>| {
+                    let rec = Arc::new(InMemoryRecorder::without_span_list());
+                    let mut o = opts(threads, policy);
+                    o.kernels = kernels;
+                    o.recorder = Some(rec.clone());
+                    let run = list_resilient(&dg, method, &o)
+                        .unwrap()
+                        .complete()
+                        .expect("unbudgeted run completes");
+                    (run.triangles, run.cost, kernel_tallies(&rec))
+                };
+                let (tris, cost, tallies) = run(None);
+                let (lent_tris, lent_cost, lent_tallies) = run(Some(base.clone()));
+                assert_eq!(lent_tris, tris, "{ctx}: triangles");
+                assert_eq!(lent_cost, cost, "{ctx}: cost, pointer_advances included");
+                assert_eq!(lent_tallies, tallies, "{ctx}: kernel tallies");
+            }
+        }
+    }
+}
+
+/// Borrowed structures cost the allowance nothing: under a ceiling that
+/// holds the bitset blocks but not the hub rows, a bitset run on an
+/// adaptive base keeps its full context, while a context built whole
+/// under the same ceiling degrades.
+#[test]
+fn borrowed_rows_leave_the_allowance_to_the_blocks() {
+    let dg = fixture(3_000, 59);
+    let policy = eager_bitset();
+    let base = Arc::new(Kernels::build(KernelPolicy::adaptive(), &dg));
+    let full = Kernels::build(policy, &dg).bytes();
+    let blocks = full - base.bytes();
+    let run = |kernels: Option<Arc<Kernels>>, ceiling: Option<u64>| {
+        let mut o = opts(2, policy);
+        o.kernels = kernels;
+        if let Some(c) = ceiling {
+            o.budget = RunBudget::unlimited().with_memory_bytes(c);
+        }
+        list_resilient(&dg, Method::E1, &o)
+            .unwrap()
+            .complete()
+            .expect("the ceiling leaves room for every staged triangle")
+    };
+    let free = run(None, None);
+    let adaptive = list_resilient(&dg, Method::E1, &opts(2, KernelPolicy::adaptive())).unwrap();
+    assert_ne!(
+        adaptive.complete().unwrap().cost.pointer_advances,
+        free.cost.pointer_advances,
+        "the base alone would answer differently"
+    );
+    // room for every chunk's staged triangles (capacity, not length)
+    let staged = 2 * 12 * free.triangles.len() as u64 + 64 * free.chunks as u64;
+    let ceiling = blocks + staged;
+    assert!(ceiling < full, "the rows must not fit beside the blocks");
+    let lent = run(Some(base), Some(ceiling));
+    assert_eq!(
+        lent.cost, free.cost,
+        "undegraded: pointer_advances included"
+    );
+    assert_eq!(lent.triangles, free.triangles);
+    assert!(
+        Kernels::build_within(policy, &dg, Some(ceiling)).bytes() < full,
+        "the ceiling degrades a context built whole"
+    );
 }

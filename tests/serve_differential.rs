@@ -5,7 +5,7 @@
 //! 1–4 listing workers, including runs interrupted by a budget and
 //! continued through the resume token.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use trilist::core::{
     list_resilient, CostReport, KernelPolicy, Method, ParallelOpts, ResilientOpts, RunOutcome,
 };
@@ -23,6 +23,17 @@ fn pareto_graph(n: usize, seed: u64) -> Graph {
     let dist = Truncated::new(DiscretePareto::paper_beta(1.5), Truncation::Root.t_n(n));
     let (seq, _) = sample_degree_sequence(&dist, n, &mut rng);
     ResidualSampler.generate(&seq, &mut rng).graph
+}
+
+/// A reproducible G(n, p) graph dense enough that neighbor lists pack
+/// many labels per bitset block, so block intersections win routes.
+fn dense_graph(n: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+        .filter(|_| rng.gen_bool(p))
+        .collect();
+    Graph::from_edges(n, &edges).unwrap()
 }
 
 /// What a direct in-process run against the server's exact prepared
@@ -396,6 +407,58 @@ fn replayed_tokens_must_name_each_range_once_on_list_and_list_new() {
     ] {
         rejected(client.list_new(list_new(token)), token);
     }
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// The shipped store caches an adaptive kernel context. A request naming
+/// bitset borrows that entry's hub rows and builds only its block
+/// encodings; its answers must equal direct runs that build a whole
+/// bitset context of their own, and once it is done the resting gauge
+/// must hold only what the store caches.
+#[test]
+fn bitset_requests_on_an_adaptive_entry_match_runs_that_build_their_own() {
+    let g = dense_graph(400, 0.25, 0xB175);
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.register_graph("bits", g.n() as u32, &edges).unwrap();
+    let plan = client.explain_plan("bits").unwrap();
+    assert_eq!(plan.policy, "adaptive", "the entry caches adaptive kernels");
+
+    for (method, list) in [(Method::E1, false), (Method::E4, true)] {
+        let (tris, cost) = direct_run(&g, "bits", method, KernelPolicy::bitset(), 1);
+        let (_, adaptive) = direct_run(&g, "bits", method, KernelPolicy::adaptive(), 1);
+        assert_ne!(
+            cost.pointer_advances, adaptive.pointer_advances,
+            "{method}: the cached context alone would answer differently"
+        );
+        for workers in [1u16, 2] {
+            let family = method.optimal_family();
+            let params = ListParams {
+                threads: workers,
+                ..ListParams::new("bits", method.name(), family.name(), "bitset")
+            };
+            let run = if list {
+                client.list(params).unwrap()
+            } else {
+                client.count(params).unwrap()
+            };
+            assert!(run.complete);
+            assert_eq!(run.cost, cost, "{method} workers={workers}");
+            if list {
+                assert_eq!(run.triangles, tris, "{method} workers={workers}");
+            }
+        }
+    }
+
+    let stats = client.stats().unwrap();
+    let field = |name: &str| stats.iter().find(|(k, _)| k == name).unwrap().1;
+    assert_eq!(
+        field("gauge_bytes"),
+        field("cache_bytes") + field("plan_bytes") + field("delta_bytes") + field("segment_bytes"),
+        "resting gauge == cache + plan + delta + segment"
+    );
     client.shutdown().unwrap();
     server.join();
 }

@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use trilist::core::{
-    list_new_triangles_src, list_triangles, DeltaOpts, GraphSource, MemoryGauge, Method,
+    list_new_triangles_on, list_new_triangles_src, list_triangles, DeltaOpts, DeltaOutcome,
+    GraphSource, KernelPolicy, Kernels, MemoryGauge, Method, RunBudget,
 };
 use trilist::graph::Graph;
 use trilist::order::OrderFamily;
@@ -414,6 +415,114 @@ fn latest_window_chain_stays_pinned_while_edits_land() {
     assert!(resumed.result.complete);
     assert_eq!(resumed.result.cost, reference.result.cost);
     assert_eq!(resumed.result.triangles, reference.result.triangles);
+
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A `ListNewTriangles` naming bitset on an entry that caches adaptive
+/// kernels borrows the entry's hub rows and builds its block encodings
+/// inside its memory ceiling, checked against the server-wide gauge.
+/// Under a ceiling too small for the blocks it runs on the degraded
+/// context: exactly the one a library delta run builds under the same
+/// allowance.
+#[test]
+fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
+    let n = 600u32;
+    let base = gnp_edges(n, 0.05, 0xB10C);
+    let present: BTreeSet<(u32, u32)> = base.iter().copied().collect();
+    let adds: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+        .filter(|e| !present.contains(e))
+        .step_by(2_003)
+        .take(16)
+        .collect();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.register_graph("g", n, &base).unwrap();
+    client.add_edges("g", &adds).unwrap();
+    // a paper-policy run builds no kernels: it caches the epoch's entry,
+    // so the resting gauge below already holds it
+    let window = |policy: &str| DeltaParams {
+        policy: policy.into(),
+        ..DeltaParams::new("g", 0, 1)
+    };
+    client.list_new(window("paper")).unwrap();
+    let resting = stat(&client.stats().unwrap(), "gauge_bytes");
+
+    // the server's exact artifacts, from a store fed the same edits
+    let store = GraphStore::new(StoreConfig::default(), MemoryGauge::new());
+    store.register("g", n, &base).unwrap();
+    store.add_edges("g", &adds).unwrap();
+    let (net_new, _) = store.delta_edges("g", 0, 1).unwrap();
+    let (prepared, _, _) = store
+        .prepare_at("g", OrderFamily::Descending, Some(1))
+        .unwrap();
+    let mut forward = vec![0u32; prepared.inverse.len()];
+    for (label, &orig) in prepared.inverse.iter().enumerate() {
+        forward[orig as usize] = label as u32;
+    }
+    let mut label_edges: Vec<(u32, u32)> = net_new
+        .iter()
+        .map(|&(u, v)| {
+            let (a, b) = (forward[u as usize], forward[v as usize]);
+            (a.min(b), a.max(b))
+        })
+        .collect();
+    label_edges.sort_unstable();
+    let src = GraphSource::Plain(&prepared.dg);
+    let bitset = KernelPolicy::bitset();
+    assert_eq!(prepared.kernels.policy(), KernelPolicy::adaptive());
+    let library = |allowance: Option<u64>| {
+        let budget = match allowance {
+            Some(bytes) => RunBudget::unlimited().with_memory_bytes(bytes),
+            None => RunBudget::unlimited(),
+        };
+        let opts = DeltaOpts {
+            budget,
+            ..DeltaOpts::default()
+        };
+        list_new_triangles_on(src, bitset, &prepared.kernels, &label_edges, &opts)
+    };
+
+    // the run borrows the rows, so its own build is the blocks alone
+    let blocks = Kernels::build_src(bitset, src).bytes() - prepared.kernels.bytes();
+    let allowance = blocks / 2;
+    let wire = client
+        .list_new(DeltaParams {
+            memory_bytes: resting + allowance,
+            ..window("bitset")
+        })
+        .unwrap();
+    assert!(
+        wire.result.complete,
+        "the ceiling holds the run's own charges"
+    );
+    let degraded = library(Some(allowance));
+    assert!(matches!(degraded, DeltaOutcome::Complete { .. }));
+    assert_eq!(
+        wire.result.cost,
+        degraded.cost(),
+        "pointer_advances included"
+    );
+    assert_ne!(
+        degraded.cost().pointer_advances,
+        library(None).cost().pointer_advances,
+        "the ceiling really degraded the context"
+    );
+    let mut want: Vec<(u32, u32, u32)> = degraded
+        .triangles()
+        .into_iter()
+        .map(|(x, y, z)| {
+            let mut t = [x, y, z].map(|l| prepared.inverse[l as usize]);
+            t.sort_unstable();
+            (t[0], t[1], t[2])
+        })
+        .collect();
+    let mut got = wire.result.triangles.clone();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, want);
 
     client.shutdown().unwrap();
     server.join();
