@@ -550,28 +550,10 @@ impl Kernels {
 
     /// Builds the largest context for `policy` that fits inside
     /// `allowance` bytes of kernel memory (`None` = unlimited, plain
-    /// [`Kernels::build`]).
-    ///
-    /// The degradation ladder under `Adaptive`: halve `max_hubs` until the
-    /// estimated footprint ([`HubBitmap::estimate_bytes`], both directions)
-    /// fits, and when even zero rows would not help, keep the policy but
-    /// skip bitmap construction entirely — merge/gallop selection still
-    /// applies, and every paper-cost field is unaffected by construction
-    /// (the accounting contract in the module docs). Under `Bitset` the
-    /// block encodings have a fixed cost, so the ladder halves the
-    /// fallback's `max_hubs` first and drops the blocks only when they
-    /// alone exceed the budget (degrading to scan-only dispatch).
+    /// [`Kernels::build`]): [`Kernels::borrow_within_src`] with nothing to
+    /// borrow.
     pub fn build_within(policy: KernelPolicy, g: &DirectedGraph, allowance: Option<u64>) -> Self {
-        Kernels::build_within_src(policy, GraphSource::Plain(g), allowance)
-    }
-
-    /// [`Kernels::build_within`] over either adjacency layout.
-    pub fn build_within_src(
-        policy: KernelPolicy,
-        src: GraphSource<'_>,
-        allowance: Option<u64>,
-    ) -> Self {
-        Kernels::borrow_within_src(policy, None, src, allowance).0
+        Kernels::borrow_within_src(policy, None, GraphSource::Plain(g), allowance).0
     }
 
     /// The context a run of `policy` executes on top of `base`, and the
@@ -581,13 +563,25 @@ impl Kernels {
     /// with identical parameters: the hub rows when both select them with
     /// the same `hub_degree_threshold` and `max_hubs` (an `Adaptive`
     /// config or a `Bitset` fallback), the block encodings when both are
-    /// `Bitset`. It builds only the rest, on [`Kernels::build_within`]'s
-    /// ladder, where a shared structure costs `allowance` nothing. A
-    /// shared structure is the very allocation `base` holds, and it is
-    /// what the same deterministic pass would build again, so results,
+    /// `Bitset`. It builds only the rest, inside `allowance` (`None` =
+    /// unlimited), where a shared structure costs nothing. A shared
+    /// structure is the very allocation `base` holds, and it is what the
+    /// same deterministic pass would build again, so results,
     /// `pointer_advances` and the dispatch tallies equal those of a run
     /// that builds its own context. A paper-faithful run borrows and
     /// builds nothing. `base` must describe the same graph as `src`.
+    ///
+    /// The degradation ladder, the only place kernel memory degrades: halve
+    /// `max_hubs` until the estimated footprint of what is not shared
+    /// ([`HubBitmap::estimate_bytes`] and [`BitsetBlocks::estimate_bytes`],
+    /// both directions) fits. A borrowed structure survives every rung:
+    /// once the rows are the base's, only unshared block encodings can give
+    /// way, and the run keeps the rows without them, so its pairs take the
+    /// adaptive fallback and it builds nothing. Otherwise an `Adaptive`
+    /// context without rows, or a `Bitset` one whose blocks alone exceed
+    /// the allowance, keeps the policy with scan dispatch only. Every
+    /// paper-cost field is unaffected by construction (the accounting
+    /// contract in the module docs); `pointer_advances` is not.
     pub fn borrow_within_src(
         policy: KernelPolicy,
         base: Option<&Kernels>,
@@ -598,6 +592,7 @@ impl Kernels {
             return (Kernels::paper(), 0);
         };
         let bitset = matches!(policy, KernelPolicy::Bitset(_));
+        let mut build_blocks = bitset;
         let shared_rows = |cfg: AdaptiveConfig| {
             let base = base?;
             let had = base.policy.hub_config()?;
@@ -631,14 +626,19 @@ impl Kernels {
                     .iter()
                     .sum::<u64>(),
             };
-            // halve the hub rows until they fit beside the blocks; an
-            // adaptive context without rows, or a bitset one whose blocks
-            // alone overflow, keeps only scan dispatch
+            // halve the hub rows until they fit beside the blocks; borrowed
+            // rows are never shed, so beside them the unshared blocks give
+            // way; an adaptive context without rows, or a bitset one whose
+            // blocks alone overflow, keeps only scan dispatch
             loop {
                 if !bitset && cfg.max_hubs == 0 {
                     return (Kernels::scan_only(policy), 0);
                 }
                 if blocks_need + rows_need(cfg) <= budget {
+                    break;
+                }
+                if shared_rows(cfg).is_some() {
+                    build_blocks = false;
                     break;
                 }
                 if cfg.max_hubs == 0 {
@@ -656,7 +656,7 @@ impl Kernels {
         });
         let (out_blocks, in_blocks) = match shared_blocks {
             Some((out, inn)) => (Some(out), Some(inn)),
-            None if bitset => {
+            None if build_blocks => {
                 let [out, inn] = dirs.map(|d| BitsetBlocks::build_src(src, d));
                 built += out.bytes() + inn.bytes();
                 (Some(Arc::new(out)), Some(Arc::new(inn)))

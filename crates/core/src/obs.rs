@@ -17,9 +17,10 @@
 //!   run can be reconstructed as a timeline;
 //! * a [`MeasuredVsModel`] report joining span totals against the
 //!   paper-side cost model (measured nanoseconds per modeled operation,
-//!   per method × kernel policy), with a self-contained JSON round-trip —
+//!   per method × kernel policy), with a self-contained JSON writer —
 //!   the workspace deliberately has no serialization dependency, so the
-//!   writer/parser pair lives here and is property-tested for losslessness.
+//!   writer lives here, its exact bytes are pinned by a test, and CI loads
+//!   real `--metrics-out` files with an independent parser.
 //!
 //! **Invariance contract**: recording never feeds back into the run. Every
 //! paper-cost field of [`CostReport`](crate::CostReport), the triangle
@@ -521,23 +522,11 @@ pub struct MeasuredVsModel {
     pub entries: Vec<MethodMeasurement>,
 }
 
-/// A [`MeasuredVsModel`] document that failed to parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JsonError(String);
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid measured-vs-model JSON: {}", self.0)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 impl MeasuredVsModel {
     /// Serializes the report to JSON. Floats use Rust's shortest
-    /// round-trip decimal form; non-finite floats serialize as `null`
-    /// (and parse back as 0.0 — finite inputs round-trip losslessly,
-    /// property-tested).
+    /// round-trip decimal form, with `.0` on integral values; non-finite
+    /// floats serialize as `null` (exact bytes pinned in
+    /// `tests/obs_props.rs`).
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(256 + self.entries.len() * 256);
@@ -565,35 +554,6 @@ impl MeasuredVsModel {
         }
         out.push_str("\n  ]\n}\n");
         out
-    }
-
-    /// Parses a document produced by [`MeasuredVsModel::to_json`] (field
-    /// order inside each entry is irrelevant; unknown fields are
-    /// rejected).
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let mut p = JsonParser::new(s);
-        p.expect('{')?;
-        let mut entries = None;
-        let mut version = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "version" => version = Some(p.u64()?),
-                "entries" => entries = Some(p.entries()?),
-                other => return Err(JsonError(format!("unknown top-level key {other:?}"))),
-            }
-            if !p.comma_or(b'}')? {
-                break;
-            }
-        }
-        p.end()?;
-        if version != Some(1) {
-            return Err(JsonError(format!("unsupported version {version:?}")));
-        }
-        Ok(MeasuredVsModel {
-            entries: entries.ok_or_else(|| JsonError("missing entries".to_string()))?,
-        })
     }
 }
 
@@ -631,224 +591,6 @@ fn json_f64(v: f64) -> String {
         s
     } else {
         format!("{s}.0")
-    }
-}
-
-/// A recursive-descent parser for exactly the [`MeasuredVsModel`] schema.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: char) -> Result<(), JsonError> {
-        if self.peek() == Some(ch as u8) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {ch:?}")))
-        }
-    }
-
-    /// After a key/value or array element: `,` means another follows
-    /// (returns true), `close` ends the container (returns false).
-    fn comma_or(&mut self, close: u8) -> Result<bool, JsonError> {
-        match self.peek() {
-            Some(b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.pos += 1;
-                Ok(false)
-            }
-            _ => Err(self.err("expected ',' or container close")),
-        }
-    }
-
-    fn end(&mut self) -> Result<(), JsonError> {
-        if self.peek().is_some() {
-            return Err(self.err("trailing input"));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // take a run of plain bytes as UTF-8
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    /// The raw token of a number or `null`.
-    fn number_token(&mut self) -> Result<&'a str, JsonError> {
-        self.ws();
-        let start = self.pos;
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok("null");
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(self.err("expected number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))
-    }
-
-    fn u64(&mut self) -> Result<u64, JsonError> {
-        let tok = self.number_token()?;
-        tok.parse::<u64>()
-            .map_err(|_| JsonError(format!("{tok:?} is not a u64")))
-    }
-
-    fn f64(&mut self) -> Result<f64, JsonError> {
-        let tok = self.number_token()?;
-        if tok == "null" {
-            return Ok(0.0);
-        }
-        tok.parse::<f64>()
-            .map_err(|_| JsonError(format!("{tok:?} is not a number")))
-    }
-
-    fn entries(&mut self) -> Result<Vec<MethodMeasurement>, JsonError> {
-        self.expect('[')?;
-        let mut entries = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(entries);
-        }
-        loop {
-            entries.push(self.entry()?);
-            if !self.comma_or(b']')? {
-                return Ok(entries);
-            }
-        }
-    }
-
-    fn entry(&mut self) -> Result<MethodMeasurement, JsonError> {
-        self.expect('{')?;
-        let (mut method, mut policy) = (None, None);
-        let (mut modeled_ops, mut measured_ns, mut wall_ns) = (None, None, None);
-        let (mut spans, mut triangles) = (None, None);
-        let (mut ns_per_op, mut efficiency) = (None, None);
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match key.as_str() {
-                "method" => method = Some(self.string()?),
-                "policy" => policy = Some(self.string()?),
-                "modeled_ops" => modeled_ops = Some(self.u64()?),
-                "measured_ns" => measured_ns = Some(self.u64()?),
-                "wall_ns" => wall_ns = Some(self.u64()?),
-                "spans" => spans = Some(self.u64()?),
-                "triangles" => triangles = Some(self.u64()?),
-                "ns_per_op" => ns_per_op = Some(self.f64()?),
-                "load_balance_efficiency" => efficiency = Some(self.f64()?),
-                other => return Err(JsonError(format!("unknown entry key {other:?}"))),
-            }
-            if !self.comma_or(b'}')? {
-                break;
-            }
-        }
-        let missing = |field: &str| JsonError(format!("entry missing {field:?}"));
-        Ok(MethodMeasurement {
-            method: method.ok_or_else(|| missing("method"))?,
-            policy: policy.ok_or_else(|| missing("policy"))?,
-            modeled_ops: modeled_ops.ok_or_else(|| missing("modeled_ops"))?,
-            measured_ns: measured_ns.ok_or_else(|| missing("measured_ns"))?,
-            wall_ns: wall_ns.ok_or_else(|| missing("wall_ns"))?,
-            spans: spans.ok_or_else(|| missing("spans"))?,
-            triangles: triangles.ok_or_else(|| missing("triangles"))?,
-            ns_per_op: ns_per_op.ok_or_else(|| missing("ns_per_op"))?,
-            load_balance_efficiency: efficiency
-                .ok_or_else(|| missing("load_balance_efficiency"))?,
-        })
     }
 }
 
@@ -951,48 +693,5 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.get(Counter::Steals), u64::MAX); // saturates
         assert_eq!(a.merge(&b), b.merge(&a));
-    }
-
-    #[test]
-    fn json_round_trips_a_report() {
-        let report = MeasuredVsModel {
-            entries: vec![
-                MethodMeasurement::derive("T1", "paper", 1_000, 12_345, 20_000, 7, 42, 0.93),
-                MethodMeasurement::derive("E4", "adaptive", 0, 0, 1, 0, 0, 1.0),
-                MethodMeasurement::derive("weird \"name\"\n", "\\esc\u{1}", 3, 10, 10, 1, 1, 0.5),
-            ],
-        };
-        let json = report.to_json();
-        let parsed = MeasuredVsModel::from_json(&json).unwrap();
-        assert_eq!(parsed, report);
-        // empty report round-trips too
-        let empty = MeasuredVsModel::default();
-        assert_eq!(MeasuredVsModel::from_json(&empty.to_json()).unwrap(), empty);
-    }
-
-    #[test]
-    fn json_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{}",
-            "{\"version\": 2, \"entries\": []}",
-            "{\"version\": 1}",
-            "{\"version\": 1, \"entries\": [{}]}",
-            "{\"version\": 1, \"entries\": [], \"extra\": 0}",
-            "{\"version\": 1, \"entries\": []} trailing",
-            "{\"version\": 1, \"entries\": [{\"method\": \"T1\"}]}",
-        ] {
-            assert!(MeasuredVsModel::from_json(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn json_floats_are_shortest_round_trip() {
-        let mut e = MethodMeasurement::derive("T1", "paper", 3, 10, 10, 1, 1, 0.1);
-        e.ns_per_op = f64::NAN; // non-finite degrades to null -> 0.0
-        let report = MeasuredVsModel { entries: vec![e] };
-        let parsed = MeasuredVsModel::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.entries[0].ns_per_op, 0.0);
-        assert_eq!(parsed.entries[0].load_balance_efficiency, 0.1);
     }
 }

@@ -607,7 +607,6 @@ fn main() {
             .unwrap_or(0)
     };
     w.key("degradation").begin_object();
-    w.key("policy").u64(field("admission_degraded_policy"));
     w.key("deadline").u64(field("admission_degraded_deadline"));
     w.key("evict").u64(field("admission_degraded_evict"));
     w.key("cold_evictions").u64(field("cache_cold_evictions"));

@@ -4,7 +4,7 @@
 //! trilist_serve [--addr HOST:PORT] [--workers N] [--max-inflight N]
 //!               [--max-queue N] [--max-ops F] [--memory-bytes N]
 //!               [--cache-entries N] [--cache-bytes N]
-//!               [--chaos-seed N] [--no-degrade]
+//!               [--chaos-seed N]
 //! ```
 //!
 //! `--chaos-seed N` arms deterministic fault injection: every connection
@@ -13,9 +13,11 @@
 //! same seed reproduces the same fault schedule. For drills only; never
 //! arm it on a server anyone depends on.
 //!
-//! `--no-degrade` disables the degrade-before-reject overload ladder
-//! (kernel downgrade → deadline clamp → cold-cache eviction), restoring
-//! the older shed-immediately behavior.
+//! Under overload the server degrades before it rejects: past 75% of
+//! its queue or memory ceiling it clamps request deadlines, forcing the
+//! partial+resume path, and past 90% it also evicts one cold cache entry
+//! of another graph per request. Kernel memory degrades only inside each
+//! run's own memory budget.
 //!
 //! Runs until a client sends `Shutdown` (or the process is killed).
 
@@ -49,7 +51,6 @@ fn main() {
             "--chaos-seed" => {
                 cfg.chaos = Some(ChaosPlan::seeded(parse("--chaos-seed", args.next())));
             }
-            "--no-degrade" => cfg.degrade.enabled = false,
             other => {
                 eprintln!("unknown flag {other:?}");
                 std::process::exit(2);

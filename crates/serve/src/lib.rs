@@ -47,9 +47,7 @@ pub use protocol::{
     DeltaRunResult, EditInfo, ErrorCode, ErrorFrame, FrameError, ListParams, PlanInfo, Request,
     Response, RunResult, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-pub use server::{
-    accept_error_action, AcceptAction, DegradeConfig, ServeConfig, Server, ServerHandle,
-};
+pub use server::{accept_error_action, AcceptAction, ServeConfig, Server, ServerHandle};
 pub use store::{
     autotune_plan, prepare_graph, prepare_graph_with, prepare_seed_at, prepare_seed_for,
     CompactReport, CompactorHandle, EditReceipt, EpochPin, GraphStore, PlanMode, PlanSummary,

@@ -53,7 +53,6 @@ metrics! {
     Queued => "admission_queued",
     RejectedBusy => "admission_rejected_busy",
     RejectedCost => "admission_rejected_cost",
-    DegradedPolicy => "admission_degraded_policy",
     DegradedDeadline => "admission_degraded_deadline",
     DegradedEvict => "admission_degraded_evict",
     ChaosShortReads => "chaos_short_reads",
@@ -105,7 +104,7 @@ use Metric::*;
 const STATS: &[Field] = &[
     Slots(RequestsTotal, RejectedCost),
     Read("admission_inflight", |sh, _| sh.admission.inflight() as u64),
-    Slots(DegradedPolicy, DegradedEvict),
+    Slots(DegradedDeadline, DegradedEvict),
     Read("cache_hits", |_, s| s.hits),
     Read("cache_misses", |_, s| s.misses),
     Read("cache_evictions", |_, s| s.evictions),
@@ -128,7 +127,11 @@ const STATS: &[Field] = &[
     }),
     Chaos(ChaosShortReads, ChaosDeadlineSkews),
     Recorder(Counter::IntersectPaper, Counter::IntersectStamp),
-    Sum("recorder_serve_degradations", DegradedPolicy, DegradedEvict),
+    Sum(
+        "recorder_serve_degradations",
+        DegradedDeadline,
+        DegradedEvict,
+    ),
     Sum(
         "recorder_chaos_injections",
         ChaosShortReads,

@@ -26,13 +26,28 @@
 //! Each request's [`RunBudget`] carries the server-wide [`MemoryGauge`]:
 //! the ceiling (per-request override or the server default) is checked
 //! against cache residency *plus* every in-flight run, one global number.
-//! Deadlines map to budget deadlines (the degrade ladder clamps listing
-//! deadlines only). An interrupted run answers with a partial
-//! [`RunResult`] whose [`ResumePoint`] token (`trilist-resume v1 <method>
-//! …` or `trilist-resume v1 delta …`) a follow-up request of the same kind
-//! can continue; a token for the other domain or shape, or one naming a
-//! range twice, answers an error frame. The per-chunk piece table lets the
-//! client stitch the chain back into exact sequential order.
+//! Deadlines map to budget deadlines. An interrupted run answers with a
+//! partial [`RunResult`] whose [`ResumePoint`] token (`trilist-resume v1
+//! <method> …` or `trilist-resume v1 delta …`) a follow-up request of the
+//! same kind can continue; a token for the other domain or shape, or one
+//! naming a range twice, answers an error frame. The per-chunk piece
+//! table lets the client stitch the chain back into exact sequential
+//! order.
+//!
+//! # Degrade before reject
+//!
+//! Under combined queue and memory-gauge pressure the server trades
+//! per-request speed for survival *before* it sheds load. The two rungs
+//! sit at fixed pressures in `admit_run`, so `List`, `Count` and
+//! `ListNewTriangles` degrade alike: at `DEADLINE_AT` a deadline the
+//! client set is clamped, forcing the partial+resume path so slots recycle
+//! faster, and at `EVICT_AT` one cold cache entry of another graph is
+//! evicted per request. Both are invisible on the wire except for latency
+//! and the partial+resume contract clients already hold, and each step
+//! taken is counted in `Stats` (`admission_degraded_*`), so tests can pin
+//! that the ladder engages before the first `rejected-busy`. Kernel memory
+//! degrades in one place only, each run's own budget
+//! ([`trilist_core::Kernels::borrow_within_src`]).
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
 use crate::chaos::{ChaosPlan, ExecFault};
@@ -75,8 +90,6 @@ pub struct ServeConfig {
     /// Deterministic fault injection across the connection layer and
     /// the execution path. `None` (the default) injects nothing.
     pub chaos: Option<ChaosPlan>,
-    /// The degrade-before-reject overload ladder.
-    pub degrade: DegradeConfig,
 }
 
 impl Default for ServeConfig {
@@ -87,43 +100,15 @@ impl Default for ServeConfig {
             store: StoreConfig::default(),
             memory_bytes: None,
             chaos: None,
-            degrade: DegradeConfig::default(),
         }
     }
 }
 
-/// The degrade-before-reject overload ladder: under combined queue and
-/// memory-gauge pressure the server trades per-request speed for
-/// survival *before* it sheds load, one rung at a time. Every rung is
-/// invisible on the wire except for latency and the partial+resume
-/// contract clients already hold: kernel downgrades keep cost accounting
-/// and triangles byte-identical (the repo's policy-invariance contract),
-/// deadline clamps only shrink deadlines a client already set, and cold
-/// evictions only drop cache entries other graphs own. Each step taken
-/// is counted in `Stats` (`admission_degraded_*`), so tests can pin that
-/// the ladder engages before the first `rejected-busy`. The rungs sit at
-/// fixed pressures (`POLICY_AT`, `DEADLINE_AT`, `EVICT_AT`).
-#[derive(Clone, Copy, Debug)]
-pub struct DegradeConfig {
-    /// Master switch; `false` jumps straight to rejection (pre-ladder
-    /// behavior).
-    pub enabled: bool,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig { enabled: true }
-    }
-}
-
-/// Pressure (max of queue fill and gauge fill, 0..=1) at which the kernel
-/// policy steps down one rung (bitset → adaptive → paper).
-const POLICY_AT: f64 = 0.60;
 /// Pressure at which request deadlines clamp to `DEGRADED_DEADLINE_MS`,
 /// forcing the partial+resume path so slots recycle faster.
 const DEADLINE_AT: f64 = 0.75;
-/// Pressure at which the policy drops all the way to paper-faithful and
-/// one cold cache entry is evicted per request.
+/// Pressure at which one cold cache entry of another graph is evicted per
+/// request.
 const EVICT_AT: f64 = 0.90;
 /// Deadline (ms) imposed on deadline-carrying requests past `DEADLINE_AT`.
 const DEGRADED_DEADLINE_MS: u64 = 50;
@@ -553,14 +538,6 @@ fn explain_plan(shared: &Shared, graph: &str) -> Result<PlanInfo, ErrorFrame> {
     })
 }
 
-/// One rung down the kernel ladder: bitset → adaptive → paper-faithful.
-fn downgrade_policy(policy: KernelPolicy) -> KernelPolicy {
-    match policy {
-        KernelPolicy::Bitset(_) => KernelPolicy::adaptive(),
-        KernelPolicy::Adaptive(_) | KernelPolicy::PaperFaithful => KernelPolicy::PaperFaithful,
-    }
-}
-
 /// Combined overload pressure in `0..=1`: the max of admission fill
 /// (inflight + queued over capacity) and memory-gauge fill (cache
 /// residency + in-flight runs over the server ceiling; 0 when no ceiling
@@ -579,7 +556,7 @@ fn run_listing(
     p: &ListParams,
     materialize: bool,
 ) -> Result<RunResult, ErrorFrame> {
-    let (plan, ordering, mut policy) =
+    let (plan, ordering, policy) =
         resolve_plan(shared, &p.graph, p.method.is_empty(), &p.family, &p.policy)?;
     let method = match &plan {
         Some(s) if p.method.is_empty() => s.plan.method_hint,
@@ -596,37 +573,15 @@ fn run_listing(
         .prepare(&p.graph, ordering)
         .map_err(|e| ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()))?;
 
-    // Degrade-before-reject: under pressure, trade speed for survival
-    // one rung at a time before the admission gate sheds anything.
-    // Kernel downgrades are wire-invisible (cost accounting and
-    // triangles are policy-invariant), so completed responses stay
-    // byte-identical to an unpressured run.
-    let mut deadline_ms = p.deadline_ms;
-    if shared.cfg.degrade.enabled {
-        let pressure = overload_pressure(shared);
-        if pressure >= POLICY_AT {
-            let stepped = if pressure >= EVICT_AT {
-                KernelPolicy::PaperFaithful
-            } else {
-                downgrade_policy(policy)
-            };
-            if std::mem::discriminant(&stepped) != std::mem::discriminant(&policy) {
-                policy = stepped;
-                shared.metrics.bump(Metric::DegradedPolicy);
-            }
-            if pressure >= DEADLINE_AT && deadline_ms > DEGRADED_DEADLINE_MS {
-                deadline_ms = DEGRADED_DEADLINE_MS;
-                shared.metrics.bump(Metric::DegradedDeadline);
-            }
-            if pressure >= EVICT_AT && shared.store.evict_cold(&p.graph) {
-                shared.metrics.bump(Metric::DegradedEvict);
-            }
-        }
-    }
-
     let price = price_request(method, &prepared.degrees_by_label);
-    let (permit, budget, threads) =
-        admit_run(shared, &price, deadline_ms, p.memory_bytes, p.threads)?;
+    let (permit, budget, threads) = admit_run(
+        shared,
+        &p.graph,
+        &price,
+        p.deadline_ms,
+        p.memory_bytes,
+        p.threads,
+    )?;
     let opts = ResilientOpts {
         parallel: ParallelOpts {
             threads,
@@ -706,18 +661,30 @@ fn resolve_plan(
     Ok((plan, ordering, policy))
 }
 
-/// The prelude every priced run shares: the admission gate (price
-/// ceiling, then a slot) and its counters, then the run's budget and
-/// worker count from the request's overrides, server defaults where they
-/// are zero. The permit must live until the run ends.
+/// The prelude every priced run on `graph` shares: the overload ladder,
+/// then the admission gate (price ceiling, then a slot) and its counters,
+/// then the run's budget and worker count from the request's overrides,
+/// server defaults where they are zero. The permit must live until the
+/// run ends.
 fn admit_run<'s>(
     shared: &'s Shared,
+    graph: &str,
     price: &RequestPrice,
-    deadline_ms: u64,
+    mut deadline_ms: u64,
     memory_bytes: u64,
     threads: u16,
 ) -> Result<(Permit<'s>, RunBudget, usize), ErrorFrame> {
     let count = |metric| shared.metrics.bump(metric);
+    // degrade before reject: the pressure is read before the gate is
+    // consulted, so the ladder engages ahead of any shed request
+    let pressure = overload_pressure(shared);
+    if pressure >= DEADLINE_AT && deadline_ms > DEGRADED_DEADLINE_MS {
+        deadline_ms = DEGRADED_DEADLINE_MS;
+        count(Metric::DegradedDeadline);
+    }
+    if pressure >= EVICT_AT && shared.store.evict_cold(graph) {
+        count(Metric::DegradedEvict);
+    }
     shared.admission.check_price(price).map_err(|r| {
         count(Metric::RejectedCost);
         ErrorFrame::new(ErrorCode::RejectedCost, r.to_string())
@@ -883,8 +850,14 @@ fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFr
     label_edges.sort_unstable();
 
     let price = price_delta(&prepared.degrees_by_label, &label_edges);
-    let (permit, budget, threads) =
-        admit_run(shared, &price, p.deadline_ms, p.memory_bytes, p.threads)?;
+    let (permit, budget, threads) = admit_run(
+        shared,
+        &p.graph,
+        &price,
+        p.deadline_ms,
+        p.memory_bytes,
+        p.threads,
+    )?;
     let opts = DeltaOpts {
         threads,
         budget,
@@ -953,7 +926,7 @@ mod tests {
     fn a_requested_thread_count_is_capped_at_the_cpu_count() {
         let (shared, _compactor) = Shared::new(ServeConfig::default());
         let price = price_request(Method::E1, &[1, 1]);
-        let (_permit, _, threads) = admit_run(&shared, &price, 0, 0, u16::MAX).unwrap();
+        let (_permit, _, threads) = admit_run(&shared, "g", &price, 0, 0, u16::MAX).unwrap();
         let cpus = ParallelOpts::default().threads;
         assert!(threads <= cpus, "{threads} threads on {cpus} CPUs");
     }

@@ -490,40 +490,45 @@ fn borrowing_from_a_base_context_is_exact_and_shares_its_rows() {
     }
 }
 
-/// Borrowed structures cost the allowance nothing: under a ceiling that
-/// holds the bitset blocks but not the hub rows, a bitset run on an
-/// adaptive base keeps its full context, while a context built whole
-/// under the same ceiling degrades.
+/// Borrowed structures cost the allowance nothing and survive every rung:
+/// under a ceiling that holds the bitset blocks but not the hub rows, a
+/// bitset run on an adaptive base keeps its full context, while a context
+/// built whole under the same ceiling degrades; under a ceiling below the
+/// blocks it keeps the base's rows, sheds only the blocks, builds nothing,
+/// and answers exactly as an adaptive run on the base.
 #[test]
 fn borrowed_rows_leave_the_allowance_to_the_blocks() {
     let dg = fixture(3_000, 59);
+    let src = GraphSource::Plain(&dg);
     let policy = eager_bitset();
     let base = Arc::new(Kernels::build(KernelPolicy::adaptive(), &dg));
     let full = Kernels::build(policy, &dg).bytes();
     let blocks = full - base.bytes();
-    let run = |kernels: Option<Arc<Kernels>>, ceiling: Option<u64>| {
-        let mut o = opts(2, policy);
-        o.kernels = kernels;
+    let run = |policy: KernelPolicy, threads: usize, ceiling: Option<u64>| {
+        let rec = Arc::new(InMemoryRecorder::without_span_list());
+        let mut o = opts(threads, policy);
+        o.kernels = Some(base.clone());
+        o.recorder = Some(rec.clone());
         if let Some(c) = ceiling {
             o.budget = RunBudget::unlimited().with_memory_bytes(c);
         }
-        list_resilient(&dg, Method::E1, &o)
+        let run = list_resilient(&dg, Method::E1, &o)
             .unwrap()
             .complete()
-            .expect("the ceiling leaves room for every staged triangle")
+            .expect("the ceiling leaves room for every staged triangle");
+        (run, kernel_tallies(&rec))
     };
-    let free = run(None, None);
-    let adaptive = list_resilient(&dg, Method::E1, &opts(2, KernelPolicy::adaptive())).unwrap();
+    let (free, _) = run(policy, 2, None);
+    let (adaptive, _) = run(KernelPolicy::adaptive(), 2, None);
     assert_ne!(
-        adaptive.complete().unwrap().cost.pointer_advances,
-        free.cost.pointer_advances,
+        adaptive.cost.pointer_advances, free.cost.pointer_advances,
         "the base alone would answer differently"
     );
     // room for every chunk's staged triangles (capacity, not length)
     let staged = 2 * 12 * free.triangles.len() as u64 + 64 * free.chunks as u64;
     let ceiling = blocks + staged;
     assert!(ceiling < full, "the rows must not fit beside the blocks");
-    let lent = run(Some(base), Some(ceiling));
+    let (lent, _) = run(policy, 2, Some(ceiling));
     assert_eq!(
         lent.cost, free.cost,
         "undegraded: pointer_advances included"
@@ -533,4 +538,26 @@ fn borrowed_rows_leave_the_allowance_to_the_blocks() {
         Kernels::build_within(policy, &dg, Some(ceiling)).bytes() < full,
         "the ceiling degrades a context built whole"
     );
+
+    // below the blocks: the borrowed rows stay, only the blocks give way
+    let tight = staged;
+    assert!(tight < blocks, "the blocks must not fit");
+    let (kept, built) = Kernels::borrow_within_src(policy, Some(&base), src, Some(tight));
+    let shared = match (kept.out_bitmaps(), base.out_bitmaps()) {
+        (Some(k), Some(b)) => std::ptr::eq(k, b),
+        _ => false,
+    };
+    assert!(shared, "the degraded run keeps the base's rows");
+    assert!(kept.out_blocks().is_none(), "the blocks are shed");
+    assert_eq!(built, 0, "the degraded run builds nothing");
+    for threads in [1usize, 2, 4] {
+        let (want, want_tallies) = run(KernelPolicy::adaptive(), threads, None);
+        let (got, got_tallies) = run(policy, threads, Some(tight));
+        assert_eq!(got.triangles, want.triangles, "{threads}t: triangles");
+        assert_eq!(
+            got.cost, want.cost,
+            "{threads}t: cost, pointer_advances included"
+        );
+        assert_eq!(got_tallies, want_tallies, "{threads}t: kernel tallies");
+    }
 }

@@ -17,7 +17,7 @@ use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Tr
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
 use trilist::serve::{
-    ChaosPlan, Client, ClientError, IoOp, ListParams, RetryPolicy, ServeConfig, Server,
+    ChaosPlan, Client, ClientError, DeltaParams, IoOp, ListParams, RetryPolicy, ServeConfig, Server,
 };
 
 /// A reproducible Pareto α = 1.5 graph with plenty of triangles.
@@ -337,9 +337,9 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
     // creates *pressure* (gauge fill) without stopping any run.
     let override_bytes = 1u64 << 40;
 
-    // R1: prepares the small graph at low pressure. "paper" cannot be
-    // downgraded further and there is no deadline, so whatever the fill,
-    // R1 moves no ladder counter.
+    // R1: prepares the small graph at low pressure. It has no deadline
+    // and no other graph's entry is cached, so whatever the fill, R1 moves
+    // no ladder counter.
     let r1 = client
         .list(ListParams {
             memory_bytes: override_bytes,
@@ -349,10 +349,9 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
     assert!(r1.complete);
 
     // R2: prepares the big graph, pushing the gauge past every rung
-    // *before* the admission gate is consulted. Pinned effects: bitset →
-    // paper (policy rung), 10 s deadline → clamped (deadline rung), the
-    // small graph's cold entry evicted (evict rung) — and the request
-    // still completes.
+    // *before* the admission gate is consulted. Pinned effects: 10 s
+    // deadline → clamped (deadline rung), the small graph's cold entry
+    // evicted (evict rung) — and the request still completes.
     let r2 = client
         .list(ListParams {
             memory_bytes: override_bytes,
@@ -362,9 +361,9 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
         .unwrap();
     assert!(r2.complete, "degraded, not rejected");
 
-    // R3: same shape on the now-hot big graph. The policy and deadline
-    // rungs fire again; the evict rung finds nothing cold (only the
-    // current graph remains) and stays put.
+    // R3: same shape on the now-hot big graph. The deadline rung fires
+    // again; the evict rung finds nothing cold (only the current graph
+    // remains) and stays put.
     let r3 = client
         .list(ListParams {
             memory_bytes: override_bytes,
@@ -375,7 +374,6 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
     assert!(r3.complete, "degraded, not rejected");
 
     let stats = client.stats().unwrap();
-    assert_eq!(field(&stats, "admission_degraded_policy"), 2);
     assert_eq!(field(&stats, "admission_degraded_deadline"), 2);
     assert_eq!(field(&stats, "admission_degraded_evict"), 1);
     let steps: u64 = stats
@@ -424,9 +422,54 @@ fn degradation_ladder_engages_before_anything_is_rejected() {
     let stats = client.stats().unwrap();
     assert_eq!(field(&stats, "admission_rejected_busy"), rejected);
     assert!(
-        field(&stats, "admission_degraded_policy") >= 2,
+        field(&stats, "admission_degraded_deadline") >= 2
+            && field(&stats, "admission_degraded_evict") >= 1,
         "degradation preceded every rejection"
     );
+
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// The rungs sit in the prelude every priced run shares, so a
+/// `ListNewTriangles` degrades as a listing run does: under pressure its
+/// deadline is clamped, and the run still completes.
+#[test]
+fn delta_runs_take_the_deadline_rung_under_pressure() {
+    let g = pareto_graph(400, 0x1ADF);
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    // a 1-byte server ceiling holds the gauge past every rung; the
+    // request's own override keeps its run from stopping
+    let cfg = ServeConfig {
+        memory_bytes: Some(1),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.register_graph("g", g.n() as u32, &edges).unwrap();
+    let absent = (0..g.n() as u32)
+        .flat_map(|u| (u + 1..g.n() as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("the graph is not complete");
+    client.add_edges("g", &[absent]).unwrap();
+    let clamped = field(&client.stats().unwrap(), "admission_degraded_deadline");
+
+    let run = client
+        .list_new(DeltaParams {
+            deadline_ms: 10_000,
+            memory_bytes: 1 << 40,
+            ..DeltaParams::new("g", 0, DeltaParams::LATEST)
+        })
+        .unwrap();
+    assert!(run.result.complete, "degraded, not rejected");
+    assert_eq!(run.new_edges, 1);
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        field(&stats, "admission_degraded_deadline"),
+        clamped + 1,
+        "the delta run's deadline was clamped"
+    );
+    assert_eq!(field(&stats, "admission_rejected_busy"), 0);
 
     client.shutdown().unwrap();
     server.join();

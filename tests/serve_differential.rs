@@ -7,7 +7,8 @@
 
 use rand::{Rng, SeedableRng};
 use trilist::core::{
-    list_resilient, CostReport, KernelPolicy, Method, ParallelOpts, ResilientOpts, RunOutcome,
+    list_resilient, CostReport, KernelPolicy, Kernels, Method, ParallelOpts, ResilientOpts,
+    RunOutcome,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Truncation};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -411,11 +412,25 @@ fn replayed_tokens_must_name_each_range_once_on_list_and_list_new() {
     server.join();
 }
 
+/// A G(n, p) graph on two halves with every edge across them: neighbor
+/// lists as dense as [`dense_graph`]'s, so block intersections win routes,
+/// but no triangles to stage.
+fn bipartite_graph(n: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+        .filter(|&(u, v)| (u + v) % 2 == 1 && rng.gen_bool(p))
+        .collect();
+    Graph::from_edges(n, &edges).unwrap()
+}
+
 /// The shipped store caches an adaptive kernel context. A request naming
 /// bitset borrows that entry's hub rows and builds only its block
 /// encodings; its answers must equal direct runs that build a whole
-/// bitset context of their own, and once it is done the resting gauge
-/// must hold only what the store caches.
+/// bitset context of their own. Under a ceiling too small for the
+/// blocks it keeps the borrowed rows and answers as an adaptive request
+/// does. Once it is done the resting gauge must hold only what the store
+/// caches.
 #[test]
 fn bitset_requests_on_an_adaptive_entry_match_runs_that_build_their_own() {
     let g = dense_graph(400, 0.25, 0xB175);
@@ -451,6 +466,50 @@ fn bitset_requests_on_an_adaptive_entry_match_runs_that_build_their_own() {
             }
         }
     }
+
+    // A ceiling below the block encodings: the bitset request keeps the
+    // entry's rows and sheds only its blocks. On a triangle-free graph
+    // the ceiling need hold no staged triangles.
+    let bip = bipartite_graph(400, 0.5, 0xB176);
+    let bip_edges: Vec<(u32, u32)> = bip.edges().collect();
+    client
+        .register_graph("bip", bip.n() as u32, &bip_edges)
+        .unwrap();
+    let family = Method::E1.optimal_family();
+    let count = |client: &mut Client, policy: &str, memory_bytes: u64| {
+        let run = client
+            .count(ListParams {
+                memory_bytes,
+                ..ListParams::new("bip", "E1", family.name(), policy)
+            })
+            .unwrap();
+        assert!(run.complete, "{policy}: the ceiling holds the run");
+        assert_eq!(run.cost.triangles, 0);
+        run.cost
+    };
+    let adaptive = count(&mut client, "adaptive", 0);
+    let (_, bitset) = direct_run(&bip, "bip", Method::E1, KernelPolicy::bitset(), 1);
+    assert_ne!(
+        bitset.pointer_advances, adaptive.pointer_advances,
+        "E1 on bip: the blocks route pairs"
+    );
+    let seed = prepare_seed_for(StoreConfig::default().prepare_seed, "bip", family.name());
+    let dg = prepare_graph(&bip, family, seed).dg;
+    let blocks = Kernels::build(KernelPolicy::bitset(), &dg).bytes()
+        - Kernels::build(KernelPolicy::adaptive(), &dg).bytes();
+    let resting = client
+        .stats()
+        .unwrap()
+        .into_iter()
+        .find(|(k, _)| k == "gauge_bytes")
+        .unwrap()
+        .1;
+    assert_eq!(count(&mut client, "bitset", 0), bitset, "undegraded");
+    assert_eq!(
+        count(&mut client, "bitset", resting + blocks / 2),
+        adaptive,
+        "rows kept, blocks shed: pointer_advances included"
+    );
 
     let stats = client.stats().unwrap();
     let field = |name: &str| stats.iter().find(|(k, _)| k == name).unwrap().1;

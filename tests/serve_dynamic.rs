@@ -425,7 +425,8 @@ fn latest_window_chain_stays_pinned_while_edits_land() {
 /// inside its memory ceiling, checked against the server-wide gauge.
 /// Under a ceiling too small for the blocks it runs on the degraded
 /// context: exactly the one a library delta run builds under the same
-/// allowance.
+/// allowance, which keeps the borrowed rows and sheds only the blocks, so
+/// it answers as an adaptive run on the entry's context.
 #[test]
 fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
     let n = 600u32;
@@ -473,7 +474,7 @@ fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
     let src = GraphSource::Plain(&prepared.dg);
     let bitset = KernelPolicy::bitset();
     assert_eq!(prepared.kernels.policy(), KernelPolicy::adaptive());
-    let library = |allowance: Option<u64>| {
+    let library = |policy: KernelPolicy, allowance: Option<u64>| {
         let budget = match allowance {
             Some(bytes) => RunBudget::unlimited().with_memory_bytes(bytes),
             None => RunBudget::unlimited(),
@@ -482,7 +483,7 @@ fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
             budget,
             ..DeltaOpts::default()
         };
-        list_new_triangles_on(src, bitset, &prepared.kernels, &label_edges, &opts)
+        list_new_triangles_on(src, policy, &prepared.kernels, &label_edges, &opts)
     };
 
     // the run borrows the rows, so its own build is the blocks alone
@@ -498,7 +499,7 @@ fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
         wire.result.complete,
         "the ceiling holds the run's own charges"
     );
-    let degraded = library(Some(allowance));
+    let degraded = library(bitset, Some(allowance));
     assert!(matches!(degraded, DeltaOutcome::Complete { .. }));
     assert_eq!(
         wire.result.cost,
@@ -507,8 +508,13 @@ fn delta_runs_build_their_kernels_inside_the_memory_ceiling() {
     );
     assert_ne!(
         degraded.cost().pointer_advances,
-        library(None).cost().pointer_advances,
+        library(bitset, None).cost().pointer_advances,
         "the ceiling really degraded the context"
+    );
+    assert_eq!(
+        degraded.cost(),
+        library(KernelPolicy::adaptive(), None).cost(),
+        "the degraded context keeps the entry's rows"
     );
     let mut want: Vec<(u32, u32, u32)> = degraded
         .triangles()

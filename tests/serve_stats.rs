@@ -13,12 +13,11 @@ use trilist::serve::{
 };
 
 /// Every key a chaos-off server exports, sorted.
-const KEYS: [&str; 60] = [
+const KEYS: [&str; 59] = [
     "accept_errors",
     "admission_admitted",
     "admission_degraded_deadline",
     "admission_degraded_evict",
-    "admission_degraded_policy",
     "admission_inflight",
     "admission_queued",
     "admission_rejected_busy",
@@ -126,7 +125,7 @@ fn chaos_on_server_adds_exactly_the_chaos_keys() {
     let stats = client.stats().expect("stats under chaos");
     let mut want: Vec<&str> = KEYS.iter().chain(&CHAOS_KEYS).copied().collect();
     want.sort_unstable();
-    assert_eq!(stats.len(), 69, "no key repeats");
+    assert_eq!(stats.len(), 68, "no key repeats");
     assert_eq!(sorted_keys(&stats), want);
     server.join();
 }
@@ -169,7 +168,7 @@ fn scripted_connection_pins_every_counter() {
         other => panic!("expected a price rejection, got {other:?}"),
     }
     let stats: BTreeMap<String, u64> = client.stats().unwrap().into_iter().collect();
-    let want: [(&str, u64); 36] = [
+    let want: [(&str, u64); 35] = [
         ("requests_total", 12),
         ("requests_register", 2),
         ("requests_list", 3),
@@ -188,7 +187,6 @@ fn scripted_connection_pins_every_counter() {
         ("admission_rejected_busy", 0),
         ("admission_rejected_cost", 1),
         ("admission_inflight", 0),
-        ("admission_degraded_policy", 0),
         ("admission_degraded_deadline", 0),
         ("admission_degraded_evict", 0),
         ("cache_hits", 3),
