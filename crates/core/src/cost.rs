@@ -83,6 +83,15 @@ impl CostReport {
     }
 }
 
+/// Merges reports with [`CostReport::accumulate`].
+impl<'a> std::iter::Sum<&'a CostReport> for CostReport {
+    fn sum<I: Iterator<Item = &'a CostReport>>(iter: I) -> Self {
+        let mut total = CostReport::default();
+        iter.for_each(|c| total.accumulate(c));
+        total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

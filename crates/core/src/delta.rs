@@ -562,11 +562,7 @@ impl DeltaOutcome {
 
     /// Aggregate cost of the completed pieces, merged in chunk order.
     pub fn cost(&self) -> CostReport {
-        let mut total = CostReport::default();
-        for p in self.pieces() {
-            total.accumulate(&p.cost);
-        }
-        total
+        self.pieces().iter().map(|p| &p.cost).sum()
     }
 
     /// Label triples of the completed pieces, concatenated in chunk order.

@@ -75,8 +75,8 @@ pub use parallel::{
 pub use prior_art::{chiba_nishizeki, forward};
 pub use resilient::{
     fault_roll, list_resilient, list_resilient_src, silence_injected_panics, ActiveBudget,
-    CancelToken, ChunkFault, ChunkPiece, Fault, FaultPlan, MemoryGauge, PartialRun, ResilientOpts,
-    ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason, WorkDomain,
+    CancelToken, ChunkFault, ChunkPiece, Emit, Fault, FaultPlan, MemoryGauge, PartialRun,
+    ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason, WorkDomain,
 };
 pub use sink::{FirstK, PerNodeCounter, ReservoirSink, TriangleBuffer};
 pub use source::GraphSource;

@@ -42,7 +42,7 @@
 use crate::cost::CostReport;
 use crate::kernel::{BitmapOracle, KernelPolicy, Kernels};
 use crate::oracle::HashOracle;
-use crate::resilient::{self, ChunkFault, ResilientOpts, RunOutcome};
+use crate::resilient::{self, ChunkFault, Emit, ResilientOpts, RunOutcome};
 use crate::sink::TriangleBuffer;
 use crate::source::{with_reader, DecodeScratch, GraphSource, ListReader};
 use crate::{sei, vertex, Method};
@@ -189,7 +189,10 @@ pub struct ParallelRun {
     /// by chunk index and aligned with `triangles` — a session layer can
     /// split the flat list back into chunk-tagged pieces, which is what
     /// lets a resumed run on the far side of a wire be merged with the
-    /// earlier partial pieces in exact sequential order.
+    /// earlier partial pieces in exact sequential order. The counts come
+    /// from each piece's cost, so a counting run
+    /// ([`Emit::Counts`](crate::Emit)) reads the same table with no
+    /// triangles behind it.
     pub piece_counts: Vec<(u32, u32)>,
 }
 
@@ -372,9 +375,10 @@ pub fn par_list_with(
     })
 }
 
-/// Executes one visited-node range on either adjacency layout, staging
-/// triangles in a [`TriangleBuffer`] so the scheduler can charge their
-/// footprint to the memory gauge before the ordered merge.
+/// Executes one visited-node range on either adjacency layout. Under
+/// [`Emit::Triangles`] it stages the triangles in a [`TriangleBuffer`] so
+/// the scheduler can charge their footprint to the memory gauge before
+/// the ordered merge; under [`Emit::Counts`] its sink drops each one.
 pub(crate) fn run_chunk<L: ListReader>(
     g: &L,
     method: Method,
@@ -382,9 +386,15 @@ pub(crate) fn run_chunk<L: ListReader>(
     kernels: &Kernels,
     scratch: &mut DecodeScratch,
     range: std::ops::Range<u32>,
+    emit: Emit,
 ) -> (CostReport, TriangleBuffer) {
     let mut tris = TriangleBuffer::new();
-    let sink = |x: u32, y: u32, z: u32| tris.push(x, y, z);
+    let keep = emit == Emit::Triangles;
+    let sink = |x: u32, y: u32, z: u32| {
+        if keep {
+            tris.push(x, y, z)
+        }
+    };
     let cost = match method {
         Method::T1 | Method::T2 => {
             let base = oracle.expect("oracle built for vertex methods");

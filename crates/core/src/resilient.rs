@@ -510,6 +510,20 @@ pub struct ChunkFault {
     pub fatal: bool,
 }
 
+/// What a listing run's chunks keep of the triangles they find. The
+/// operation counts are the same either way: a count is a listing run
+/// whose sink drops each triangle.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Emit {
+    /// Stage every triangle in its chunk's piece, charged to the budget
+    /// as the chunk completes, for the ordered merge.
+    #[default]
+    Triangles,
+    /// Keep only the counts: no piece holds a triangle, so the run stages
+    /// nothing and its memory is its oracle and kernel context alone.
+    Counts,
+}
+
 /// One completed chunk's output, tagged with its global index so partial
 /// and resumed runs merge in the exact sequential order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -520,8 +534,17 @@ pub struct ChunkPiece {
     pub range: Range<u32>,
     /// The chunk's operation counts.
     pub cost: CostReport,
-    /// The chunk's triangles, in emission order.
+    /// The chunk's triangles, in emission order (none under
+    /// [`Emit::Counts`]).
     pub triangles: Vec<(u32, u32, u32)>,
+}
+
+impl ChunkPiece {
+    /// `(chunk, triangles)`, this piece's row of a chunk table. It reads
+    /// the cost, so a counting run's table equals a listing run's.
+    pub fn table_row(&self) -> (u32, u32) {
+        (self.chunk, self.cost.triangles as u32)
+    }
 }
 
 /// The unvisited remainder of an interrupted run, serializable to a stable
@@ -770,11 +793,7 @@ pub struct PartialRun {
 impl PartialRun {
     /// Merged cost of the completed chunks.
     pub fn cost(&self) -> CostReport {
-        let mut cost = CostReport::default();
-        for p in &self.completed {
-            cost.accumulate(&p.cost);
-        }
-        cost
+        self.completed.iter().map(|p| &p.cost).sum()
     }
 
     /// Completed triangles, in sequential (chunk) order.
@@ -889,6 +908,10 @@ pub struct ResilientOpts {
     /// worker runs a clone that shares every structure and carries only
     /// the worker's own meter.
     pub kernels: Option<Arc<Kernels>>,
+    /// Whether the chunks keep their triangles or only count them
+    /// ([`Emit::Triangles`] by default). A resumed run reads it too, so a
+    /// counting resume chain stages nothing either.
+    pub emit: Emit,
 }
 
 impl std::fmt::Debug for ResilientOpts {
@@ -901,6 +924,7 @@ impl std::fmt::Debug for ResilientOpts {
             .field("recorder", &self.recorder.as_ref().map(|_| "dyn Recorder"))
             .field("oracle", &self.oracle.as_ref().map(|_| "shared"))
             .field("kernels", &self.kernels.as_ref().map(|_| "shared"))
+            .field("emit", &self.emit)
             .finish()
     }
 }
@@ -915,6 +939,7 @@ impl Default for ResilientOpts {
             recorder: None,
             oracle: None,
             kernels: None,
+            emit: Emit::Triangles,
         }
     }
 }
@@ -1011,6 +1036,7 @@ fn run_jobs(
         _ => None,
     };
     let kernels = run.kernels(policy, opts.kernels.as_deref(), src);
+    let emit = opts.emit;
     let done = schedule(
         &run,
         jobs,
@@ -1030,7 +1056,7 @@ fn run_jobs(
             };
             let oracle = oracle.as_deref();
             with_reader!(src, |g| {
-                run_chunk(g, method, oracle, kernels, &mut state.scratch, range)
+                run_chunk(g, method, oracle, kernels, &mut state.scratch, range, emit)
             })
         },
     );
@@ -1042,7 +1068,7 @@ fn run_jobs(
             let mut piece_counts = Vec::with_capacity(chunks);
             for p in done.pieces {
                 cost.accumulate(&p.cost);
-                piece_counts.push((p.chunk, p.triangles.len() as u32));
+                piece_counts.push(p.table_row());
                 triangles.extend(p.triangles);
             }
             RunOutcome::Complete(ParallelRun {

@@ -220,6 +220,7 @@ mod tests {
     use crate::obs::{Counter, CounterSnapshot, InMemoryRecorder};
     use crate::oracle::HashOracle;
     use crate::parallel::run_chunk;
+    use crate::resilient::Emit;
     use crate::Method;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -300,7 +301,15 @@ mod tests {
         Method::FUNDAMENTAL
             .iter()
             .map(|&method| {
-                let (cost, tris) = run_chunk(g, method, Some(oracle), &k, &mut scratch, 0..n);
+                let (cost, tris) = run_chunk(
+                    g,
+                    method,
+                    Some(oracle),
+                    &k,
+                    &mut scratch,
+                    0..n,
+                    Emit::Triangles,
+                );
                 let rec = InMemoryRecorder::new();
                 meter.flush_into(&rec);
                 (cost, tris.into_vec(), rec.snapshot())

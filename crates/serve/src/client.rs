@@ -450,10 +450,7 @@ impl Client {
             }
             sent = resume;
         }
-        let mut cost = CostReport::default();
-        for res in &responses {
-            cost.accumulate(&res.cost);
-        }
+        let cost = responses.iter().map(|res| &res.cost).sum();
         let triangles =
             merge_pieces(&responses).ok_or(ClientError::Unexpected("inconsistent piece tables"))?;
         Ok(ChainResult {

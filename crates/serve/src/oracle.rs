@@ -9,8 +9,8 @@
 //! executor) must leave the frames it answers byte-identical to these.
 
 use crate::protocol::{
-    decode_frame, encode_frame, read_frame, scan_frame, ErrorCode, ErrorFrame, ListParams, Request,
-    Response,
+    decode_frame, encode_frame, read_frame, scan_frame, DeltaParams, ErrorCode, ErrorFrame,
+    ListParams, Request, Response,
 };
 use crate::server::{classify, execute_guarded, Dispatch, ServeConfig, Server, Shared};
 use crate::store::CompactorHandle;
@@ -116,9 +116,24 @@ fn register(name: &str, g: &Graph) -> Request {
     }
 }
 
+/// Two epochs of edits: `g`'s first `k` edges removed, then added back,
+/// so the window from epoch 1 lists the triangles they close.
+fn edits(g: &Graph, k: usize) -> [Request; 2] {
+    let edges: Vec<(u32, u32)> = g.edges().take(k).collect();
+    let graph = "g".to_string();
+    [
+        Request::RemoveEdges {
+            graph: graph.clone(),
+            edges: edges.clone(),
+        },
+        Request::AddEdges { graph, edges },
+    ]
+}
+
 /// The deterministic request matrix: registration, every fundamental
-/// method under both kernel policies (list + count), predictions, and
-/// one of every error class the server can produce.
+/// method under both kernel policies (list + count), predictions, edits
+/// and the new-triangle windows they open, and one of every error class
+/// the server can produce.
 fn matrix_script(g: &Graph) -> Vec<Request> {
     let mut script = vec![register("g", g)];
     for (method, family) in [("T1", "desc"), ("T2", "desc"), ("E1", "asc"), ("E4", "crr")] {
@@ -135,6 +150,13 @@ fn matrix_script(g: &Graph) -> Vec<Request> {
             method: method.into(),
             family: family.into(),
         });
+    }
+    script.extend(edits(g, 6));
+    for (from, to) in [(1, DeltaParams::LATEST), (0, 1), (0, 2)] {
+        script.push(Request::ListNewTriangles(DeltaParams {
+            threads: 2,
+            ..DeltaParams::new("g", from, to)
+        }));
     }
     // Every error class, deterministically:
     script.push(Request::List(ListParams::new("g", "T9", "desc", "paper")));
@@ -161,6 +183,11 @@ fn matrix_script(g: &Graph) -> Vec<Request> {
         resume: "trilist-resume v1 E4 n=10 0:0-10".into(),
         ..ListParams::new("g", "T1", "desc", "paper") // token names E4
     }));
+    script.push(Request::ListNewTriangles(DeltaParams {
+        resume: "trilist-resume v1 T1 n=10 0:0-10".into(),
+        ..DeltaParams::new("g", 0, DeltaParams::LATEST) // a listing token
+    }));
+    script.push(Request::ListNewTriangles(DeltaParams::new("g", 0, 9)));
     script
 }
 
@@ -194,33 +221,36 @@ fn event_loop_answers_the_request_matrix_like_the_oracle() {
             .map_or("the framing violation".into(), |r| format!("{r:?}"));
         assert_eq!(w, r, "request #{i} ({what}) answered differently");
     }
+    let windows = wire.iter().filter(|f| f[5] == 0x89).count();
+    assert_eq!(windows, 3, "every window answers a NewTrianglesResult");
     // And at least one of each class actually appeared.
     let errors = wire.iter().filter(|f| f[5] == 0xFF).count();
-    assert_eq!(errors, 9, "eight request errors, then the framing error");
+    assert_eq!(errors, 11, "ten request errors, then the framing error");
 }
 
-/// Drives a budget-interrupted resume chain through `call`: a 1-byte
-/// memory ceiling interrupts deterministically (cache residency already
-/// exceeds it), and each follow-up carries the previous token. Returns
-/// every frame — registration, partial results, the final result.
+/// Builds a chain's next request from its resume token and memory
+/// ceiling.
+type Step = dyn Fn(String, u64) -> Request;
+
+/// Drives a budget-interrupted resume chain through `call`: the `setup`
+/// requests (registration, edits), then `step(resume, memory_bytes)`
+/// until a result completes. A 1-byte memory ceiling interrupts
+/// deterministically (cache residency already exceeds it), and each
+/// follow-up carries the previous token. Returns every frame.
 fn run_chain(
     call: &mut dyn FnMut(&Request) -> Vec<u8>,
-    g: &Graph,
-    method: &str,
-    family: &str,
+    setup: &[Request],
+    step: &Step,
 ) -> Vec<Vec<u8>> {
-    let mut frames = vec![call(&register("g", g))];
-    let mut params = ListParams {
-        threads: 2,
-        memory_bytes: 1, // always exhausted: deterministic interruption
-        ..ListParams::new("g", method, family, "paper")
-    };
+    let mut frames: Vec<Vec<u8>> = setup.iter().map(&mut *call).collect();
+    let (mut resume, mut memory_bytes) = (String::new(), 1); // always exhausted
     loop {
-        let frame = call(&Request::List(params.clone()));
+        let frame = call(&step(resume, memory_bytes));
         let (kind, body) = decode_frame(&frame).expect("frame");
         let run = match Response::decode(kind, body).expect("response") {
             Response::ListResult(run) => run,
-            other => panic!("wanted ListResult, got {other:?}"),
+            Response::NewTrianglesResult(delta) => delta.result,
+            other => panic!("wanted a run result, got {other:?}"),
         };
         frames.push(frame);
         if run.complete {
@@ -228,26 +258,50 @@ fn run_chain(
         }
         assert_eq!(run.stop_reason, "memory budget exhausted");
         assert!(!run.resume.is_empty(), "partial result carries a token");
-        params.memory_bytes = 0; // let the rest of the chain run
-        params.resume = run.resume;
+        memory_bytes = 0; // let the rest of the chain run
+        resume = run.resume;
     }
 }
 
 #[test]
 fn interrupted_resume_chains_match_the_oracle() {
     let g = pareto_graph(700, 0xC4A1);
-    for (method, family) in [("T1", "desc"), ("E4", "crr")] {
+    let listing = |method: &'static str, family: &'static str| {
+        move |resume, memory_bytes| {
+            Request::List(ListParams {
+                threads: 2,
+                memory_bytes,
+                resume,
+                ..ListParams::new("g", method, family, "paper")
+            })
+        }
+    };
+    let delta = |resume, memory_bytes| {
+        Request::ListNewTriangles(DeltaParams {
+            threads: 2,
+            memory_bytes,
+            resume,
+            ..DeltaParams::new("g", 1, DeltaParams::LATEST)
+        })
+    };
+    let [removed, added] = edits(&g, 40);
+    let chains: [(&str, Vec<Request>, &Step); 3] = [
+        ("T1", vec![register("g", &g)], &listing("T1", "desc")),
+        ("E4", vec![register("g", &g)], &listing("E4", "crr")),
+        ("delta", vec![register("g", &g), removed, added], &delta),
+    ];
+    for (name, setup, step) in chains {
         let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let wire = run_chain(&mut |r| wire_call(&mut stream, r), &g, method, family);
+        let wire = run_chain(&mut |r| wire_call(&mut stream, r), &setup, step);
         drop(stream);
         server.join();
         let mut oracle = Oracle::new(ServeConfig::default());
-        let reference = run_chain(&mut |r| oracle.call(r), &g, method, family);
+        let reference = run_chain(&mut |r| oracle.call(r), &setup, step);
         assert!(
-            wire.len() >= 3,
-            "{method}: register + at least two chain responses"
+            wire.len() >= setup.len() + 2,
+            "{name}: setup + at least two chain responses"
         );
-        assert_eq!(wire, reference, "{method}: resume chain diverged");
+        assert_eq!(wire, reference, "{name}: resume chain diverged");
     }
 }

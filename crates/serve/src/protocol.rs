@@ -99,7 +99,8 @@ pub struct ListParams {
     /// Permutation family name (`asc`, `desc`, `rr`, `crr`, `uniform`,
     /// `degen`).
     pub family: String,
-    /// Kernel policy name (`paper` or `adaptive`).
+    /// Kernel policy name (`paper`, `adaptive` or `bitset`; empty = the
+    /// graph's plan).
     pub policy: String,
     /// Listing threads (0 = server default).
     pub threads: u16,

@@ -10,10 +10,11 @@
 //!
 //! # Determinism across the wire
 //!
-//! `List`, `Count` and `ListNewTriangles` all run on the one chunked
-//! runtime of [`trilist_core::resilient`] against the cached [`Prepared`]
-//! artifacts, through one admission prelude (`admit_run`) and one wire
-//! form (`wire_result`). Runs reuse the entry's shared oracle
+//! `List`, `Count` and `ListNewTriangles` share one path, `run_priced`,
+//! through one admission prelude (`admit_run`), the one chunked runtime
+//! of [`trilist_core::resilient`] against the cached [`Prepared`]
+//! artifacts, and one wire form (`wire_result`). A `Count` stages no
+//! triangles ([`Emit::Counts`]). Runs reuse the entry's shared oracle
 //! (T-methods) and borrow from its cached kernel context whatever their
 //! policy shares with it, building the rest inside their budget; the
 //! policy a client names is the policy that runs. Sharing is read-only,
@@ -58,7 +59,8 @@ use crate::protocol::{
     Response, RunResult,
 };
 use crate::store::{
-    CompactorHandle, EditReceipt, GraphStore, PlanSummary, Prepared, StoreConfig, StoreError,
+    CompactorHandle, EditReceipt, EpochPin, GraphStore, PlanSummary, Prepared, StoreConfig,
+    StoreError,
 };
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use trilist_core::{
     list_new_triangles_on, list_resilient_src, ChunkPiece, CostReport, DeltaOpts, DeltaOutcome,
-    GraphSource, InMemoryRecorder, KernelPolicy, MemoryGauge, Method, ParallelOpts, Recorder,
+    Emit, GraphSource, InMemoryRecorder, KernelPolicy, MemoryGauge, Method, ParallelOpts, Recorder,
     ResilientOpts, ResumeParseError, ResumePoint, RunBudget, RunOutcome, StopReason, WorkDomain,
 };
 use trilist_model::{price_delta, price_request, RequestPrice};
@@ -268,8 +270,8 @@ pub(crate) enum Dispatch {
     /// Cheap control-plane work (`RegisterGraph`, `ModelPredict`): runs
     /// on the express lane, never behind a priced listing run.
     Express(Request),
-    /// Priced data-plane work (`List`, `Count`): pulled by the fixed
-    /// worker pool through the admission gate.
+    /// Priced data-plane work (`List`, `Count`, `ListNewTriangles`):
+    /// pulled by the fixed worker pool through the admission gate.
     Priced(Request),
 }
 
@@ -341,53 +343,41 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
 /// [`classify`] applied both — so the response depends only on the
 /// request and server state, never on which lane or thread called it.
 pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
-    match req {
-        Request::RegisterGraph { name, n, edges } => {
-            match shared.store.register(&name, n, &edges) {
-                Ok((n, m)) => Response::Registered { n, m },
-                Err(e) => Response::Error(ErrorFrame::new(ErrorCode::BadRequest, e.to_string())),
-            }
-        }
+    let edited = |receipt: EditReceipt| Response::EditResult(edit_info(&receipt));
+    let answer = match req {
+        Request::RegisterGraph { name, n, edges } => shared
+            .store
+            .register(&name, n, &edges)
+            .map(|(n, m)| Response::Registered { n, m })
+            .map_err(|e| bad(e.to_string())),
         Request::ModelPredict {
             graph,
             method,
             family,
-        } => match predict(shared, &graph, &method, &family) {
-            Ok(resp) => resp,
-            Err(e) => Response::Error(e),
-        },
-        Request::ExplainPlan { graph } => match explain_plan(shared, &graph) {
-            Ok(info) => Response::PlanResult(info),
-            Err(e) => Response::Error(e),
-        },
-        Request::List(p) => match run_listing(shared, &p, true) {
-            Ok(res) => Response::ListResult(res),
-            Err(e) => Response::Error(e),
-        },
-        Request::Count(p) => match run_listing(shared, &p, false) {
-            Ok(res) => Response::CountResult(res),
-            Err(e) => Response::Error(e),
-        },
-        Request::AddEdges { graph, edges } => match shared.store.add_edges(&graph, &edges) {
-            Ok(receipt) => Response::EditResult(edit_info(&receipt)),
-            Err(e) => Response::Error(store_err(&e)),
-        },
-        Request::RemoveEdges { graph, edges } => match shared.store.remove_edges(&graph, &edges) {
-            Ok(receipt) => Response::EditResult(edit_info(&receipt)),
-            Err(e) => Response::Error(store_err(&e)),
-        },
-        Request::ListNewTriangles(p) => match run_delta(shared, &p) {
-            Ok(res) => Response::NewTrianglesResult(res),
-            Err(e) => Response::Error(e),
-        },
+        } => predict(shared, &graph, &method, &family),
+        Request::ExplainPlan { graph } => explain_plan(shared, &graph).map(Response::PlanResult),
+        Request::List(p) => run_priced(shared, Priced::Listing(&p, Emit::Triangles)),
+        Request::Count(p) => run_priced(shared, Priced::Listing(&p, Emit::Counts)),
+        Request::ListNewTriangles(p) => run_priced(shared, Priced::Delta(&p)),
+        Request::AddEdges { graph, edges } => shared
+            .store
+            .add_edges(&graph, &edges)
+            .map(edited)
+            .map_err(store_err),
+        Request::RemoveEdges { graph, edges } => shared
+            .store
+            .remove_edges(&graph, &edges)
+            .map(edited)
+            .map_err(store_err),
         // classify() always answers these inline; if one reaches here
         // anyway, answer it the same way rather than panic.
-        Request::Stats => Response::StatsResult(stats_fields(shared)),
+        Request::Stats => Ok(Response::StatsResult(stats_fields(shared))),
         Request::Shutdown => {
             shared.shutting.store(true, Ordering::SeqCst);
-            Response::ShutdownAck
+            Ok(Response::ShutdownAck)
         }
-    }
+    };
+    answer.unwrap_or_else(Response::Error)
 }
 
 /// Ballast charged to the shared gauge for a scope; the `Drop` releases
@@ -434,14 +424,17 @@ pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Req
             None => {}
         }
         if plan.skews_deadline(conn, seq) {
-            if let Request::List(p) | Request::Count(p) = &mut req {
-                // Shrink-only skew: a deadline the client set gets
-                // quartered (forcing the partial+resume path); requests
-                // without a deadline stay deterministic-complete.
-                if p.deadline_ms > 0 {
-                    shared.metrics.bump(Metric::ChaosDeadlineSkews);
-                    p.deadline_ms = (p.deadline_ms / 4).max(1);
-                }
+            let deadline_ms = match &mut req {
+                Request::List(p) | Request::Count(p) => Some(&mut p.deadline_ms),
+                Request::ListNewTriangles(p) => Some(&mut p.deadline_ms),
+                _ => None,
+            };
+            // Shrink-only skew: a deadline the client set on any priced
+            // request gets quartered (forcing the partial+resume path);
+            // requests without a deadline stay deterministic-complete.
+            if let Some(deadline_ms) = deadline_ms.filter(|d| **d > 0) {
+                shared.metrics.bump(Metric::ChaosDeadlineSkews);
+                *deadline_ms = (*deadline_ms / 4).max(1);
             }
         }
     }
@@ -466,7 +459,7 @@ fn bad(msg: impl Into<String>) -> ErrorFrame {
 /// Typed mapping for store failures: an unknown graph keeps its distinct
 /// code (clients treat it as "register first"), everything else —
 /// unknown epochs, rejected edit batches — is a request-shaped error.
-fn store_err(e: &StoreError) -> ErrorFrame {
+fn store_err(e: StoreError) -> ErrorFrame {
     match e {
         StoreError::UnknownGraph(_) => ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()),
         _ => bad(e.to_string()),
@@ -504,10 +497,7 @@ fn predict(
 ) -> Result<Response, ErrorFrame> {
     let method = parse_method(method)?;
     let ordering = parse_ordering(family)?;
-    let (prepared, _) = shared
-        .store
-        .prepare(graph, ordering)
-        .map_err(|e| ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()))?;
+    let (prepared, _) = shared.store.prepare(graph, ordering).map_err(store_err)?;
     let price = price_request(method, &prepared.degrees_by_label);
     Ok(Response::Predicted {
         per_node: price.per_node,
@@ -519,10 +509,7 @@ fn predict(
 /// Resolves (computing and caching if needed) the graph's listing plan
 /// and flattens it into the wire [`PlanInfo`] frame.
 fn explain_plan(shared: &Shared, graph: &str) -> Result<PlanInfo, ErrorFrame> {
-    let summary = shared
-        .store
-        .listing_plan(graph)
-        .map_err(|e| ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()))?;
+    let summary = shared.store.listing_plan(graph).map_err(store_err)?;
     let plan = &summary.plan;
     Ok(PlanInfo {
         ordering: plan.ordering.name().to_string(),
@@ -551,79 +538,213 @@ fn overload_pressure(shared: &Shared) -> f64 {
     queue_fill.max(gauge_fill)
 }
 
-fn run_listing(
-    shared: &Shared,
-    p: &ListParams,
-    materialize: bool,
-) -> Result<RunResult, ErrorFrame> {
-    let (plan, ordering, policy) =
-        resolve_plan(shared, &p.graph, p.method.is_empty(), &p.family, &p.policy)?;
-    let method = match &plan {
-        Some(s) if p.method.is_empty() => s.plan.method_hint,
-        _ => parse_method(&p.method)?,
-    };
-    if !Method::FUNDAMENTAL.contains(&method) {
-        return Err(bad(format!(
-            "method {method} is not served (the parallel runtime covers T1, T2, E1, E4)"
-        )));
-    }
-    let resume = parse_resume(&p.resume, WorkDomain::Listing(method))?;
-    let (prepared, cache_hit) = shared
-        .store
-        .prepare(&p.graph, ordering)
-        .map_err(|e| ErrorFrame::new(ErrorCode::UnknownGraph, e.to_string()))?;
+/// A priced request: a listing with the emit choice its kind implies
+/// (`List` keeps its triangles, `Count` only counts them), or a delta run.
+#[derive(Clone, Copy)]
+enum Priced<'p> {
+    Listing(&'p ListParams, Emit),
+    Delta(&'p DeltaParams),
+}
 
-    let price = price_request(method, &prepared.degrees_by_label);
-    let (permit, budget, threads) = admit_run(
-        shared,
-        &p.graph,
-        &price,
-        p.deadline_ms,
-        p.memory_bytes,
-        p.threads,
-    )?;
-    let opts = ResilientOpts {
-        parallel: ParallelOpts {
-            threads,
-            policy,
-            // Serve-sized chunks: the default 1024-op chunks exist for
-            // fine-grained budget checks in long batch runs; per-request
-            // scheduling overhead dominates at service request sizes, and
-            // cost/triangle accounting is chunk-count-invariant (pinned by
-            // tests/serve_differential.rs).
-            target_chunk_ops: 32768,
-        },
-        budget,
-        recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
-        oracle: matches!(method, Method::T1 | Method::T2).then(|| Arc::clone(&prepared.oracle)),
-        kernels: Some(Arc::clone(&prepared.kernels)),
-        ..ResilientOpts::default()
+/// What a priced request runs: a listing method, or the net-new edges
+/// (original IDs) of a delta run's epoch window. The window's end epoch
+/// stays pinned for the whole run, so a background compaction landing
+/// mid-request (or between the links of a resume chain) cannot
+/// garbage-collect the segments the epoch materializes from — and because
+/// compaction never renumbers epochs and the relabel seed is epoch-mixed,
+/// a chain interrupted and resumed across a compaction is byte-identical
+/// to one that never saw it (`tests/serve_dynamic.rs`).
+enum Work<'s> {
+    Listing(Method, Emit),
+    Delta {
+        from: u64,
+        to: u64,
+        net_new: Vec<(u32, u32)>,
+        removed: u64,
+        _pin: EpochPin<'s>,
+    },
+}
+
+/// `edges` (original IDs) in the label space of `prepared`, where the
+/// delta driver works: normalized to `(lo, hi)` and sorted, since its
+/// dedup convention (minimal-rank owning edge) needs a canonical order.
+fn label_edges(prepared: &Prepared, edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let mut forward = vec![0u32; prepared.inverse.len()];
+    for (label, &orig) in prepared.inverse.iter().enumerate() {
+        forward[orig as usize] = label as u32;
+    }
+    let mut labels: Vec<(u32, u32)> = edges
+        .iter()
+        .map(|&(u, v)| {
+            let (a, b) = (forward[u as usize], forward[v as usize]);
+            (a.min(b), a.max(b))
+        })
+        .collect();
+    labels.sort_unstable();
+    labels
+}
+
+/// Executes `List`, `Count` and `ListNewTriangles` through the one
+/// sequence they share: resolve the work and check its resume token,
+/// prepare, price, admit, run, answer. Only the work domain and its
+/// price, and a delta run's epoch window, differ by kind.
+///
+/// Each kind keeps its error order. A listing resolves its plan first,
+/// since a blank method takes the plan's hint and the token names the
+/// method; a delta run checks its token, pins its window, then resolves
+/// its plan.
+fn run_priced(shared: &Shared, priced: Priced<'_>) -> Result<Response, ErrorFrame> {
+    let (graph, threads, deadline_ms, memory_bytes) = match priced {
+        Priced::Listing(p, _) => (&p.graph, p.threads, p.deadline_ms, p.memory_bytes),
+        Priced::Delta(p) => (&p.graph, p.threads, p.deadline_ms, p.memory_bytes),
     };
+    let (work, resume, ordering, policy) = match priced {
+        Priced::Listing(p, emit) => {
+            let blank = p.method.is_empty();
+            let (plan, ordering, policy) =
+                resolve_plan(shared, graph, blank, &p.family, &p.policy)?;
+            let method = match &plan {
+                Some(s) if blank => s.plan.method_hint,
+                _ => parse_method(&p.method)?,
+            };
+            if !Method::FUNDAMENTAL.contains(&method) {
+                return Err(bad(format!(
+                    "method {method} is not served (the parallel runtime covers T1, T2, E1, E4)"
+                )));
+            }
+            let resume = parse_resume(&p.resume, WorkDomain::Listing(method))?;
+            (Work::Listing(method, emit), resume, ordering, policy)
+        }
+        Priced::Delta(p) => {
+            let resume = parse_resume(&p.resume, WorkDomain::Delta)?;
+            let store = &shared.store;
+            let to = match p.to_epoch {
+                DeltaParams::LATEST => store.latest_epoch(graph).map_err(store_err)?,
+                to => to,
+            };
+            let _pin = store.pin(graph, Some(to)).map_err(store_err)?;
+            let (net_new, removed) = store
+                .delta_edges(graph, p.from_epoch, to)
+                .map_err(store_err)?;
+            let (_, ordering, policy) = resolve_plan(shared, graph, false, &p.family, &p.policy)?;
+            let removed = removed.len() as u64;
+            let work = Work::Delta {
+                from: p.from_epoch,
+                to,
+                net_new,
+                removed,
+                _pin,
+            };
+            (work, resume, ordering, policy)
+        }
+    };
+    let epoch = match &work {
+        Work::Listing(..) => None,
+        Work::Delta { to, .. } => Some(*to),
+    };
+    let (prepared, cache_hit, _) = shared
+        .store
+        .prepare_at(graph, ordering, epoch)
+        .map_err(store_err)?;
+    let degrees = &prepared.degrees_by_label;
+    let (price, labels) = match &work {
+        Work::Listing(method, _) => (price_request(*method, degrees), Vec::new()),
+        Work::Delta { net_new, .. } => {
+            let edges = label_edges(&prepared, net_new);
+            (price_delta(degrees, &edges), edges)
+        }
+    };
+    let (permit, budget, threads) =
+        admit_run(shared, graph, &price, deadline_ms, memory_bytes, threads)?;
+    let recorder = Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>);
     let src = source(&prepared);
-    let outcome = match resume {
-        None => list_resilient_src(src, method, &opts),
-        Some(rp) => rp.run_src(src, &opts),
+    // a partial listing run and every delta run end in chunk pieces
+    let wire = |pieces: &[ChunkPiece], stop: Option<(StopReason, &ResumePoint)>| {
+        let cost = pieces.iter().map(|piece| &piece.cost).sum();
+        let chunks = pieces.iter().map(ChunkPiece::table_row).collect();
+        let triangles = pieces.iter().flat_map(|piece| &piece.triangles);
+        wire_result(&prepared, cache_hit, cost, chunks, triangles, stop)
     };
-    drop(permit);
-    Ok(match outcome.map_err(|e| bad(e.to_string()))? {
-        RunOutcome::Complete(run) => wire_result(
-            &prepared,
-            cache_hit,
-            materialize,
-            run.cost,
-            run.piece_counts,
-            run.triangles.iter(),
-            None,
-        ),
-        RunOutcome::Partial(pr) => wire_result(
-            &prepared,
-            cache_hit,
-            materialize,
-            pr.cost(),
-            chunk_table(&pr.completed),
-            pr.completed.iter().flat_map(|piece| &piece.triangles),
-            Some((pr.reason, &pr.resume)),
-        ),
+    let result = match &work {
+        Work::Listing(method, emit) => {
+            let opts = ResilientOpts {
+                parallel: ParallelOpts {
+                    threads,
+                    policy,
+                    // Serve-sized chunks: the default 1024-op chunks exist
+                    // for fine-grained budget checks in long batch runs;
+                    // per-request scheduling overhead dominates at service
+                    // request sizes, and cost/triangle accounting is
+                    // chunk-count-invariant (pinned by
+                    // tests/serve_differential.rs).
+                    target_chunk_ops: 32768,
+                },
+                budget,
+                recorder,
+                oracle: matches!(method, Method::T1 | Method::T2)
+                    .then(|| Arc::clone(&prepared.oracle)),
+                kernels: Some(Arc::clone(&prepared.kernels)),
+                emit: *emit,
+                ..ResilientOpts::default()
+            };
+            let outcome = match resume {
+                None => list_resilient_src(src, *method, &opts),
+                Some(rp) => rp.run_src(src, &opts),
+            };
+            drop(permit);
+            match outcome.map_err(|e| bad(e.to_string()))? {
+                RunOutcome::Complete(run) => wire_result(
+                    &prepared,
+                    cache_hit,
+                    run.cost,
+                    run.piece_counts,
+                    run.triangles.iter(),
+                    None,
+                ),
+                RunOutcome::Partial(pr) => wire(&pr.completed, Some((pr.reason, &pr.resume))),
+            }
+        }
+        Work::Delta { .. } => {
+            let opts = DeltaOpts {
+                threads,
+                budget,
+                recorder,
+                ..DeltaOpts::default()
+            };
+            let base = &prepared.kernels;
+            let outcome = match resume {
+                None => list_new_triangles_on(src, policy, base, &labels, &opts),
+                Some(rp) => rp
+                    .run_new_triangles_on(src, policy, base, &labels, &opts)
+                    .map_err(|e| bad(e.to_string()))?,
+            };
+            drop(permit);
+            match &outcome {
+                DeltaOutcome::Complete { pieces } => wire(pieces, None),
+                DeltaOutcome::Partial {
+                    pieces,
+                    resume,
+                    reason,
+                } => wire(pieces, Some((*reason, resume))),
+            }
+        }
+    };
+    Ok(match work {
+        Work::Listing(_, Emit::Triangles) => Response::ListResult(result),
+        // a count has no triangles to stitch, so it answers no chunk table
+        Work::Listing(_, Emit::Counts) => Response::CountResult(RunResult {
+            chunks: Vec::new(),
+            ..result
+        }),
+        Work::Delta {
+            from, to, removed, ..
+        } => Response::NewTrianglesResult(DeltaRunResult {
+            from_epoch: from,
+            to_epoch: to,
+            new_edges: labels.len() as u64,
+            removed_edges: removed,
+            result,
+        }),
     })
 }
 
@@ -641,12 +762,7 @@ fn resolve_plan(
     policy: &str,
 ) -> Result<(Option<Arc<PlanSummary>>, OrderingKind, KernelPolicy), ErrorFrame> {
     let plan = if method_blank || family.is_empty() || policy.is_empty() {
-        Some(
-            shared
-                .store
-                .listing_plan(graph)
-                .map_err(|e| store_err(&e))?,
-        )
+        Some(shared.store.listing_plan(graph).map_err(store_err)?)
     } else {
         None
     };
@@ -743,154 +859,35 @@ fn source(prepared: &Prepared) -> GraphSource<'_> {
     }
 }
 
-/// The wire's per-chunk table: `(chunk, triangles)` in chunk order.
-fn chunk_table(pieces: &[ChunkPiece]) -> Vec<(u32, u32)> {
-    pieces
-        .iter()
-        .map(|piece| (piece.chunk, piece.triangles.len() as u32))
-        .collect()
-}
-
 /// What a finished run of either domain puts on the wire: its merged
-/// cost, its chunk table and triangles (when `materialize`), and the stop
-/// reason and resume token of a partial run. Triangles map back to
-/// original node IDs, each triple sorted — the same convention as
-/// [`trilist_core::list_triangles`].
+/// cost, its chunk table and triangles, and the stop reason and resume
+/// token of a partial run. Triangles map back to original node IDs, each
+/// triple sorted — the same convention as [`trilist_core::list_triangles`].
 fn wire_result<'t>(
     prepared: &Prepared,
     cache_hit: bool,
-    materialize: bool,
     cost: CostReport,
     chunks: Vec<(u32, u32)>,
     triangles: impl Iterator<Item = &'t (u32, u32, u32)>,
     stop: Option<(StopReason, &ResumePoint)>,
 ) -> RunResult {
-    let (complete, stop_reason, resume) = match stop {
-        None => (true, String::new(), String::new()),
-        Some((reason, rp)) => (false, reason.to_string(), rp.to_string()),
+    let (stop_reason, resume) = stop.map_or_else(Default::default, |(reason, rp)| {
+        (reason.to_string(), rp.to_string())
+    });
+    let original = |&(x, y, z): &(u32, u32, u32)| {
+        let mut t = [x, y, z].map(|label| prepared.inverse[label as usize]);
+        t.sort_unstable();
+        (t[0], t[1], t[2])
     };
     RunResult {
-        complete,
+        complete: stop.is_none(),
         stop_reason,
         cache_hit,
         cost,
         resume,
-        chunks: if materialize { chunks } else { vec![] },
-        triangles: if materialize {
-            let inverse = &prepared.inverse;
-            triangles
-                .map(|&(x, y, z)| {
-                    let mut t = [
-                        inverse[x as usize],
-                        inverse[y as usize],
-                        inverse[z as usize],
-                    ];
-                    t.sort_unstable();
-                    (t[0], t[1], t[2])
-                })
-                .collect()
-        } else {
-            vec![]
-        },
+        chunks,
+        triangles: triangles.map(original).collect(),
     }
-}
-
-/// Executes one `ListNewTriangles` request: fold the epoch window's
-/// delta runs into net edge changes, prepare the graph at the window's
-/// end epoch, and enumerate only the triangles touching a net-new edge.
-///
-/// The target epoch is pinned for the whole run, so a background
-/// compaction landing mid-request (or between the links of a resume
-/// chain) cannot garbage-collect the segments the epoch materializes
-/// from — and because compaction never renumbers epochs and the relabel
-/// seed is epoch-mixed, a chain interrupted and resumed across a
-/// compaction is byte-identical to one that never saw it
-/// (`tests/serve_dynamic.rs`).
-fn run_delta(shared: &Shared, p: &DeltaParams) -> Result<DeltaRunResult, ErrorFrame> {
-    let resume = parse_resume(&p.resume, WorkDomain::Delta)?;
-    let latest = shared
-        .store
-        .latest_epoch(&p.graph)
-        .map_err(|e| store_err(&e))?;
-    let to = if p.to_epoch == DeltaParams::LATEST {
-        latest
-    } else {
-        p.to_epoch
-    };
-    let _pin = shared
-        .store
-        .pin(&p.graph, Some(to))
-        .map_err(|e| store_err(&e))?;
-    let (net_new, net_removed) = shared
-        .store
-        .delta_edges(&p.graph, p.from_epoch, to)
-        .map_err(|e| store_err(&e))?;
-
-    let (_, ordering, policy) = resolve_plan(shared, &p.graph, false, &p.family, &p.policy)?;
-    let (prepared, cache_hit, _) = shared
-        .store
-        .prepare_at(&p.graph, ordering, Some(to))
-        .map_err(|e| store_err(&e))?;
-
-    // The delta driver works in label space: map each net-new edge
-    // through the epoch's relabeling, normalize to (lo, hi), and sort —
-    // the dedup convention (minimal-rank owning edge) needs a canonical
-    // order.
-    let mut forward = vec![0u32; prepared.inverse.len()];
-    for (label, &orig) in prepared.inverse.iter().enumerate() {
-        forward[orig as usize] = label as u32;
-    }
-    let mut label_edges: Vec<(u32, u32)> = net_new
-        .iter()
-        .map(|&(u, v)| {
-            let (a, b) = (forward[u as usize], forward[v as usize]);
-            (a.min(b), a.max(b))
-        })
-        .collect();
-    label_edges.sort_unstable();
-
-    let price = price_delta(&prepared.degrees_by_label, &label_edges);
-    let (permit, budget, threads) = admit_run(
-        shared,
-        &p.graph,
-        &price,
-        p.deadline_ms,
-        p.memory_bytes,
-        p.threads,
-    )?;
-    let opts = DeltaOpts {
-        threads,
-        budget,
-        recorder: Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>),
-        ..DeltaOpts::default()
-    };
-    let (src, base) = (source(&prepared), &prepared.kernels);
-    let outcome = match resume {
-        None => list_new_triangles_on(src, policy, base, &label_edges, &opts),
-        Some(rp) => rp
-            .run_new_triangles_on(src, policy, base, &label_edges, &opts)
-            .map_err(|e| bad(e.to_string()))?,
-    };
-    drop(permit);
-    let stop = match &outcome {
-        DeltaOutcome::Complete { .. } => None,
-        DeltaOutcome::Partial { resume, reason, .. } => Some((*reason, resume)),
-    };
-    Ok(DeltaRunResult {
-        from_epoch: p.from_epoch,
-        to_epoch: to,
-        new_edges: label_edges.len() as u64,
-        removed_edges: net_removed.len() as u64,
-        result: wire_result(
-            &prepared,
-            cache_hit,
-            true,
-            outcome.cost(),
-            chunk_table(outcome.pieces()),
-            outcome.pieces().iter().flat_map(|piece| &piece.triangles),
-            stop,
-        ),
-    })
 }
 
 #[cfg(test)]

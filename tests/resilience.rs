@@ -10,11 +10,13 @@
 //! chunking.
 
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use trilist::core::{
-    list_new_triangles_src, list_resilient, silence_injected_panics, CancelToken, DeltaOpts,
-    DeltaOutcome, FaultPlan, GraphSource, Kernels, Method, ResilientOpts, ResumePoint, RunBudget,
-    RunOutcome, StopReason,
+    list_new_triangles_src, list_resilient, silence_injected_panics, CancelToken, ChunkPiece,
+    Counter, DeltaOpts, DeltaOutcome, Emit, FaultPlan, GraphSource, HashOracle, Kernels, Method,
+    Recorder, ResilientOpts, ResumePoint, RunBudget, RunOutcome, StopReason,
 };
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
@@ -334,4 +336,123 @@ fn delta_fault_matrix_complete_or_resume_identical() {
     }
     // the permanent-panic leg must actually exercise resume
     assert_eq!(partials, 3 * 3, "3 seeds x 3 thread counts");
+}
+
+/// A counting run's chunks hold no triangles, so a ceiling that the
+/// listing run's staged triangles overflow leaves the count whole: same
+/// cost, same chunk table, nothing staged.
+#[test]
+fn counting_runs_complete_under_a_ceiling_that_stops_listing() {
+    let dg = fixture(800, 0xFA_26);
+    // a shared oracle and paper kernels charge the run nothing, so its
+    // staged triangles are all the memory a listing run holds
+    let oracle = Arc::new(HashOracle::build(&dg));
+    for method in Method::FUNDAMENTAL {
+        for threads in [1usize, 2, 4] {
+            let ctx = format!("{method} threads={threads}");
+            let mut o = opts(threads);
+            o.oracle = Some(Arc::clone(&oracle));
+            let listed = list_resilient(&dg, method, &o)
+                .unwrap()
+                .complete()
+                .expect("unbudgeted");
+            let staged = listed.triangles.len() as u64 * 12;
+            o.budget = RunBudget::unlimited().with_memory_bytes(staged / 2);
+            match list_resilient(&dg, method, &o).unwrap() {
+                RunOutcome::Partial(p) => assert_eq!(p.reason, StopReason::MemoryExhausted),
+                RunOutcome::Complete(_) => panic!("{ctx}: the ceiling must stop the listing run"),
+            }
+            o.emit = Emit::Counts;
+            let counted = list_resilient(&dg, method, &o)
+                .unwrap()
+                .complete()
+                .unwrap_or_else(|| panic!("{ctx}: the count completes under the same ceiling"));
+            assert_eq!(counted.cost, listed.cost, "{ctx}");
+            assert_eq!(counted.piece_counts, listed.piece_counts, "{ctx}");
+            assert!(
+                counted.triangles.is_empty(),
+                "{ctx}: a count stages nothing"
+            );
+        }
+    }
+}
+
+/// Cancels its token at the `at`-th budget check, so a run stops after a
+/// fixed number of chunks on one thread.
+struct CancelAtCheck {
+    token: CancelToken,
+    at: u64,
+    checks: AtomicU64,
+}
+
+impl Recorder for CancelAtCheck {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn add(&self, counter: Counter, n: u64) {
+        if counter == Counter::BudgetChecks
+            && self.checks.fetch_add(n, Ordering::SeqCst) + n == self.at
+        {
+            self.token.cancel();
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_count_resumes_to_the_listing_cost() {
+    let dg = fixture(600, 0xFA_27);
+    for method in Method::FUNDAMENTAL {
+        let listed = list_resilient(&dg, method, &opts(1))
+            .unwrap()
+            .complete()
+            .expect("unbudgeted");
+        for threads in [1usize, 2] {
+            let ctx = format!("{method} threads={threads}");
+            let counting = ResilientOpts {
+                emit: Emit::Counts,
+                ..opts(threads)
+            };
+            let token = CancelToken::new();
+            let mut o = counting.clone();
+            o.budget = RunBudget::unlimited().with_cancel(token.clone());
+            o.recorder = Some(Arc::new(CancelAtCheck {
+                token,
+                at: 4,
+                checks: AtomicU64::new(0),
+            }));
+            let partial = list_resilient(&dg, method, &o)
+                .unwrap()
+                .partial()
+                .unwrap_or_else(|| panic!("{ctx}: the cancellation interrupts the count"));
+            assert_eq!(partial.reason, StopReason::Cancelled, "{ctx}");
+            assert!(partial.completed_chunks() > 0, "{ctx}: a prefix ran");
+            assert!(
+                partial.completed.iter().all(|p| p.triangles.is_empty()),
+                "{ctx}: no piece holds a triangle"
+            );
+            // the token, through its text, finishes the count
+            let token: ResumePoint = partial.resume.to_string().parse().unwrap();
+            let rest = token
+                .run_src(GraphSource::Plain(&dg), &counting)
+                .unwrap()
+                .complete()
+                .unwrap_or_else(|| panic!("{ctx}: the resumed count completes"));
+            assert!(
+                rest.triangles.is_empty(),
+                "{ctx}: the resume stages nothing"
+            );
+            let mut cost = partial.cost();
+            cost.accumulate(&rest.cost);
+            let mut table: Vec<(u32, u32)> = partial
+                .completed
+                .iter()
+                .map(ChunkPiece::table_row)
+                .collect();
+            table.extend(&rest.piece_counts);
+            table.sort_unstable();
+            assert_eq!(cost, listed.cost, "{ctx}: merged cost");
+            assert_eq!(table, listed.piece_counts, "{ctx}: merged chunk table");
+        }
+    }
 }

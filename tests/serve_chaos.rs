@@ -2,7 +2,8 @@
 //! armed — short reads/writes, `WouldBlock`/`EINTR` storms, mid-frame
 //! resets, stalls, worker panics, gauge spikes, deadline skew — a
 //! retrying client must still extract results *byte-identical* to a
-//! fault-free oracle at every worker count. Plus: the kill-and-restart
+//! fault-free oracle at every worker count, for listing shapes and for
+//! `ListNewTriangles` resume chains alike. Plus: the kill-and-restart
 //! drill (a `List` resume chain survives the server dying and a
 //! replacement coming up), the degrade-before-reject ladder (pinned
 //! counters prove degradation engages before anything is shed), the
@@ -10,7 +11,7 @@
 //! proptests, raised by the weekly `PROPTEST_CASES` run).
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 use trilist::core::{fault_roll, silence_injected_panics, CostReport};
 use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Truncation};
@@ -139,6 +140,147 @@ fn chaos_matrix_completed_responses_are_byte_identical_to_fault_free_oracle() {
     }
     // Chaos must actually have fired, or the matrix proves nothing.
     assert!(injected > 0, "no faults injected");
+}
+
+/// The windows every delta chaos run drives, each under a deadline the
+/// chaos skew can quarter: `(from_epoch, to_epoch, deadline_ms)`.
+const WINDOWS: [(u64, u64, u64); 4] = [
+    (0, DeltaParams::LATEST, 4),
+    (1, DeltaParams::LATEST, 2),
+    (0, 2, 4),
+    (2, 3, 8),
+];
+
+/// Edges per edit batch.
+const BATCH: usize = 1000;
+
+/// Three batches of absent edges, drawn reproducibly: epochs 1 to 3.
+fn edit_batches(g: &Graph, seed: u64) -> Vec<Vec<(u32, u32)>> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = g.n() as u32;
+    let mut taken = std::collections::HashSet::new();
+    (0..3)
+        .map(|_| {
+            let mut batch = Vec::new();
+            while batch.len() < BATCH {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let e = (u.min(v), u.max(v));
+                if u != v && !g.has_edge(u, v) && taken.insert(e) {
+                    batch.push(e);
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// A reproducible G(n, p) graph: dense enough that each new edge closes
+/// many triangles, so a delta run outlasts a skewed deadline.
+fn dense_graph(n: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+        .filter(|_| rng.gen_bool(p))
+        .collect();
+    Graph::from_edges(n, &edges).unwrap()
+}
+
+/// Registers `g` and applies `batches` as epochs 1, 2, 3. Edits run as
+/// a single attempt even under a retry policy (they are not idempotent),
+/// so an injected fault can fail one, applied or not; the setup then
+/// starts over from a fresh registration, which resets the epochs.
+fn register_with_edits(client: &mut Client, g: &Graph, batches: &[Vec<(u32, u32)>]) {
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    for _ in 0..8 {
+        client
+            .register_graph("chaos", g.n() as u32, &edges)
+            .expect("register under chaos");
+        if batches.iter().all(|b| client.add_edges("chaos", b).is_ok()) {
+            return;
+        }
+    }
+    panic!("the edit batches never applied cleanly");
+}
+
+/// Every window's chain, merged, and the requests the chains took.
+fn drive_windows(client: &mut Client) -> (Vec<ShapeResult>, u32) {
+    let mut requests = 0;
+    let results = WINDOWS
+        .iter()
+        .map(|&(from, to, deadline_ms)| {
+            let chain = client
+                .list_new_to_completion(DeltaParams {
+                    deadline_ms,
+                    ..DeltaParams::new("chaos", from, to)
+                })
+                .expect("delta chain completes");
+            requests += chain.requests;
+            ShapeResult {
+                triangles: chain.triangles,
+                cost: chain.cost,
+            }
+        })
+        .collect();
+    (results, requests)
+}
+
+/// The chaos deadline skew reaches `ListNewTriangles` as it reaches
+/// `List` and `Count`: deadline-carrying delta chains, skewed and
+/// faulted, merge byte-identically to a fault-free server's.
+#[test]
+fn chaos_delta_chains_are_byte_identical_to_fault_free_oracle() {
+    silence_injected_panics();
+    let g = dense_graph(1000, 0.2, 0xC4A2);
+    let batches = edit_batches(&g, 0xC4A3);
+    let expected = {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        register_with_edits(&mut client, &g, &batches);
+        let (results, _) = drive_windows(&mut client);
+        client.shutdown().unwrap();
+        server.join();
+        results
+    };
+    assert!(
+        expected.iter().all(|r| r.cost.triangles > 0),
+        "every window must have new triangles"
+    );
+
+    let (mut skews, mut resumed) = (0u64, 0u32);
+    for chaos_seed in [1u64, 2, 3, 5, 8, 13, 21, 34] {
+        for workers in [1usize, 2, 4] {
+            let cfg = ServeConfig {
+                workers,
+                chaos: Some(ChaosPlan::seeded(chaos_seed)),
+                ..ServeConfig::default()
+            };
+            let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+            let policy = RetryPolicy {
+                attempt_timeout: Some(Duration::from_secs(5)),
+                ..RetryPolicy::seeded(chaos_seed)
+            };
+            let mut client = Client::connect_with_retry(server.addr(), policy).unwrap();
+            register_with_edits(&mut client, &g, &batches);
+            let (got, requests) = drive_windows(&mut client);
+            resumed += requests - WINDOWS.len() as u32;
+            assert_eq!(
+                got, expected,
+                "seed {chaos_seed} workers {workers}: \
+                 merged delta chains must be byte-identical to the oracle"
+            );
+            // the only priced traffic here is ListNewTriangles
+            skews += field(
+                &client.stats().expect("stats under chaos"),
+                "chaos_deadline_skews",
+            );
+            // a lost answer to `Shutdown` has the retry dial a server that
+            // no longer accepts, so this run hangs up and drains instead
+            drop(client);
+            server.join();
+        }
+    }
+    assert!(skews > 0, "no delta deadline was skewed");
+    assert!(resumed > 0, "no delta chain took the partial+resume path");
 }
 
 #[test]

@@ -521,3 +521,40 @@ fn bitset_requests_on_an_adaptive_entry_match_runs_that_build_their_own() {
     client.shutdown().unwrap();
     server.join();
 }
+
+/// A count stages no triangles, so its only memory is the resting gauge:
+/// a paper `Count E1/desc` on G(400, 0.25), which builds no kernel
+/// structures, completes within 64 KB of it, while a listing run under
+/// the same ceiling stops for its staged triangles.
+#[test]
+fn a_count_completes_within_64_kb_of_the_resting_gauge() {
+    let g = dense_graph(400, 0.25, 0xC0DE);
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client
+        .register_graph("dense", g.n() as u32, &edges)
+        .unwrap();
+    let params = ListParams::new("dense", "E1", "desc", "paper");
+    let unbounded = client.count(params.clone()).unwrap();
+    assert!(unbounded.complete);
+    assert!(unbounded.cost.triangles > 100_000, "fixture must be dense");
+    let resting = client
+        .stats()
+        .unwrap()
+        .into_iter()
+        .find(|(k, _)| k == "gauge_bytes")
+        .unwrap()
+        .1;
+    let bounded = ListParams {
+        memory_bytes: resting + (64 << 10),
+        ..params
+    };
+    let count = client.count(bounded.clone()).unwrap();
+    assert!(count.complete, "the count stops: {}", count.stop_reason);
+    assert_eq!(count.cost, unbounded.cost);
+    let list = client.list(bounded).unwrap();
+    assert!(!list.complete, "the listing run stages its triangles");
+    client.shutdown().unwrap();
+    server.join();
+}
