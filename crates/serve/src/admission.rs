@@ -1,4 +1,4 @@
-//! Admission control: a concurrency gate with a bounded wait queue, plus
+//! Admission control: execution slots with one bounded wait queue, plus
 //! a cost-model price ceiling.
 //!
 //! Requests are priced *before* they run, with the paper's own unified
@@ -6,12 +6,18 @@
 //! prepared relabeling gives the degrees-by-label, one O(n) pass gives
 //! expected operations, and anything over the configured ceiling is
 //! rejected with the price attached — the model doing load shedding, not
-//! just analysis. Under the ceiling, a request must still win an
-//! execution slot: at most `max_inflight` run concurrently, at most
-//! `max_queue` wait, and everything beyond that is rejected as busy
-//! (closed-loop clients see backpressure instead of unbounded latency).
+//! just analysis. Under the ceiling, a request must hold an execution
+//! slot: at most `max_inflight` run concurrently, at most `max_queue`
+//! wait, and everything beyond that is rejected as busy (closed-loop
+//! clients see backpressure instead of unbounded latency).
+//!
+//! Nothing here blocks: a priced request waits only in the event loop's
+//! priced lane, which takes a queue place as it submits a job
+//! ([`Admission::enqueue`]) and turns it into a slot as one of its
+//! `max_inflight` workers dequeues the job ([`Admission::start`]).
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use crate::lock;
+use std::sync::Mutex;
 use trilist_model::RequestPrice;
 
 /// Admission knobs.
@@ -73,107 +79,119 @@ impl std::fmt::Display for Rejection {
     }
 }
 
+/// Slots in use and queue places, one record under one lock: the lane's
+/// shed check, [`Admission::fill`] and [`Admission::inflight`] read it.
 #[derive(Default)]
 struct Slots {
     inflight: usize,
-    waiting: usize,
+    queued: usize,
 }
 
 /// The gate. One per server.
 pub struct Admission {
     cfg: AdmissionConfig,
     slots: Mutex<Slots>,
-    freed: Condvar,
-}
-
-fn lock(m: &Mutex<Slots>) -> MutexGuard<'_, Slots> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Admission {
     /// A fresh gate.
-    pub fn new(cfg: AdmissionConfig) -> Self {
-        Admission {
-            cfg,
-            slots: Mutex::new(Slots::default()),
-            freed: Condvar::new(),
-        }
+    pub fn new(mut cfg: AdmissionConfig) -> Self {
+        cfg.max_inflight = cfg.max_inflight.max(1);
+        let slots = Mutex::default();
+        Admission { cfg, slots }
     }
 
-    /// Applies the price ceiling. Call before [`Admission::admit`] so an
-    /// over-budget request never occupies a slot or queue position.
+    /// Applies the price ceiling. Call before a request runs so an
+    /// over-budget request never executes.
     pub fn check_price(&self, price: &RequestPrice) -> Result<(), Rejection> {
-        if let Some(ceiling) = self.cfg.max_predicted_ops {
-            if price.exceeds(ceiling) {
-                return Err(Rejection::TooExpensive {
-                    predicted_ops: price.total_ops,
-                    ceiling,
-                });
-            }
+        match self.cfg.max_predicted_ops {
+            Some(ceiling) if price.exceeds(ceiling) => Err(Rejection::TooExpensive {
+                predicted_ops: price.total_ops,
+                ceiling,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Claims an execution slot, waiting in the bounded queue if all
-    /// slots are taken. The returned [`Permit`] frees the slot on drop and
-    /// tells whether the request waited.
+    /// Claims a free execution slot, or answers busy: never waits. A slot
+    /// is free when nobody holds it and no queued request is owed it. The
+    /// returned [`Permit`] frees the slot on drop.
     pub fn admit(&self) -> Result<Permit<'_>, Rejection> {
-        let max_inflight = self.cfg.max_inflight.max(1);
         let mut slots = lock(&self.slots);
-        let waited = slots.inflight >= max_inflight;
-        if waited {
-            if slots.waiting >= self.cfg.max_queue {
-                return Err(self.shed_busy());
-            }
-            slots.waiting += 1;
-            while slots.inflight >= max_inflight {
-                slots = self
-                    .freed
-                    .wait(slots)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            slots.waiting -= 1;
+        if slots.inflight + slots.queued >= self.cfg.max_inflight {
+            return Err(self.shed_busy());
         }
         slots.inflight += 1;
-        Ok(Permit { gate: self, waited })
+        Ok(Permit {
+            gate: self,
+            waited: false,
+        })
     }
 
-    /// The [`Rejection::Busy`] [`Admission::admit`] answers with a full
-    /// queue. The event loop's executor sheds at submit time, before a
-    /// worker is occupied, and answers with this same rejection, so the
-    /// wire message does not depend on where the request was shed.
+    /// Takes a queue place, or answers busy once `max_inflight +
+    /// max_queue` places are taken. `Ok(true)` means the request waits:
+    /// every slot was held or owed to a request queued ahead of it.
+    pub(crate) fn enqueue(&self) -> Result<bool, Rejection> {
+        let mut slots = lock(&self.slots);
+        let taken = slots.inflight + slots.queued;
+        if taken >= self.cfg.max_inflight + self.cfg.max_queue {
+            return Err(self.shed_busy());
+        }
+        slots.queued += 1;
+        Ok(taken >= self.cfg.max_inflight)
+    }
+
+    /// Turns a queue place into a slot as one of the priced lane's
+    /// `max_inflight` workers dequeues its job, so a slot is always free.
+    pub(crate) fn start(&self, waited: bool) -> Permit<'_> {
+        let mut slots = lock(&self.slots);
+        slots.queued = slots.queued.saturating_sub(1);
+        slots.inflight += 1;
+        Permit { gate: self, waited }
+    }
+
+    /// The [`Rejection::Busy`] answered when every place is taken.
     pub fn shed_busy(&self) -> Rejection {
         Rejection::Busy {
-            max_inflight: self.cfg.max_inflight.max(1),
+            max_inflight: self.cfg.max_inflight,
             max_queue: self.cfg.max_queue,
         }
     }
 
-    /// Fraction of combined capacity (execution slots plus queue
-    /// positions) currently occupied, in `0..=1` — the queue half of the
-    /// overload-pressure signal the degradation ladder reads.
+    /// Fraction of the `max_inflight + max_queue` places taken, in `0..=1`.
     pub fn fill(&self) -> f64 {
-        let cap = (self.cfg.max_inflight.max(1) + self.cfg.max_queue) as f64;
-        let slots = lock(&self.slots);
-        ((slots.inflight + slots.waiting) as f64 / cap).min(1.0)
+        self.fill_besides(0)
     }
 
-    /// Requests executing right now.
+    fn fill_besides(&self, own: usize) -> f64 {
+        let cap = (self.cfg.max_inflight + self.cfg.max_queue) as f64;
+        let slots = lock(&self.slots);
+        let taken = (slots.inflight + slots.queued).saturating_sub(own);
+        (taken as f64 / cap).min(1.0)
+    }
+
+    /// Requests holding a slot right now.
     pub fn inflight(&self) -> usize {
         lock(&self.slots).inflight
     }
 }
 
-/// An execution slot; dropping it wakes one queued waiter.
+/// An execution slot; dropping it frees the slot.
 pub struct Permit<'a> {
     gate: &'a Admission,
     waited: bool,
 }
 
 impl Permit<'_> {
-    /// Whether the request waited in the queue before it was admitted.
+    /// Whether the request waited in the queue for its slot.
     pub fn waited(&self) -> bool {
         self.waited
+    }
+
+    /// [`Admission::fill`] without this slot's own place: the queue half
+    /// of the pressure the degradation ladder reads.
+    pub fn fill(&self) -> f64 {
+        self.gate.fill_besides(1)
     }
 }
 
@@ -181,16 +199,12 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut slots = lock(&self.gate.slots);
         slots.inflight = slots.inflight.saturating_sub(1);
-        drop(slots);
-        self.gate.freed.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     #[test]
     fn slots_queue_and_reject() {
@@ -203,6 +217,7 @@ mod tests {
         assert!(!p.waited());
         assert!(matches!(gate.admit(), Err(Rejection::Busy { .. })));
         assert_eq!(gate.admit().err(), Some(gate.shed_busy()));
+        assert_eq!(gate.enqueue().err(), Some(gate.shed_busy()));
         assert_eq!(gate.inflight(), 1);
         drop(p);
         assert_eq!(gate.inflight(), 0);
@@ -213,34 +228,48 @@ mod tests {
 
     #[test]
     fn queued_waiter_runs_after_release() {
-        let gate = std::sync::Arc::new(Admission::new(AdmissionConfig {
+        let gate = Admission::new(AdmissionConfig {
             max_inflight: 1,
             max_queue: 4,
             max_predicted_ops: None,
-        }));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
+        });
         let permit = gate.admit().unwrap();
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let gate = std::sync::Arc::clone(&gate);
-                let peak = std::sync::Arc::clone(&peak);
-                std::thread::spawn(move || {
-                    let p = gate.admit().expect("queue has room");
-                    peak.fetch_max(gate.inflight(), Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(2));
-                    p.waited()
-                })
-            })
+        let waits: Vec<bool> = (0..3)
+            .map(|_| gate.enqueue().expect("queue has room"))
             .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        // one slot taken and three waiters, out of 1 + 4 places
+        // one slot taken and three queued, out of 1 + 4 places
         assert_eq!(gate.fill(), 0.8, "all three wait");
+        assert_eq!(permit.fill(), 0.6, "the holder does not count itself");
+        assert_eq!(waits, [true; 3], "all three waited");
         assert!(!permit.waited());
         drop(permit);
-        let waited: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(waited, [true; 3], "all three waited");
-        assert_eq!(peak.load(Ordering::Relaxed), 1, "never more than 1 slot");
+        // the freed slot is owed to the queue, not to a newcomer
+        assert_eq!(gate.admit().err(), Some(gate.shed_busy()));
+        for queued in (0..3).rev() {
+            let p = gate.start(true);
+            assert!(p.waited());
+            assert_eq!(gate.inflight(), 1, "never more than 1 slot");
+            assert_eq!(gate.fill(), (1 + queued) as f64 / 5.0);
+        }
         assert_eq!(gate.inflight(), 0);
+        assert_eq!(gate.fill(), 0.0);
+    }
+
+    #[test]
+    fn a_place_waits_only_when_every_slot_is_taken_or_owed() {
+        let gate = Admission::new(AdmissionConfig {
+            max_inflight: 2,
+            max_queue: 1,
+            max_predicted_ops: None,
+        });
+        assert_eq!(gate.enqueue(), Ok(false));
+        assert_eq!(gate.enqueue(), Ok(false));
+        assert_eq!(gate.enqueue(), Ok(true), "both slots are owed");
+        assert_eq!(gate.enqueue().err(), Some(gate.shed_busy()));
+        let first = gate.start(false);
+        drop(gate.start(false));
+        assert_eq!(gate.enqueue(), Ok(true), "one slot held, one owed");
+        drop(first);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //!               [--chaos-seed N]
 //! ```
 //!
+//! `--max-inflight N` (default 4): priced requests (`List`, `Count`,
+//! `ListNewTriangles`) running at once, one thread each, from prepare to
+//! the built answer. `--max-queue N` (default 16): how many more wait, in
+//! one FIFO queue that costs no thread; the rest answer `rejected-busy`.
+//!
 //! `--chaos-seed N` arms deterministic fault injection: every connection
 //! suffers seeded short reads/writes, `WouldBlock`/`EINTR` storms,
 //! resets, stalls, worker panics, gauge spikes, and deadline skew — the

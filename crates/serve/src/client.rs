@@ -7,7 +7,7 @@ use crate::protocol::{
     encode_frame, merge_pieces, read_frame, write_frame, DeltaParams, DeltaRunResult, EditInfo,
     ErrorCode, ErrorFrame, FrameError, ListParams, PlanInfo, Request, Response, RunResult,
 };
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use trilist_core::{fault_roll, CostReport};
@@ -466,6 +466,8 @@ impl Client {
     /// edits are not idempotent (a replayed batch rejects with
     /// `AlreadyPresent`), so a transport failure after the server applied
     /// the batch must surface to the caller instead of double-applying.
+    /// [`Client::shutdown`] is the one call that forgives a transport
+    /// failure, and only when its redial is refused.
     pub fn add_edges(&mut self, name: &str, edges: &[(u32, u32)]) -> Result<EditInfo, ClientError> {
         match self.call_once_ok(&Request::AddEdges {
             graph: name.to_string(),
@@ -562,11 +564,15 @@ impl Client {
         }
     }
 
-    /// Asks the server to drain.
+    /// Asks the server to drain. A redial refused after a transport failure
+    /// (which may have eaten the ack of an applied shutdown) means the
+    /// server is draining or gone, so it answers `Ok`.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call_ok(&Request::Shutdown)? {
-            Response::ShutdownAck => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted ShutdownAck")),
+        match self.call_ok(&Request::Shutdown) {
+            Ok(Response::ShutdownAck) => Ok(()),
+            Ok(_) => Err(ClientError::Unexpected("wanted ShutdownAck")),
+            Err(ClientError::Transport(e)) if e.kind() == ErrorKind::ConnectionRefused => Ok(()),
+            Err(e) => Err(e),
         }
     }
 }

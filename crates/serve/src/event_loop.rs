@@ -14,10 +14,10 @@
 //!            │ completions (via Waker) ──▶ pending[seq] ─────│  seq order
 //!            └───────────────────────────────────────────────┘
 //!                 express lane (Register/Predict, 2 workers)
-//!                 priced lane (List/Count, max_inflight + max_queue
-//!                 workers — so only the admission gate ever makes a
-//!                 worker wait in `Admission::admit`, and the `queued`
-//!                 counter measures real queue waits)
+//!                 priced lane (List/Count/ListNewTriangles, one FIFO
+//!                 queue and max_inflight workers — each worker is an
+//!                 admission slot, held from dequeue until the response
+//!                 is built)
 //! ```
 //!
 //! # Invariants
@@ -31,10 +31,10 @@
 //!   connection's earlier jobs and holds back its later ones, so a
 //!   pipelined `[Register g, List g]` behaves exactly as if issued
 //!   sequentially.
-//! - **Submit-time shedding.** The priced lane bounds its backlog at
-//!   `max_inflight + max_queue`; beyond that, requests are rejected busy
-//!   with the admission gate's own wire message
-//!   ([`crate::admission::Admission::shed_busy`]), before pricing runs.
+//! - **Submit-time shedding.** A priced job takes an admission queue
+//!   place as it is submitted; with `max_inflight + max_queue` taken it is
+//!   rejected busy ([`crate::admission::Admission::shed_busy`]) before
+//!   prepare or pricing runs. The lane's queue is the only place it waits.
 //! - **Backpressure, not unbounded buffering.** A connection stops being
 //!   read (its `READABLE` interest is dropped) while it has
 //!   [`PER_CONN_BACKLOG`] responses outstanding or
@@ -48,11 +48,14 @@
 //!   dropping half-read frames and unflushed answers, so a peer that
 //!   stops reading cannot hold the server open.
 
+use crate::admission::Rejection;
 use crate::chaos::ChaosStream;
+use crate::lock;
 use crate::metrics::Metric;
 use crate::protocol::{encode_frame, scan_frame, ErrorCode, ErrorFrame, Request, Response};
 use crate::server::{
-    accept_error_action, classify, execute, execute_guarded, AcceptAction, Dispatch, Shared,
+    accept_error_action, classify, execute, execute_guarded, protocol_error, AcceptAction,
+    Dispatch, Shared,
 };
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -60,7 +63,7 @@ use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -108,10 +111,6 @@ pub(crate) fn spawn(
     Ok((thread, waker))
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 // ---------------------------------------------------------------------
 // Executor: two lanes of workers, completions routed back via the waker.
 // ---------------------------------------------------------------------
@@ -121,7 +120,24 @@ struct Job {
     seq: u64,
     barrier: bool,
     priced: bool,
+    /// Whether a priced job waits for a slot (its queue place's answer).
+    waited: bool,
     req: Request,
+}
+
+impl Job {
+    /// A `RegisterGraph` is a barrier: it runs alone on its connection.
+    fn new(conn: u64, seq: u64, priced: bool, req: Request) -> Job {
+        let barrier = matches!(req, Request::RegisterGraph { .. });
+        Job {
+            conn,
+            seq,
+            barrier,
+            priced,
+            waited: false,
+            req,
+        }
+    }
 }
 
 struct Completion {
@@ -134,7 +150,6 @@ struct Completion {
 #[derive(Default)]
 struct LaneState {
     jobs: VecDeque<Job>,
-    active: usize,
     stop: bool,
 }
 
@@ -171,29 +186,23 @@ impl DoneQueue {
 struct Executor {
     express: Arc<Lane>,
     priced: Arc<Lane>,
-    /// Priced backlog bound *and* priced worker count: with exactly
-    /// `max_inflight + max_queue` workers, at most `max_inflight` are
-    /// admitted and at most `max_queue` wait inside `admit()`, so the
-    /// gate's slots and its `queued` counter keep their meaning with a
-    /// fixed pool.
-    priced_cap: usize,
     done: Arc<DoneQueue>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Executor {
     fn start(shared: Arc<Shared>, waker: Arc<Waker>) -> Executor {
-        let a = shared.cfg.admission;
-        let priced_cap = a.max_inflight.max(1) + a.max_queue;
+        // one priced worker per admission slot
+        let slots = shared.cfg.admission.max_inflight.max(1);
         let done = Arc::new(DoneQueue {
             completed: Mutex::new(Vec::new()),
             waker,
         });
         let express: Arc<Lane> = Arc::default();
         let priced: Arc<Lane> = Arc::default();
-        let mut workers = Vec::with_capacity(EXPRESS_WORKERS + priced_cap);
+        let mut workers = Vec::with_capacity(EXPRESS_WORKERS + slots);
         for lane in std::iter::repeat_n(&express, EXPRESS_WORKERS)
-            .chain(std::iter::repeat_n(&priced, priced_cap))
+            .chain(std::iter::repeat_n(&priced, slots))
         {
             let lane = Arc::clone(lane);
             let shared = Arc::clone(&shared);
@@ -203,31 +212,22 @@ impl Executor {
         Executor {
             express,
             priced,
-            priced_cap,
             done,
             workers,
         }
     }
 
-    fn submit_express(&self, job: Job) {
-        lock(&self.express.state).jobs.push_back(job);
-        self.express.ready.notify_one();
-    }
-
-    /// Queues a priced job, or rejects it when the lane already holds
-    /// `max_inflight + max_queue` requests — the executor-side mirror of
-    /// the admission gate's busy rejection. The rejected `Job` travels
-    /// back by value so the caller can answer it without a clone; this
-    /// is the shed path, not the hot path, so the large `Err` is fine.
-    #[allow(clippy::result_large_err)]
-    fn submit_priced(&self, job: Job) -> Result<(), Job> {
-        let mut st = lock(&self.priced.state);
-        if st.active + st.jobs.len() >= self.priced_cap {
-            return Err(job);
-        }
-        st.jobs.push_back(job);
-        drop(st);
-        self.priced.ready.notify_one();
+    /// Queues a job on its lane; a priced job first takes an admission
+    /// queue place, or answers busy.
+    fn submit(&self, shared: &Shared, mut job: Job) -> Result<(), Rejection> {
+        let lane = if job.priced {
+            job.waited = shared.admission.enqueue()?;
+            &self.priced
+        } else {
+            &self.express
+        };
+        lock(&lane.state).jobs.push_back(job);
+        lane.ready.notify_one();
         Ok(())
     }
 
@@ -248,7 +248,6 @@ fn worker(lane: &Lane, shared: &Shared, done: &DoneQueue) {
             let mut st = lock(&lane.state);
             loop {
                 if let Some(job) = st.jobs.pop_front() {
-                    st.active += 1;
                     break job;
                 }
                 if st.stop {
@@ -261,14 +260,19 @@ fn worker(lane: &Lane, shared: &Shared, done: &DoneQueue) {
             conn,
             seq,
             barrier,
+            priced,
+            waited,
             req,
-            ..
         } = job;
+        // A priced job holds its slot until its response is built and
+        // frees it before the loop answers, so a client reading its answer
+        // never sees its own request in flight.
+        let slot = priced.then(|| shared.admission.start(waited));
         // A panicking request — injected by the chaos plan or real — must
         // not deplete the pool: execute_guarded's catch_unwind answers a
         // typed Internal error and the worker keeps serving.
-        let resp = execute_guarded(shared, conn, seq, req);
-        lock(&lane.state).active -= 1;
+        let resp = execute_guarded(shared, conn, seq, req, slot.as_ref());
+        drop(slot);
         done.push(Completion {
             conn,
             seq,
@@ -464,28 +468,13 @@ fn pump_jobs(conn: &mut Conn, shared: &Shared, executor: &Executor) {
             break; // unreachable: front() above was Some
         };
         let (seq, barrier) = (job.seq, job.barrier);
-        if job.priced {
-            match executor.submit_priced(job) {
-                Ok(()) => conn.inflight += 1,
-                Err(_job) => {
-                    shared.metrics.bump(Metric::RejectedBusy);
-                    let rejection = shared.admission.shed_busy();
-                    queue_response(
-                        conn,
-                        shared,
-                        seq,
-                        &Response::Error(ErrorFrame::new(
-                            ErrorCode::RejectedBusy,
-                            rejection.to_string(),
-                        )),
-                    );
-                    continue;
-                }
-            }
-        } else {
-            executor.submit_express(job);
-            conn.inflight += 1;
+        if let Err(rejection) = executor.submit(shared, job) {
+            shared.metrics.bump(Metric::RejectedBusy);
+            let busy = ErrorFrame::new(ErrorCode::RejectedBusy, rejection.to_string());
+            queue_response(conn, shared, seq, &Response::Error(busy));
+            continue;
         }
+        conn.inflight += 1;
         if barrier {
             conn.barrier_inflight = true;
             break; // nothing later starts until the barrier completes
@@ -517,39 +506,20 @@ fn process_frames(conn: &mut Conn, shared: &Shared, executor: &Executor) {
                                 && conn.jobs.is_empty()
                                 && predict_is_bounded(shared, &req)
                             {
-                                let resp = execute(shared, req);
+                                let resp = execute(shared, req, None);
                                 queue_response(conn, shared, seq, &resp);
                             } else {
-                                conn.jobs.push_back(Job {
-                                    conn: conn.id,
-                                    seq,
-                                    barrier: matches!(req, Request::RegisterGraph { .. }),
-                                    priced: false,
-                                    req,
-                                });
+                                conn.jobs.push_back(Job::new(conn.id, seq, false, req));
                                 pump_jobs(conn, shared, executor);
                             }
                         }
                         Dispatch::Priced(req) => {
-                            conn.jobs.push_back(Job {
-                                conn: conn.id,
-                                seq,
-                                barrier: false,
-                                priced: true,
-                                req,
-                            });
+                            conn.jobs.push_back(Job::new(conn.id, seq, true, req));
                             pump_jobs(conn, shared, executor);
                         }
                     },
-                    Err(e) => {
-                        // A malformed body poisons only its own frame.
-                        queue_response(
-                            conn,
-                            shared,
-                            seq,
-                            &Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string())),
-                        );
-                    }
+                    // A malformed body poisons only its own frame.
+                    Err(e) => queue_response(conn, shared, seq, &protocol_error(e)),
                 }
                 conn.acc.drain(..total);
             }
@@ -557,12 +527,7 @@ fn process_frames(conn: &mut Conn, shared: &Shared, executor: &Executor) {
                 // Framing is broken: answer once, then close after flush.
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                queue_response(
-                    conn,
-                    shared,
-                    seq,
-                    &Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string())),
-                );
+                queue_response(conn, shared, seq, &protocol_error(e));
                 conn.fatal = true;
                 conn.acc.clear();
             }

@@ -47,6 +47,11 @@ pub use protocol::{
     DeltaRunResult, EditInfo, ErrorCode, ErrorFrame, FrameError, ListParams, PlanInfo, Request,
     Response, RunResult, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
+/// Locks `m`, taking the guard back from a holder that panicked.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use server::{accept_error_action, AcceptAction, ServeConfig, Server, ServerHandle};
 pub use store::{
     autotune_plan, prepare_graph, prepare_graph_with, prepare_seed_at, prepare_seed_for,

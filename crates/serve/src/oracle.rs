@@ -9,10 +9,11 @@
 //! executor) must leave the frames it answers byte-identical to these.
 
 use crate::protocol::{
-    decode_frame, encode_frame, read_frame, scan_frame, DeltaParams, ErrorCode, ErrorFrame,
-    ListParams, Request, Response,
+    decode_frame, encode_frame, read_frame, scan_frame, DeltaParams, ListParams, Request, Response,
 };
-use crate::server::{classify, execute_guarded, Dispatch, ServeConfig, Server, Shared};
+use crate::server::{
+    classify, execute_guarded, protocol_error, Dispatch, ServeConfig, Server, Shared,
+};
 use crate::store::CompactorHandle;
 use rand::SeedableRng;
 use std::io::Write;
@@ -62,19 +63,17 @@ impl Oracle {
                         Ok(req) => match classify(&self.shared, req) {
                             Dispatch::Inline(resp) => resp,
                             Dispatch::Express(req) | Dispatch::Priced(req) => {
-                                execute_guarded(&self.shared, 0, seq, req)
+                                execute_guarded(&self.shared, 0, seq, req, None)
                             }
                         },
-                        Err(e) => {
-                            Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string()))
-                        }
+                        Err(e) => protocol_error(e),
                     };
                     self.acc.drain(..total);
                     resp
                 }
                 Err(e) => {
                     self.closed = true;
-                    Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string()))
+                    protocol_error(e)
                 }
             };
             frames.push(encode_frame(resp.kind(), &resp.payload()));

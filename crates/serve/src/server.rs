@@ -271,7 +271,8 @@ pub(crate) enum Dispatch {
     /// on the express lane, never behind a priced listing run.
     Express(Request),
     /// Priced data-plane work (`List`, `Count`, `ListNewTriangles`):
-    /// pulled by the fixed worker pool through the admission gate.
+    /// waits in the priced lane's one queue, and runs on one of its
+    /// `max_inflight` workers, each an admission slot.
     Priced(Request),
 }
 
@@ -342,7 +343,9 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
 /// Executes one already-classified request. No gates and no counters —
 /// [`classify`] applied both — so the response depends only on the
 /// request and server state, never on which lane or thread called it.
-pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
+/// A priced request runs on the admission `slot` its lane worker holds;
+/// without one (the socket-free oracle) it runs as if it found one free.
+pub(crate) fn execute(shared: &Shared, req: Request, slot: Slot<'_>) -> Response {
     let edited = |receipt: EditReceipt| Response::EditResult(edit_info(&receipt));
     let answer = match req {
         Request::RegisterGraph { name, n, edges } => shared
@@ -356,9 +359,9 @@ pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
             family,
         } => predict(shared, &graph, &method, &family),
         Request::ExplainPlan { graph } => explain_plan(shared, &graph).map(Response::PlanResult),
-        Request::List(p) => run_priced(shared, Priced::Listing(&p, Emit::Triangles)),
-        Request::Count(p) => run_priced(shared, Priced::Listing(&p, Emit::Counts)),
-        Request::ListNewTriangles(p) => run_priced(shared, Priced::Delta(&p)),
+        Request::List(p) => run_priced(shared, Priced::Listing(&p, Emit::Triangles), slot),
+        Request::Count(p) => run_priced(shared, Priced::Listing(&p, Emit::Counts), slot),
+        Request::ListNewTriangles(p) => run_priced(shared, Priced::Delta(&p), slot),
         Request::AddEdges { graph, edges } => shared
             .store
             .add_edges(&graph, &edges)
@@ -379,6 +382,10 @@ pub(crate) fn execute(shared: &Shared, req: Request) -> Response {
     };
     answer.unwrap_or_else(Response::Error)
 }
+
+/// The admission slot a priced request runs on, held by its priced-lane
+/// worker; `None` where no lane runs it (the socket-free oracle).
+pub(crate) type Slot<'a> = Option<&'a Permit<'a>>;
 
 /// Ballast charged to the shared gauge for a scope; the `Drop` releases
 /// it even when the guarded execution panics.
@@ -408,7 +415,13 @@ impl Drop for GaugeBallast {
 /// through here, so a panicking request — injected or real — answers a
 /// typed `Internal` error instead of losing the worker. Injected faults
 /// are drawn per `(conn, seq)`, the same identity the I/O faults key on.
-pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Request) -> Response {
+pub(crate) fn execute_guarded(
+    shared: &Shared,
+    conn: u64,
+    seq: u64,
+    mut req: Request,
+    slot: Slot<'_>,
+) -> Response {
     let mut inject_panic = false;
     let mut _ballast: Option<GaugeBallast> = None;
     if let Some(plan) = &shared.cfg.chaos {
@@ -442,7 +455,7 @@ pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Req
         if inject_panic {
             panic!("injected fault: chaos panic (conn {conn} seq {seq})");
         }
-        execute(shared, req)
+        execute(shared, req, slot)
     }))
     .unwrap_or_else(|_| {
         Response::Error(ErrorFrame::new(
@@ -454,6 +467,11 @@ pub(crate) fn execute_guarded(shared: &Shared, conn: u64, seq: u64, mut req: Req
 
 fn bad(msg: impl Into<String>) -> ErrorFrame {
     ErrorFrame::new(ErrorCode::BadRequest, msg)
+}
+
+/// The answer to a frame that does not scan or decode.
+pub(crate) fn protocol_error(e: impl std::fmt::Display) -> Response {
+    Response::Error(ErrorFrame::new(ErrorCode::Protocol, e.to_string()))
 }
 
 /// Typed mapping for store failures: an unknown graph keeps its distinct
@@ -526,11 +544,11 @@ fn explain_plan(shared: &Shared, graph: &str) -> Result<PlanInfo, ErrorFrame> {
 }
 
 /// Combined overload pressure in `0..=1`: the max of admission fill
-/// (inflight + queued over capacity) and memory-gauge fill (cache
-/// residency + in-flight runs over the server ceiling; 0 when no ceiling
-/// is configured).
-fn overload_pressure(shared: &Shared) -> f64 {
-    let queue_fill = shared.admission.fill();
+/// (inflight + queued over capacity, not counting the caller's own slot)
+/// and memory-gauge fill (cache residency + in-flight runs over the
+/// server ceiling; 0 when no ceiling is configured).
+fn overload_pressure(shared: &Shared, slot: Slot<'_>) -> f64 {
+    let queue_fill = slot.map_or_else(|| shared.admission.fill(), Permit::fill);
     let gauge_fill = match shared.cfg.memory_bytes {
         Some(ceiling) if ceiling > 0 => shared.gauge.used() as f64 / ceiling as f64,
         _ => 0.0,
@@ -585,16 +603,17 @@ fn label_edges(prepared: &Prepared, edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
 }
 
 /// Executes `List`, `Count` and `ListNewTriangles` through the one
-/// sequence they share: resolve the work and check its resume token,
-/// prepare, price, admit, run, answer. Only the work domain and its
-/// price, and a delta run's epoch window, differ by kind.
+/// sequence they share, all on the caller's admission `slot`: resolve the
+/// work and check its resume token, prepare, price, admit, run, answer.
+/// Only the work domain and its price, and a delta run's epoch window,
+/// differ by kind.
 ///
 /// Each kind keeps its error order. A listing resolves its plan first,
 /// since a blank method takes the plan's hint and the token names the
 /// method; a delta run checks its token, pins its window, then resolves
 /// its plan.
-fn run_priced(shared: &Shared, priced: Priced<'_>) -> Result<Response, ErrorFrame> {
-    let (graph, threads, deadline_ms, memory_bytes) = match priced {
+fn run_priced(shared: &Shared, priced: Priced<'_>, slot: Slot<'_>) -> Result<Response, ErrorFrame> {
+    let (graph, threads, deadline_ms, memory) = match priced {
         Priced::Listing(p, _) => (&p.graph, p.threads, p.deadline_ms, p.memory_bytes),
         Priced::Delta(p) => (&p.graph, p.threads, p.deadline_ms, p.memory_bytes),
     };
@@ -654,8 +673,7 @@ fn run_priced(shared: &Shared, priced: Priced<'_>) -> Result<Response, ErrorFram
             (price_delta(degrees, &edges), edges)
         }
     };
-    let (permit, budget, threads) =
-        admit_run(shared, graph, &price, deadline_ms, memory_bytes, threads)?;
+    let (budget, threads) = admit_run(shared, graph, &price, slot, deadline_ms, memory, threads)?;
     let recorder = Some(Arc::clone(&shared.recorder) as Arc<dyn Recorder>);
     let src = source(&prepared);
     // a partial listing run and every delta run end in chunk pieces
@@ -691,7 +709,6 @@ fn run_priced(shared: &Shared, priced: Priced<'_>) -> Result<Response, ErrorFram
                 None => list_resilient_src(src, *method, &opts),
                 Some(rp) => rp.run_src(src, &opts),
             };
-            drop(permit);
             match outcome.map_err(|e| bad(e.to_string()))? {
                 RunOutcome::Complete(run) => wire_result(
                     &prepared,
@@ -718,7 +735,6 @@ fn run_priced(shared: &Shared, priced: Priced<'_>) -> Result<Response, ErrorFram
                     .run_new_triangles_on(src, policy, base, &labels, &opts)
                     .map_err(|e| bad(e.to_string()))?,
             };
-            drop(permit);
             match &outcome {
                 DeltaOutcome::Complete { pieces } => wire(pieces, None),
                 DeltaOutcome::Partial {
@@ -778,22 +794,22 @@ fn resolve_plan(
 }
 
 /// The prelude every priced run on `graph` shares: the overload ladder,
-/// then the admission gate (price ceiling, then a slot) and its counters,
-/// then the run's budget and worker count from the request's overrides,
-/// server defaults where they are zero. The permit must live until the
-/// run ends.
-fn admit_run<'s>(
-    shared: &'s Shared,
+/// then the price ceiling and the admission counters (`queued` when the
+/// run's `slot` was waited for), then the run's budget and worker count
+/// from the request's overrides, server defaults where they are zero.
+fn admit_run(
+    shared: &Shared,
     graph: &str,
     price: &RequestPrice,
+    slot: Slot<'_>,
     mut deadline_ms: u64,
     memory_bytes: u64,
     threads: u16,
-) -> Result<(Permit<'s>, RunBudget, usize), ErrorFrame> {
+) -> Result<(RunBudget, usize), ErrorFrame> {
     let count = |metric| shared.metrics.bump(metric);
-    // degrade before reject: the pressure is read before the gate is
-    // consulted, so the ladder engages ahead of any shed request
-    let pressure = overload_pressure(shared);
+    // degrade before reject: the pressure is read before the price is
+    // checked, so the ladder engages ahead of any refused request
+    let pressure = overload_pressure(shared, slot);
     if pressure >= DEADLINE_AT && deadline_ms > DEGRADED_DEADLINE_MS {
         deadline_ms = DEGRADED_DEADLINE_MS;
         count(Metric::DegradedDeadline);
@@ -805,12 +821,8 @@ fn admit_run<'s>(
         count(Metric::RejectedCost);
         ErrorFrame::new(ErrorCode::RejectedCost, r.to_string())
     })?;
-    let permit = shared.admission.admit().map_err(|r| {
-        count(Metric::RejectedBusy);
-        ErrorFrame::new(ErrorCode::RejectedBusy, r.to_string())
-    })?;
     count(Metric::Admitted);
-    if permit.waited() {
+    if slot.is_some_and(Permit::waited) {
         count(Metric::Queued);
     }
     let budget = RunBudget {
@@ -828,12 +840,12 @@ fn admit_run<'s>(
         0 => shared.cfg.workers,
         t => usize::from(t).min(ParallelOpts::default().threads),
     };
-    Ok((permit, budget, threads))
+    Ok((budget, threads))
 }
 
 /// A request's resume token (`None` when empty), parsed and checked
 /// against the run's domain before anything is prepared or admitted, so
-/// a bad token costs neither a prepare nor an admission slot.
+/// a bad token costs no prepare and holds its slot only for the parse.
 fn parse_resume(token: &str, domain: WorkDomain) -> Result<Option<ResumePoint>, ErrorFrame> {
     if token.is_empty() {
         return Ok(None);
@@ -923,7 +935,7 @@ mod tests {
     fn a_requested_thread_count_is_capped_at_the_cpu_count() {
         let (shared, _compactor) = Shared::new(ServeConfig::default());
         let price = price_request(Method::E1, &[1, 1]);
-        let (_permit, _, threads) = admit_run(&shared, "g", &price, 0, 0, u16::MAX).unwrap();
+        let (_, threads) = admit_run(&shared, "g", &price, None, 0, 0, u16::MAX).unwrap();
         let cpus = ParallelOpts::default().threads;
         assert!(threads <= cpus, "{threads} threads on {cpus} CPUs");
     }

@@ -41,10 +41,11 @@
 //!
 //! [`RunBudget::with_gauge`]: trilist_core::RunBudget::with_gauge
 
+use crate::lock;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use trilist_core::{
     materialize, net_changes, CompressedCsr, Counter, DeltaError, DeltaRun, EdgeList, HashOracle,
     KernelPlan, Kernels, ListingPlan, MemoryGauge, Recorder,
@@ -515,10 +516,6 @@ pub struct GraphStore {
     compact_tx: Mutex<Option<mpsc::Sender<CompactMsg>>>,
 }
 
-fn lock(m: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A refcounted hold on one epoch of one graph: while any pin on
 /// `(graph, epoch)` is live, segment garbage collection keeps a snapshot
 /// at-or-below the epoch so the epoch stays cheaply materializable, and
@@ -728,11 +725,8 @@ impl GraphStore {
     /// Queues `name` on the background compaction lane, if one is
     /// running. Returns whether the nudge was delivered.
     fn nudge_compactor(&self, name: &str) -> bool {
-        let tx = self
-            .compact_tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        tx.as_ref()
+        lock(&self.compact_tx)
+            .as_ref()
             .is_some_and(|tx| tx.send(CompactMsg::Compact(name.to_string())).is_ok())
     }
 
@@ -742,10 +736,7 @@ impl GraphStore {
     /// stop it.
     pub fn start_compactor(store: &Arc<GraphStore>) -> CompactorHandle {
         let (tx, rx) = mpsc::channel();
-        *store
-            .compact_tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(tx.clone());
+        *lock(&store.compact_tx) = Some(tx.clone());
         let worker = Arc::clone(store);
         let join = std::thread::spawn(move || {
             while let Ok(CompactMsg::Compact(name)) = rx.recv() {

@@ -1,7 +1,8 @@
 //! Pipelining and connection-state suite for the event loop: a
 //! pipelined batch on one connection answers in order, byte-identical
 //! to issuing the same requests sequentially; priced requests pipelined
-//! on one connection compete for admission slots; the shutdown gate
+//! on one connection compete for admission slots and wait in its one
+//! queue; the shutdown gate
 //! applies in frame order; short headers wait for bytes; framing
 //! violations answer the codec's own error once, then close; and a
 //! drain is bounded even when a peer never reads its answers. (The
@@ -208,6 +209,54 @@ fn pipelined_priced_requests_execute_concurrently_and_shed_busy() {
         .expect("express batch");
     assert!(matches!(more[0], Response::Predicted { .. }));
     assert!(matches!(more[1], Response::StatsResult(_)));
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn pipelined_priced_requests_wait_in_the_queue_and_count_as_queued() {
+    // max_inflight=1, max_queue=2: of four pipelined Counts, one runs,
+    // two wait their turn and are counted queued, and the fourth finds
+    // every place taken and is shed busy.
+    let g = pareto_graph(3000, 0xB059);
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    let mut cfg = ServeConfig::default();
+    cfg.admission.max_inflight = 1;
+    cfg.admission.max_queue = 2;
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .register_graph("g", g.n() as u32, &edges)
+        .expect("register");
+    let params = ListParams::new("g", "T2", "desc", "paper");
+    client
+        .count(params.clone())
+        .expect("warm the prepared cache");
+    let stat = |client: &mut Client, key: &str| {
+        let stats = client.stats().expect("stats");
+        stats.iter().find(|(k, _)| k == key).expect("stats key").1
+    };
+    let queued = stat(&mut client, "admission_queued");
+    let admitted = stat(&mut client, "admission_admitted");
+    let responses = client
+        .pipeline(&vec![Request::Count(params); 4])
+        .expect("pipelined counts");
+    for (i, resp) in responses[..3].iter().enumerate() {
+        assert!(
+            matches!(resp, Response::CountResult(_)),
+            "count {i} runs: got {resp:?}"
+        );
+    }
+    match &responses[3] {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::RejectedBusy);
+            assert_eq!(e.message, "busy: 1 in flight and 2 queued");
+        }
+        other => panic!("the fourth count must be shed busy, got {other:?}"),
+    }
+    assert_eq!(stat(&mut client, "admission_queued"), queued + 2);
+    assert_eq!(stat(&mut client, "admission_admitted"), admitted + 3);
+    assert_eq!(stat(&mut client, "admission_inflight"), 0);
     client.shutdown().expect("shutdown");
     server.join();
 }

@@ -18,7 +18,8 @@ use trilist::graph::dist::{sample_degree_sequence, DiscretePareto, Truncated, Tr
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
 use trilist::graph::Graph;
 use trilist::serve::{
-    ChaosPlan, Client, ClientError, DeltaParams, IoOp, ListParams, RetryPolicy, ServeConfig, Server,
+    read_frame, ChaosPlan, Client, ClientError, DeltaParams, IoOp, ListParams, Request,
+    RetryPolicy, ServeConfig, Server,
 };
 
 /// A reproducible Pareto α = 1.5 graph with plenty of triangles.
@@ -319,6 +320,29 @@ fn no_retried_call_exceeds_its_worst_case_budget() {
     }
     client.shutdown().unwrap();
     server.join();
+}
+
+/// A fault that eats the `ShutdownAck` of a shutdown the server already
+/// applied leaves the retried call redialing a listener that is gone: the
+/// refusal means the drain took effect, so `shutdown` answers `Ok`.
+#[test]
+fn shutdown_whose_ack_is_lost_succeeds_when_the_redial_is_refused() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, _) = read_frame(&mut stream).expect("the shutdown frame");
+        assert_eq!(kind, Request::Shutdown.kind());
+        // stream and listener drop here: no ack, and nothing to redial
+    });
+    let mut client = Client::connect_with_retry(addr, RetryPolicy::default()).unwrap();
+    let answer = client.shutdown();
+    server.join().unwrap();
+    assert!(
+        answer.is_ok(),
+        "a refused redial after shutdown: {answer:?}"
+    );
+    assert!(client.reconnects() == 0 && client.retries() > 0);
 }
 
 #[test]
