@@ -1,12 +1,14 @@
 //! Preprocessing cost (§2.1): relabeling + orientation for each family,
 //! including the degenerate smallest-last ordering whose construction time
 //! the paper singles out as two orders of magnitude above listing itself
-//! (§7.5 — 5 hours on Twitter).
+//! (§7.5 — 5 hours on Twitter), and the two linear CSR builds every
+//! registration and cold prepare pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
 use std::hint::black_box;
 use trilist_bench::fixture_graph;
+use trilist_graph::Graph;
 use trilist_order::{DirectedGraph, OrderFamily};
 
 fn bench_relabel_and_orient(c: &mut Criterion) {
@@ -28,6 +30,25 @@ fn bench_relabel_and_orient(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+fn bench_csr_builds(c: &mut Criterion) {
+    // at the `mix_large` size: the undirected CSR a registration builds
+    // from its edge list, and one orientation of it
+    let graph = fixture_graph(20_000, 1.7, 13);
+    let edges: Vec<_> = graph.edges().collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let relabeling = OrderFamily::Descending.relabeling(&graph, &mut rng);
+    let mut group = c.benchmark_group("orientation/csr_build");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(graph.m() as u64));
+    group.bench_function("from_edges", |b| {
+        b.iter(|| black_box(Graph::from_edges(graph.n(), &edges).unwrap().m()))
+    });
+    group.bench_function("orient", |b| {
+        b.iter(|| black_box(DirectedGraph::orient(&graph, &relabeling).m()))
+    });
     group.finish();
 }
 
@@ -75,6 +96,7 @@ fn bench_parallel_orientation_effect(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_relabel_and_orient,
+    bench_csr_builds,
     bench_degeneracy_only,
     bench_parallel_orientation_effect
 );

@@ -61,10 +61,26 @@ impl Graph {
         Ok(g)
     }
 
-    /// Builds a graph from an undirected edge list.
+    /// Builds a graph from an undirected edge list in `O(n + m)`.
     ///
     /// Self-loops and duplicate edges are rejected; use
-    /// [`crate::builder::GraphBuilder`] to deduplicate first.
+    /// [`crate::builder::GraphBuilder`] to deduplicate first. Errors take
+    /// this precedence:
+    ///
+    /// 1. the first pass checks each edge in input order and returns the
+    ///    first [`GraphError::NodeOutOfRange`] (`u` before `v`) or
+    ///    [`GraphError::SelfLoop`], counting degrees as it goes;
+    /// 2. after the rows are filled, a scan in node order returns
+    ///    [`GraphError::DuplicateEdge`] `{ u, v }` for the first row `u`
+    ///    holding neighbor `v` twice (a pair given twice in either
+    ///    endpoint order).
+    ///
+    /// Between the two, a two-pass CSR transpose fills the rows: each
+    /// endpoint is bucketed under its neighbor, then each bucket is
+    /// scattered in neighbor order, so every row is written ascending and
+    /// none is sorted. Each edge lands in both endpoints' rows, so the
+    /// result is symmetric by construction and, unlike
+    /// [`Graph::from_adjacency`], needs no symmetry pass.
     ///
     /// ```
     /// use trilist_graph::Graph;
@@ -73,7 +89,7 @@ impl Graph {
     /// assert!(g.has_edge(2, 0));
     /// ```
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in edges {
             if u as usize >= n {
                 return Err(GraphError::NodeOutOfRange { node: u, n });
@@ -84,10 +100,38 @@ impl Graph {
             if u == v {
                 return Err(GraphError::SelfLoop { node: u });
             }
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        Self::from_adjacency(adj)
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // bucket[w] holds w's neighbors in input order
+        let mut cursor = offsets[..n].to_vec();
+        let mut buckets = vec![0 as NodeId; offsets[n]];
+        for &(u, v) in edges {
+            buckets[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+            buckets[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+        }
+        // appending w to each of its neighbors' rows, w ascending, fills
+        // every row in ascending order
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut neighbors = vec![0 as NodeId; offsets[n]];
+        for w in 0..n {
+            for &x in &buckets[offsets[w]..offsets[w + 1]] {
+                neighbors[cursor[x as usize]] = w as NodeId;
+                cursor[x as usize] += 1;
+            }
+        }
+        let g = Graph { offsets, neighbors };
+        for v in 0..n as NodeId {
+            if let Some(pair) = g.neighbors(v).windows(2).find(|p| p[0] == p[1]) {
+                return Err(GraphError::DuplicateEdge { u: v, v: pair[0] });
+            }
+        }
+        Ok(g)
     }
 
     /// This graph with `adds[v]` merged into and `dels[v]` removed from

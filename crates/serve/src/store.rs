@@ -577,7 +577,9 @@ impl GraphStore {
 
     /// Registers (or replaces) a graph at epoch 0. Replacement drops
     /// every cached entry prepared from the old graph, its delta
-    /// history, its segments, and its pins. Returns `(n, m)`.
+    /// history, its segments, and its pins. Returns `(n, m)`. The CSR is
+    /// built in `O(n + m)` by [`Graph::from_edges`], and a refused graph
+    /// answers the first fault that build finds.
     pub fn register(
         &self,
         name: &str,

@@ -1,11 +1,12 @@
 //! Property-based invariants across the whole stack (proptest).
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use trilist::core::{baseline, list_triangles, Method};
 use trilist::graph::dist::{DegreeModel, DiscretePareto, Truncated};
 use trilist::graph::gen::{GraphGenerator, ResidualSampler};
-use trilist::graph::{DegreeSequence, Graph};
+use trilist::graph::{DegreeSequence, Graph, GraphError};
 use trilist::order::{round_robin, DirectedGraph, LimitMap, OrderFamily, Permutation, Relabeling};
 
 /// Strategy: a random simple graph as an edge set over `n ≤ 16` nodes.
@@ -28,8 +29,83 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// `Graph::from_edges` as it was before it wrote rows sorted: check
+/// each edge, push both endpoints onto per-node lists, and let
+/// `from_adjacency` sort them and check duplicates and symmetry. Kept as
+/// the oracle the linear build must equal, errors included.
+fn from_edges_via_adjacency(n: usize, edges: &[(u32, u32)]) -> Result<Graph, GraphError> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        if u as usize >= n {
+            return Err(GraphError::NodeOutOfRange { node: u, n });
+        }
+        if v as usize >= n {
+            return Err(GraphError::NodeOutOfRange { node: v, n });
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u });
+        }
+        adj[u as usize].push(v);
+        adj[v as usize].push(u);
+    }
+    Graph::from_adjacency(adj)
+}
+
+/// Strategy: `(n, edges)` for a sparse random graph on up to 200 nodes,
+/// shuffled and with each pair in either endpoint order, then with
+/// `faults` bad edges each put at a random position: an out-of-range ID,
+/// a self-loop, or a repeat of a listed pair in either order (an
+/// out-of-range pair while none is listed).
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (1usize..200, 0usize..10, any::<u64>(), 0usize..4).prop_map(|(n, k, seed, faults)| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let p = (k as f64 / n as f64).min(1.0);
+        let mut edges: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+            .filter_map(|(u, v)| match rng.gen_bool(p) {
+                false => None,
+                true if rng.gen_bool(0.5) => Some((v, u)),
+                true => Some((u, v)),
+            })
+            .collect();
+        edges.shuffle(&mut rng);
+        for _ in 0..faults {
+            let node = |rng: &mut rand::rngs::StdRng| rng.gen_range(0..n as u32);
+            let bad = match rng.gen_range(0..3) {
+                0 => {
+                    let far = n as u32 + rng.gen_range(0..3);
+                    let near = node(&mut rng);
+                    if rng.gen_bool(0.5) {
+                        (far, near)
+                    } else {
+                        (near, far)
+                    }
+                }
+                1 => {
+                    let x = node(&mut rng);
+                    (x, x)
+                }
+                _ => match edges.choose(&mut rng) {
+                    Some(&(u, v)) if rng.gen_bool(0.5) => (v, u),
+                    Some(&pair) => pair,
+                    None => (0, n as u32),
+                },
+            };
+            let at = rng.gen_range(0..edges.len() + 1);
+            edges.insert(at, bad);
+        }
+        (n, edges)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn from_edges_equals_the_adjacency_build(input in arb_edge_list()) {
+        let (n, edges) = input;
+        prop_assert_eq!(Graph::from_edges(n, &edges), from_edges_via_adjacency(n, &edges));
+    }
 
     #[test]
     fn all_methods_match_brute_force(g in arb_graph(), seed in 0u64..1000) {

@@ -558,3 +558,37 @@ fn a_count_completes_within_64_kb_of_the_resting_gauge() {
     client.shutdown().unwrap();
     server.join();
 }
+
+/// A graph the store refuses answers a `BadRequest` whose text names the
+/// fault `Graph::from_edges` finds first: out-of-range IDs and self-loops
+/// in input order, then the duplicate in the lowest row, in either
+/// endpoint order. The pinned texts are the wire contract of a refused
+/// `RegisterGraph`, whatever builds the CSR.
+#[test]
+fn refused_registrations_answer_the_first_fault_in_a_fixed_text() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let cases: [(&[(u32, u32)], &str); 5] = [
+        (&[(0, 1), (5, 6), (1, 2), (6, 5)], "duplicate edge (5, 6)"),
+        (&[(4, 3), (1, 2), (3, 4), (2, 1)], "duplicate edge (1, 2)"),
+        (&[(2, 1), (0, 3), (3, 0), (1, 2)], "duplicate edge (0, 3)"),
+        (&[(0, 1), (1, 0), (4, 4)], "self-loop at node 4"),
+        (
+            &[(0, 1), (1, 0), (7, 9), (3, 3)],
+            "node 9 out of range for graph of 8 nodes",
+        ),
+    ];
+    for (edges, text) in cases {
+        match client.register_graph("bad", 8, edges) {
+            Err(ClientError::Server(frame)) => {
+                assert_eq!(frame.code, ErrorCode::BadRequest, "{edges:?}");
+                assert_eq!(frame.message, text, "{edges:?}");
+            }
+            other => panic!("{edges:?}: wanted a refusal, got {other:?}"),
+        }
+    }
+    // the connection outlives its refusals
+    client.register_graph("bad", 3, &[(0, 1), (1, 2)]).unwrap();
+    client.shutdown().unwrap();
+    server.join();
+}
